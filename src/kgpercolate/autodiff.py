@@ -410,11 +410,6 @@ class Adam:
             p.grad = None
 
 
-def zero_grads(params: dict[str, Tensor]) -> None:
-    for p in params.values():
-        p.grad = None
-
-
 # ---------------------------------------------------------------- checkpoints
 
 def save_params(path, params: dict[str, Tensor], meta: dict | None = None) -> None:

@@ -1,18 +1,19 @@
 """Involved-triple accounting for layered percolation vs. prior GNN schemes.
 
-All figures are per query.  Two layer notions coexist and are reported side
-by side: ``percolation_layer_triples[l]`` counts the directed layer sets
-(head at l-1, tail at l-1 or l) that the percolation encoder actually
-processes, while ``hop_triple_counts[l]`` counts every triple with both
-endpoints inside hops {l-1, l}, the bookkeeping unit of the comparison
-formulas.  A triple whose endpoints sit at the same depth c contributes to
-hop counts c and c+1, so the hop total can exceed the number of distinct
-subgraph triples.
+All figures are per query and read one ``layering.relative_distances``
+pass.  Two layer notions coexist and are reported side by side:
+``percolation_layer_triples[l]`` counts the directed layer sets (head at
+l-1, tail at l-1 or l) that the percolation encoder actually processes,
+while ``hop_triple_counts[l]`` counts every triple with both endpoints
+inside hops {l-1, l}, the bookkeeping unit of the comparison formulas.  A
+triple whose endpoints sit at the same depth c contributes to hop counts c
+and c+1, so the hop total can exceed the number of distinct subgraph
+triples.
 
 Method totals (L = horizon, n_l = hop_triple_counts, N = sum n_l):
 
-* percolation: encoder layers 1..L-1 plus one combined pass over the
-  distinct triples of the full L-hop neighborhood (flag-controlled);
+* percolation: encoder layers 1..L-1 plus the decoder's one combined pass
+  over the distinct triples of the full L-hop neighborhood;
 * layer-rebuilding scheme: N + sum_{l=1}^{L-1} sum_{i=1}^{l} n_i, a model
   that reconstructs hops 1..l at every layer;
 * full-propagation scheme: L * min(|T+|, N), propagating over the whole
@@ -31,13 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kg import AdjacencyIndex
-from .layering import (
-    DistanceMap,
-    full_neighborhood,
-    percolation_subgraph,
-    relative_distances,
-    _gather_ranges,
-)
+from .layering import DistanceMap, relative_distances
 
 
 @dataclass
@@ -59,8 +54,6 @@ class QueryCount:
 @dataclass
 class TripleCountReport:
     horizon: int
-    include_same_potential: bool
-    include_decoder: bool
     total_augmented_triples: int
     queries: list[QueryCount] = field(default_factory=list)
 
@@ -72,8 +65,6 @@ class TripleCountReport:
     def as_dict(self) -> dict:
         return {
             "horizon": self.horizon,
-            "include_same_potential": self.include_same_potential,
-            "include_decoder": self.include_decoder,
             "total_augmented_triples": self.total_augmented_triples,
             "n_queries": len(self.queries),
             "mean_percolation": self.mean("percolation_total"),
@@ -84,46 +75,34 @@ class TripleCountReport:
         }
 
 
-def hop_triple_counts(
-    index: AdjacencyIndex, dm: DistanceMap, removed: np.ndarray | None = None
-) -> list[int]:
-    """n_l = triples with both endpoints inside hops {l-1, l}, l = 1..horizon."""
-    counts = []
-    for l in range(1, dm.horizon + 1):
-        nodes = np.concatenate([dm.layer(l - 1), dm.layer(l)])
-        pos = _gather_ranges(index.indptr, nodes)
-        if removed is not None and len(removed):
-            pos = pos[~np.isin(pos, removed)]
-        td = dm.dist[index.tail[pos]]
-        counts.append(int(((td == l - 1) | (td == l)).sum()))
-    return counts
+def hop_triple_counts(index: AdjacencyIndex, dm: DistanceMap) -> list[int]:
+    """n_l = triples with both endpoints inside hops {l-1, l}, l = 1..horizon.
+
+    Each such triple is a decoder triple.  With endpoint depths a <= b it
+    lies in hops {l-1, l} exactly for b <= l <= a+1: at b when b = a+1, at
+    a and a+1 when a = b, and nowhere when b >= a+2 (possible only when the
+    mask removed the triple's reverse).
+    """
+    hd = dm.dist[index.head[dm.decoder]]
+    td = dm.dist[index.tail[dm.decoder]]
+    lo, hi = np.minimum(hd, td), np.maximum(hd, td)
+    at = np.concatenate([hi[hi - lo <= 1], lo[hi == lo] + 1])
+    return np.bincount(at, minlength=dm.horizon + 2)[1 : dm.horizon + 1].tolist()
 
 
 def count_query(
     index: AdjacencyIndex,
     q: int,
     horizon: int,
-    include_same_potential: bool = True,
-    include_decoder: bool = True,
     removed: np.ndarray | None = None,
-    dm: DistanceMap | None = None,
 ) -> QueryCount:
     """All per-method involved-triple figures for one query."""
-    if dm is None:
-        dm = relative_distances(index, q, horizon, removed=removed)
-    perc = [
-        len(percolation_subgraph(index, dm, l, include_same_potential, removed))
-        for l in range(1, horizon + 1)
-    ]
-    hops = hop_triple_counts(index, dm, removed)
+    dm = relative_distances(index, q, horizon, removed=removed)
+    perc = [len(pos) for pos in dm.layers]
+    hops = hop_triple_counts(index, dm)
     n_total = sum(hops)
-    decoder = len(full_neighborhood(index, dm, removed))
-    if include_decoder:
-        encoder = sum(perc[: horizon - 1])
-        perc_total = encoder + decoder
-    else:
-        encoder = sum(perc)
-        perc_total = encoder
+    decoder = len(dm.decoder)
+    encoder = sum(perc[: horizon - 1])
     rebuild = n_total + sum(sum(hops[:l]) for l in range(1, horizon))
     full_prop = horizon * min(index.num_triples, n_total)
     return QueryCount(
@@ -132,7 +111,7 @@ def count_query(
         hop_triple_counts=hops,
         encoder_triples=encoder,
         decoder_triples=decoder,
-        percolation_total=perc_total,
+        percolation_total=encoder + decoder,
         layer_rebuild_total=rebuild,
         full_propagation_total=full_prop,
         pairwise_lower_bound=horizon * n_total,
@@ -143,17 +122,9 @@ def count_queries(
     index: AdjacencyIndex,
     queries: list[int] | np.ndarray,
     horizon: int,
-    include_same_potential: bool = True,
-    include_decoder: bool = True,
 ) -> TripleCountReport:
-    rep = TripleCountReport(
+    return TripleCountReport(
         horizon=horizon,
-        include_same_potential=include_same_potential,
-        include_decoder=include_decoder,
         total_augmented_triples=index.num_triples,
+        queries=[count_query(index, int(q), horizon) for q in queries],
     )
-    for q in queries:
-        rep.queries.append(
-            count_query(index, int(q), horizon, include_same_potential, include_decoder)
-        )
-    return rep

@@ -1,15 +1,19 @@
-"""Query-relative distance layering and percolation subgraph construction.
+"""Query-relative distance layering: one kernel, and the batch builder.
 
 For a query entity q, every entity within the hop horizon L gets a relative
 distance (BFS hops over the augmented triples).  Layer l of the percolation
 process sees only the triples whose head sits at distance l-1 and whose tail
 sits at distance l-1 or l, i.e. messages flow outward (downhill in
-potential) or sideways, never back toward the query.  A combined decoder
-pass later uses the full L-hop neighborhood.
+potential) or sideways, never back toward the query.  The decoder pass sees
+every triple with both endpoints inside the horizon.
 
-The batch builder merges several queries into one node table so the model
-can process them in a single set of tensor ops; each query keeps its own
-distance structure and anti-leakage edge mask.
+``relative_distances`` is the one kernel that makes these selections: a
+single BFS pass returns the distances, the triples of every layer and the
+decoder's triples, with an optional anti-leakage mask applied throughout.
+The batch builder, the triple counts and the principle checks all read its
+``DistanceMap``.  The builder merges several queries into one node table so
+the model can process them in a single set of tensor ops; each query keeps
+its own distance structure and edge mask.
 """
 
 from __future__ import annotations
@@ -23,11 +27,20 @@ from .kg import AdjacencyIndex
 
 @dataclass
 class DistanceMap:
-    """Relative distances from one query entity, capped at the horizon."""
+    """Relative distances from one query entity, capped at the horizon, and
+    the triples the model reads.
+
+    ``layers[l-1]`` holds the triple positions of percolation layer l (head
+    at distance l-1, tail at l-1 or l) and ``decoder`` those of every triple
+    with both endpoints within the horizon; both are ascending positions into
+    the index's sorted order, with masked triples left out.
+    """
 
     query: int
     horizon: int
     dist: np.ndarray  # (|E|,) int16, -1 for unreachable within horizon
+    layers: list[np.ndarray]  # percolation layers 1..horizon
+    decoder: np.ndarray
 
     def layer(self, l: int) -> np.ndarray:
         """Entity ids at exactly distance l (ascending)."""
@@ -37,7 +50,7 @@ class DistanceMap:
 
     def within(self) -> np.ndarray:
         """All entity ids reachable within the horizon (ascending)."""
-        return np.flatnonzero(self.dist >= 0).astype(np.int64)
+        return np.flatnonzero(self.dist >= 0)
 
 
 def _gather_ranges(indptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -60,71 +73,48 @@ def relative_distances(
     horizon: int,
     removed: np.ndarray | None = None,
 ) -> DistanceMap:
-    """BFS distances from q over the augmented triples, capped at horizon.
+    """BFS distances from q over the augmented triples, capped at horizon,
+    with the percolation layers and the decoder triples.
 
     ``removed`` is an optional array of triple positions (into the index's
-    sorted order) excluded from traversal, used for anti-leakage masking.
+    sorted order) excluded from traversal and from every selection, used for
+    anti-leakage masking.  A query entity or a removed position out of range
+    raises ValueError.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    if q < 0 or q >= index.num_entities:
-        raise ValueError(f"query entity {q} out of range")
+    if not 0 <= q < index.num_entities:
+        raise ValueError(f"query={q} outside [0, {index.num_entities})")
+    keep = None
+    if removed is not None and len(removed):
+        lo, hi = removed.min(), removed.max()
+        if lo < 0 or hi >= index.num_triples:
+            raise ValueError(f"removed positions span [{lo}, {hi}], "
+                             f"outside [0, {index.num_triples})")
+        keep = np.ones(index.num_triples, dtype=bool)
+        keep[removed] = False
+
+    def out_triples(nodes: np.ndarray) -> np.ndarray:
+        pos = _gather_ranges(index.indptr, nodes)
+        return pos if keep is None else pos[keep[pos]]
+
     dist = np.full(index.num_entities, -1, dtype=np.int16)
     dist[q] = 0
-    removed_set = None
-    if removed is not None and len(removed):
-        removed_set = np.zeros(index.num_triples, dtype=bool)
-        removed_set[removed] = True
     frontier = np.array([q], dtype=np.int64)
+    layers = []
     for l in range(1, horizon + 1):
-        pos = _gather_ranges(index.indptr, frontier)
-        if removed_set is not None:
-            pos = pos[~removed_set[pos]]
+        # the frontier holds every entity at distance l-1, ascending
+        pos = out_triples(frontier)
         tails = index.tail[pos]
         fresh = tails[dist[tails] == -1]
-        if len(fresh) == 0:
-            break
         dist[fresh] = l
-        frontier = np.unique(fresh).astype(np.int64)
-    return DistanceMap(query=q, horizon=horizon, dist=dist)
-
-
-def percolation_subgraph(
-    index: AdjacencyIndex,
-    dm: DistanceMap,
-    l: int,
-    include_same_potential: bool = True,
-    removed: np.ndarray | None = None,
-) -> np.ndarray:
-    """Triple positions of layer l: head at distance l-1, tail at l-1 or l.
-
-    With include_same_potential=False only strictly outward triples (tail at
-    distance l) are kept, which also drops the identity self-loops.
-    """
-    if l < 1 or l > dm.horizon:
-        raise ValueError(f"percolation layer {l} outside [1, {dm.horizon}]")
-    heads = dm.layer(l - 1)
-    pos = _gather_ranges(index.indptr, heads)
-    if removed is not None and len(removed):
-        pos = pos[~np.isin(pos, removed)]
-    td = dm.dist[index.tail[pos]]
-    if include_same_potential:
-        keep = (td == l) | (td == l - 1)
-    else:
-        keep = td == l
-    return pos[keep]
-
-
-def full_neighborhood(
-    index: AdjacencyIndex,
-    dm: DistanceMap,
-    removed: np.ndarray | None = None,
-) -> np.ndarray:
-    """Positions of all triples with both endpoints within the horizon."""
-    pos = _gather_ranges(index.indptr, dm.within())
-    if removed is not None and len(removed):
-        pos = pos[~np.isin(pos, removed)]
-    return pos[dm.dist[index.tail[pos]] >= 0]
+        if l < horizon:  # the last layer's frontier is never expanded
+            frontier = np.unique(fresh)
+        # no tail is deeper than l, so layer l keeps the tails at l-1 or l
+        layers.append(pos[dist[tails] >= l - 1])
+    pos = out_triples(np.flatnonzero(dist >= 0))
+    decoder = pos[dist[index.tail[pos]] >= 0]
+    return DistanceMap(q, horizon, dist, layers, decoder)
 
 
 @dataclass
@@ -180,115 +170,83 @@ class BatchGraph:
         return len(self.query_rels)
 
 
+# the columns of SubgraphBuilder._translate for no triples
+_NO_TRIPLES = (np.empty(0, dtype=np.int64),) * 4
+
+
 class SubgraphBuilder:
     """Builds per-query layered subgraphs and merges them into batches.
 
-    Reuses scratch arrays across queries, so one builder instance should be
-    kept per worker.  Construction is pure numpy and deterministic.
+    Reuses a scratch entity-to-row map across queries, so one builder
+    instance should be kept per worker.  Construction is pure numpy and
+    deterministic.
     """
 
     def __init__(self, index: AdjacencyIndex):
         self.index = index
-        self._dist = np.full(index.num_entities, -1, dtype=np.int16)
         self._nodemap = np.full(index.num_entities, -1, dtype=np.int64)
-        self._removed = np.zeros(index.num_triples, dtype=bool)
 
-    def build_batch(
-        self,
-        queries: list[QuerySpec],
-        horizon: int,
-        include_same_potential: bool = True,
-    ) -> BatchGraph:
+    def build_batch(self, queries: list[QuerySpec], horizon: int) -> BatchGraph:
         if horizon <= 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
-        index = self.index
-        node_entity_parts: list[np.ndarray] = []
-        node_query_parts: list[np.ndarray] = []
-        spans = np.zeros((len(queries), 2), dtype=np.int64)
-        query_nodes = np.zeros(len(queries), dtype=np.int64)
-        query_rels = np.zeros(len(queries), dtype=np.int64)
-        answer_nodes = np.full(len(queries), -1, dtype=np.int64)
-        layer_parts: list[list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]] = [
-            [] for _ in range(horizon)
-        ]
-        decoder_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+        self._check(queries)
+        n_q = len(queries)
+        node_entity_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        spans = np.zeros((n_q, 2), dtype=np.int64)
+        query_nodes = np.zeros(n_q, dtype=np.int64)
+        answer_nodes = np.full(n_q, -1, dtype=np.int64)
+        # for layers 1..horizon and then the decoder: the columns of
+        # _translate, one tuple per query after an empty one
+        parts: list[list[tuple[np.ndarray, ...]]] = [[_NO_TRIPLES] for _ in range(horizon + 1)]
 
         offset = 0
         for slot, qs in enumerate(queries):
-            if qs.query < 0 or qs.query >= index.num_entities:
-                raise ValueError(f"query entity {qs.query} out of range")
-            dist = self._dist
-            masked = qs.removed is not None and len(qs.removed) > 0
-            if masked:
-                self._removed[qs.removed] = True
-            dist[qs.query] = 0
-            frontier = np.array([qs.query], dtype=np.int64)
-            per_layer_pos: list[np.ndarray] = []
-            for l in range(1, horizon + 1):
-                pos = _gather_ranges(index.indptr, frontier)
-                if masked:
-                    pos = pos[~self._removed[pos]]
-                tails = index.tail[pos]
-                fresh = tails[dist[tails] == -1]
-                if len(fresh):
-                    dist[fresh] = l
-                    frontier = np.unique(fresh).astype(np.int64)
-                else:
-                    frontier = np.empty(0, dtype=np.int64)
-                td = dist[tails]
-                if include_same_potential:
-                    keep = (td == l) | (td == l - 1)
-                else:
-                    keep = td == l
-                per_layer_pos.append(pos[keep])
-
-            nodes = np.flatnonzero(dist >= 0).astype(np.int64)
-            self._nodemap[nodes] = offset + np.arange(len(nodes), dtype=np.int64)
+            try:
+                dm = relative_distances(self.index, qs.query, horizon, removed=qs.removed)
+            except ValueError as e:
+                raise ValueError(f"query slot {slot}: {e}") from None
+            nodes = dm.within()
             node_entity_parts.append(nodes)
-            node_query_parts.append(np.full(len(nodes), slot, dtype=np.int64))
             spans[slot] = (offset, offset + len(nodes))
-            query_nodes[slot] = self._nodemap[qs.query]
-            query_rels[slot] = qs.rel
-            if qs.answer >= 0 and dist[qs.answer] >= 0:
-                answer_nodes[slot] = self._nodemap[qs.answer]
-
-            for l, pos in enumerate(per_layer_pos):
-                if len(pos):
-                    layer_parts[l].append(self._translate(pos, slot))
-            dec_pos = _gather_ranges(index.indptr, nodes)
-            if masked:
-                dec_pos = dec_pos[~self._removed[dec_pos]]
-            dec_pos = dec_pos[dist[index.tail[dec_pos]] >= 0]
-            if len(dec_pos):
-                decoder_parts.append(self._translate(dec_pos, slot))
-
-            # reset scratch
-            dist[nodes] = -1
-            self._nodemap[nodes] = -1
-            if masked:
-                self._removed[qs.removed] = False
+            self._nodemap[nodes] = offset + np.arange(len(nodes), dtype=np.int64)
+            try:
+                query_nodes[slot] = self._nodemap[qs.query]
+                if qs.answer >= 0 and dm.dist[qs.answer] >= 0:
+                    answer_nodes[slot] = self._nodemap[qs.answer]
+                for part, pos in zip(parts, dm.layers + [dm.decoder]):
+                    if len(pos):
+                        part.append(self._translate(pos, slot))
+            finally:
+                self._nodemap[nodes] = -1
             offset += len(nodes)
 
-        node_entity = _concat(node_entity_parts, np.int64)
-        node_query = _concat(node_query_parts, np.int64)
-        layers = [
-            self._merge(parts, node_entity) for parts in layer_parts
-        ]
-        decoder = self._merge(decoder_parts, node_entity)
+        node_entity = np.concatenate(node_entity_parts)
+        merged = [self._merge(part, node_entity) for part in parts]
         return BatchGraph(
             n_nodes=offset,
             node_entity=node_entity,
-            node_query=node_query,
+            node_query=np.repeat(np.arange(n_q, dtype=np.int64), spans[:, 1] - spans[:, 0]),
             spans=spans,
             query_nodes=query_nodes,
-            query_rels=query_rels,
+            query_rels=np.array([qs.rel for qs in queries], dtype=np.int64),
             answer_nodes=answer_nodes,
-            layers=layers,
-            decoder=decoder,
+            layers=merged[:-1],
+            decoder=merged[-1],
             horizon=horizon,
         )
 
-    def _translate(self, pos: np.ndarray, slot: int):
+    def _check(self, queries: list[QuerySpec]) -> None:
+        """Reject the ids the kernel does not see, before any scratch state
+        is touched; it checks the query entity and the removed positions."""
+        n_e, max_rel = self.index.num_entities, self.index.identity_rel
+        for slot, qs in enumerate(queries):
+            if not 0 <= qs.rel <= max_rel:
+                raise ValueError(f"query slot {slot}: rel={qs.rel} outside [0, {max_rel}]")
+            if not -1 <= qs.answer < n_e:
+                raise ValueError(f"query slot {slot}: answer={qs.answer} outside [-1, {n_e})")
+
+    def _translate(self, pos: np.ndarray, slot: int) -> tuple[np.ndarray, ...]:
+        """Head node rows, relations, tail node rows and query slots."""
         index = self.index
         return (
             self._nodemap[index.head[pos]],
@@ -297,32 +255,16 @@ class SubgraphBuilder:
             np.full(len(pos), slot, dtype=np.int64),
         )
 
-    def _merge(self, parts, node_entity: np.ndarray) -> LayerTriples:
-        if not parts:
-            z = np.empty(0, dtype=np.int64)
-            return LayerTriples(
-                head_node=z, rel=z.copy(),
-                seg_ptr=np.zeros(1, dtype=np.int64),
-                targets=z.copy(),
-                denom=np.empty(0, dtype=np.float32),
-                triple_query=z.copy(),
-            )
-        head = _concat([p[0] for p in parts], np.int64)
-        rel = _concat([p[1] for p in parts], np.int64)
-        tail = _concat([p[2] for p in parts], np.int64)
-        tq = _concat([p[3] for p in parts], np.int64)
+    def _merge(self, parts: list[tuple[np.ndarray, ...]], node_entity: np.ndarray) -> LayerTriples:
+        head, rel, tail, tq = (np.concatenate(column) for column in zip(*parts))
         order = np.argsort(tail, kind="stable")
         head, rel, tail, tq = head[order], rel[order], tail[order], tq[order]
         targets, start = np.unique(tail, return_index=True)
-        seg_ptr = np.append(start, len(tail)).astype(np.int64)
-        denom = self.index.out_degree[node_entity[targets]].astype(np.float32)
         return LayerTriples(
-            head_node=head, rel=rel, seg_ptr=seg_ptr,
-            targets=targets, denom=denom, triple_query=tq,
+            head_node=head, rel=rel,
+            seg_ptr=np.append(start, len(tail)).astype(np.int64),
+            targets=targets,
+            denom=self.index.out_degree[node_entity[targets]].astype(np.float32),
+            triple_query=tq,
         )
 
-
-def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
-    if not parts:
-        return np.empty(0, dtype=dtype)
-    return np.concatenate(parts).astype(dtype, copy=False)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kg import AdjacencyIndex, Triple, reverse_rel
-from .layering import DistanceMap, percolation_subgraph, relative_distances
+from .layering import DistanceMap, relative_distances
 
 
 @dataclass(frozen=True)
@@ -293,8 +293,8 @@ def verify_percolation_principles(
     walk(q, 0)
 
     covered: set[int] = set()
-    for l in range(1, horizon + 1):
-        for pos in percolation_subgraph(index, dm, l):
+    for layer in dm.layers:
+        for pos in layer:
             if pos in covered:
                 rep.coverage_complete = False
                 rep.counterexamples.append(f"triple in two layers: pos {pos}")

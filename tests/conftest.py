@@ -92,3 +92,14 @@ def bfs_oracle(aug_triples: np.ndarray, n_entities: int, q: int, horizon: int) -
                     nxt.append(v)
         frontier = nxt
     return dist
+
+
+def random_mask(rng: np.random.Generator, index, frac: float) -> tuple[np.ndarray, np.ndarray]:
+    """A random set of masked triple positions and the (h, r, t) rows, in
+    index order, of the triples it leaves unmasked."""
+    n = index.num_triples
+    removed = np.sort(rng.choice(n, size=int(frac * n), replace=False)).astype(np.int64)
+    keep = np.ones(n, dtype=bool)
+    keep[removed] = False
+    rows = np.stack([index.head, index.rel, index.tail], axis=1)[keep]
+    return removed, rows

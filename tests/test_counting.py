@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,7 +9,7 @@ from kgpercolate.kg import augment, build_index
 from kgpercolate.counting import count_query, count_queries, hop_triple_counts
 from kgpercolate.layering import relative_distances
 
-from conftest import random_kg
+from conftest import random_kg, random_mask
 
 
 def naive_hop_counts(aug, dist, L):
@@ -35,10 +36,12 @@ def test_toy_counts(toy_index, toy_aug):
     assert c.pairwise_lower_bound == 3 * 22
 
 
-def test_toy_counts_no_decoder(toy_index, toy_aug):
-    c = count_query(toy_index, toy_aug.entities.id("A"), 3, include_decoder=False)
-    assert c.encoder_triples == 3 + 6 + 2
-    assert c.percolation_total == 11
+@pytest.mark.parametrize("removed", [[-1], [99]], ids=["low", "high"])
+def test_count_query_rejects_out_of_range_removed(toy_index, removed):
+    # the kernel checks the positions for every caller, not only the builder:
+    # -1 would silently mask the last triple, 99 would fail in numpy indexing
+    with pytest.raises(ValueError, match=r"removed positions span .* outside \[0, 17\)"):
+        count_query(toy_index, 0, 3, removed=np.array(removed))
 
 
 def test_hop_counts_match_naive_oracle(toy_index, toy_aug):
@@ -48,15 +51,14 @@ def test_hop_counts_match_naive_oracle(toy_index, toy_aug):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 4))
-def test_hop_counts_random(seed, L):
+@given(st.integers(0, 10_000), st.integers(1, 4), st.floats(0.0, 0.5))
+def test_hop_counts_random(seed, L, frac):
     kg = augment(random_kg(np.random.default_rng(seed)))
     idx = build_index(kg)
     q = int(np.random.default_rng(seed + 5).integers(0, len(kg.entities)))
-    dm = relative_distances(idx, q, L)
-    assert hop_triple_counts(idx, dm) == naive_hop_counts(
-        kg.augmented, dm.dist.tolist(), L
-    )
+    removed, kept = random_mask(np.random.default_rng(seed + 6), idx, frac)
+    dm = relative_distances(idx, q, L, removed=removed)
+    assert hop_triple_counts(idx, dm) == naive_hop_counts(kept, dm.dist.tolist(), L)
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,15 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgpercolate.kg import Vocab, augment, build_index, make_graph
-from kgpercolate.layering import (
-    QuerySpec,
-    SubgraphBuilder,
-    full_neighborhood,
-    percolation_subgraph,
-    relative_distances,
-)
+from kgpercolate.layering import QuerySpec, SubgraphBuilder, relative_distances
 
-from conftest import bfs_oracle, build_toy, random_kg
+from conftest import bfs_oracle, build_toy, random_kg, random_mask
 
 
 def dist_of(toy_index, name_to_id, L=3):
@@ -68,20 +62,21 @@ def test_bad_arguments(toy_index):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 5))
-def test_distances_match_bfs_oracle(seed, L):
+@given(st.integers(0, 10_000), st.integers(1, 5), st.floats(0.0, 0.5))
+def test_distances_match_bfs_oracle(seed, L, frac):
     kg = augment(random_kg(np.random.default_rng(seed)))
     idx = build_index(kg)
     q = int(np.random.default_rng(seed + 1).integers(0, len(kg.entities)))
-    dm = relative_distances(idx, q, L)
-    oracle = bfs_oracle(kg.augmented, len(kg.entities), q, L)
+    removed, kept = random_mask(np.random.default_rng(seed + 2), idx, frac)
+    dm = relative_distances(idx, q, L, removed=removed)
+    oracle = bfs_oracle(kept, len(kg.entities), q, L)
     assert np.array_equal(dm.dist.astype(np.int64), oracle)
 
 
 def test_toy_percolation_layer2(toy_index, toy_aug):
     ids, rels = toy_aug.entities, toy_aug.relations
     dm = relative_distances(toy_index, ids.id("A"), 3)
-    pos = percolation_subgraph(toy_index, dm, 2)
+    pos = dm.layers[1]
     got = {
         (toy_index.head[p], toy_index.rel[p], toy_index.tail[p]) for p in pos
     }
@@ -102,26 +97,15 @@ def test_toy_percolation_layer2(toy_index, toy_aug):
 def test_toy_percolation_layer_counts(toy_index, toy_aug):
     ids = toy_aug.entities
     dm = relative_distances(toy_index, ids.id("A"), 3)
-    sizes = [len(percolation_subgraph(toy_index, dm, l)) for l in (1, 2, 3)]
+    sizes = [len(pos) for pos in dm.layers]
     assert sizes == [3, 6, 2]
-
-
-def test_same_potential_switch(toy_index, toy_aug):
-    ids = toy_aug.entities
-    dm = relative_distances(toy_index, ids.id("A"), 3)
-    pos = percolation_subgraph(toy_index, dm, 2, include_same_potential=False)
-    dists = dm.dist[toy_index.tail[pos]]
-    assert (dists == 2).all()
-    # identity loops dropped with the rest of the same-potential triples
-    assert (toy_index.rel[pos] != toy_aug.identity_rel).all()
 
 
 def test_layers_disjoint_and_downhill(toy_index, toy_aug):
     ids = toy_aug.entities
     dm = relative_distances(toy_index, ids.id("A"), 3)
     all_pos = []
-    for l in (1, 2, 3):
-        pos = percolation_subgraph(toy_index, dm, l)
+    for l, pos in enumerate(dm.layers, 1):
         all_pos.extend(pos.tolist())
         hd = dm.dist[toy_index.head[pos]]
         td = dm.dist[toy_index.tail[pos]]
@@ -131,22 +115,28 @@ def test_layers_disjoint_and_downhill(toy_index, toy_aug):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 4))
-def test_percolation_matches_naive_oracle(seed, L):
+@given(st.integers(0, 10_000), st.integers(1, 4), st.floats(0.0, 0.5))
+def test_percolation_matches_naive_oracle(seed, L, frac):
     kg = augment(random_kg(np.random.default_rng(seed)))
     idx = build_index(kg)
     q = int(np.random.default_rng(seed + 7).integers(0, len(kg.entities)))
-    dm = relative_distances(idx, q, L)
+    removed, kept = random_mask(np.random.default_rng(seed + 8), idx, frac)
+    dm = relative_distances(idx, q, L, removed=removed)
     d = {i: int(v) for i, v in enumerate(dm.dist)}
+
+    def triples(pos):
+        return {(int(idx.head[p]), int(idx.rel[p]), int(idx.tail[p])) for p in pos}
+
     for l in range(1, L + 1):
-        pos = percolation_subgraph(idx, dm, l)
-        got = {(int(idx.head[p]), int(idx.rel[p]), int(idx.tail[p])) for p in pos}
         naive = {
             (int(h), int(r), int(t))
-            for h, r, t in kg.augmented.tolist()
+            for h, r, t in kept.tolist()
             if d[h] == l - 1 and d[t] in (l - 1, l)
         }
-        assert got == naive
+        assert triples(dm.layers[l - 1]) == naive
+    naive = {(h, r, t) for h, r, t in kept.tolist() if d[h] >= 0 and d[t] >= 0}
+    assert triples(dm.decoder) == naive
+    assert len(dm.decoder) == len(naive)
 
 
 @settings(max_examples=30, deadline=None)
@@ -157,8 +147,8 @@ def test_triple_budget(seed, L):
     idx = build_index(kg)
     q = int(np.random.default_rng(seed + 3).integers(0, len(kg.entities)))
     dm = relative_distances(idx, q, L)
-    layered = sum(len(percolation_subgraph(idx, dm, l)) for l in range(1, L + 1))
-    assert layered <= len(full_neighborhood(idx, dm))
+    layered = sum(len(pos) for pos in dm.layers)
+    assert layered <= len(dm.decoder)
 
 
 def test_removed_edges_affect_distances(toy_index, toy_aug):
@@ -286,3 +276,33 @@ def test_batch_respects_removed_edges(toy_index, toy_aug):
             (int(bg2.node_entity[lt.head_node[i]]), int(bg2.node_entity[lt.targets[seg]]))
         )
     assert (ids.id("A"), ids.id("B")) in pairs
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("query", QuerySpec(query=99, rel=0)),
+        ("query", QuerySpec(query=-1, rel=0)),
+        ("rel", QuerySpec(query=0, rel=99)),
+        ("rel", QuerySpec(query=0, rel=5)),  # identity is 4 on the toy graph
+        ("rel", QuerySpec(query=0, rel=-1)),
+        ("answer", QuerySpec(query=0, rel=0, answer=99)),
+        ("answer", QuerySpec(query=0, rel=0, answer=-2)),
+        ("removed", QuerySpec(query=0, rel=0, removed=np.array([0, 99]))),
+        ("removed", QuerySpec(query=0, rel=0, removed=np.array([-1]))),
+    ],
+    ids=["query-high", "query-low", "rel-high", "rel-past-identity", "rel-low",
+         "answer-high", "answer-low", "removed-high", "removed-low"],
+)
+def test_batch_rejects_out_of_range_specs(toy_index, field, bad):
+    b = SubgraphBuilder(toy_index)
+    good = QuerySpec(query=1, rel=4, answer=0, removed=np.array([0]))
+    with pytest.raises(ValueError, match=rf"slot 1: {field}"):
+        b.build_batch([good, bad], horizon=3)
+    # the failed call leaves no state behind: A has 3 entities within 1 hop
+    bg = b.build_batch([QuerySpec(0, 0)], 1)
+    assert bg.n_nodes == 3
+    fresh = SubgraphBuilder(toy_index).build_batch([good], 3)
+    again = b.build_batch([good], 3)
+    assert np.array_equal(again.node_entity, fresh.node_entity)
+    assert np.array_equal(again.decoder.head_node, fresh.decoder.head_node)

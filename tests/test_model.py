@@ -341,14 +341,15 @@ class TestFullModelGradients:
     def test_float32_relu_global_relative_error(self):
         # relu kinks make isolated partials fragile (a kink within h of an
         # entry), so the check is on the whole-gradient relative error; the
-        # float32 analytic gradient is off its float64 reference by ~4e-8
+        # float32 analytic gradient is off its float64 reference by ~4e-8,
+        # while a 0.1% error in the segment_std backward shows as ~1e-5
         cfg = small_config(dim=6, dim_low=4)
         params, numeric = self.compute_grads(cfg, seed=11, h=1e-6)
         analytic = np.concatenate([p.grad.ravel() for p in params.values()])
         assert analytic.dtype == np.float32
         fd = np.concatenate([numeric[k].ravel() for k in params])
         rel = np.linalg.norm(analytic - fd) / np.linalg.norm(fd)
-        assert rel < 1e-2, rel
+        assert rel < 1e-6, rel
 
     def test_float32_smooth_elementwise(self):
         cfg = small_config(dim=6, dim_low=4, activation="tanh")

@@ -1,0 +1,94 @@
+"""Golden hash of the library's seeded outputs on the benchmark's set-ups.
+
+For each of the bench workloads train, eval and analysis and each seed, it
+runs the first batches of the workload's loop and hashes what the library
+returned: every BatchGraph field, the logits (train steps run backward and
+Adam, so later logits cover the gradients too), the per-query count_query
+dicts, and the PrincipleReport tallies.  A refactor that claims to keep the
+outputs unchanged must print the same hash before and after.
+
+    python tools/golden_hash.py [--root CHECKOUT]
+
+``--root`` picks the checkout whose ``src/`` and ``bench/`` are imported, so
+the script can hash an older commit from a copy of that commit's tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import os
+import sys
+
+import numpy as np
+
+SEEDS = (701, 702)
+BATCHES = 12  # first batches of each workload's loop, per seed
+
+
+def feed(h, obj) -> None:
+    """Canonical bytes of nested arrays, dataclasses, dicts and scalars."""
+    if isinstance(obj, np.ndarray):
+        h.update(f"a{obj.dtype.str}{obj.shape}".encode())
+        h.update(np.ascontiguousarray(obj).tobytes())
+    elif dataclasses.is_dataclass(obj):
+        h.update(type(obj).__name__.encode())
+        for f in dataclasses.fields(obj):
+            h.update(f.name.encode())
+            feed(h, getattr(obj, f.name))
+    elif isinstance(obj, dict):
+        for k in sorted(obj):
+            h.update(repr(k).encode())
+            feed(h, obj[k])
+    elif isinstance(obj, (list, tuple)):
+        h.update(f"l{len(obj)}".encode())
+        for x in obj:
+            feed(h, x)
+    else:
+        h.update(f"{type(obj).__name__}:{obj!r}".encode())
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--root", default=os.path.join(os.path.dirname(__file__), os.pardir))
+    args = ap.parse_args()
+    root = os.path.abspath(args.root)
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
+    from kgpercolate.counting import count_query
+    from kgpercolate.model import ModelConfig
+    from spans import NullTracer
+    from synth import make_split
+    from workloads import LOOPS, WORKLOADS, _graph, set_up
+
+    total = hashlib.sha256()
+    for name in ("train", "eval", "analysis"):
+        wl = WORKLOADS[name]
+        h = hashlib.sha256()
+        for seed in SEEDS:
+            split = make_split(seed)
+            kg = _graph(split, wl)
+            config = ModelConfig(n_base_relations=split.n_relations, horizon=wl.horizon)
+            tr = NullTracer()
+            loop = LOOPS[name](split, wl, set_up(kg, config, seed, tr), seed)
+            for _ in range(BATCHES):
+                queries = loop.next_batch()
+                out = loop.step(queries, tr)
+                if name == "analysis":
+                    report, checks = out
+                    feed(h, [c.as_dict() for c in report.queries])
+                    feed(h, checks)
+                else:
+                    bg, logits = out[0], out[1]
+                    feed(h, bg)
+                    feed(h, logits)
+                    feed(h, [count_query(loop.s.index, qs.query, wl.horizon,
+                                         removed=qs.removed).as_dict()
+                             for qs in queries])
+        print(f"{name:9s} {h.hexdigest()}")
+        total.update(h.digest())
+    print(f"{'all':9s} {total.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
