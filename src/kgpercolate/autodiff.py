@@ -416,13 +416,18 @@ def save_params(path, params: dict[str, Tensor], meta: dict | None = None) -> No
     """Write parameters as one flat binary blob plus a JSON manifest.
 
     The manifest (path + '.json') records tensor order, shapes and byte
-    offsets; the blob is raw array bytes in manifest order.
+    offsets; the blob is raw array bytes in manifest order.  The manifest
+    records one dtype, the active default, so a tensor of another dtype is
+    refused rather than written under the wrong label.
     """
     path = Path(path)
     blob = bytearray()
     entries = []
     for name, t in params.items():
         arr = np.ascontiguousarray(t.data)
+        if arr.dtype != np.dtype(_DTYPE):
+            raise ValueError(f"tensor {name!r} has dtype {arr.dtype}, not the active "
+                             f"default dtype {get_default_dtype()}")
         entries.append(
             {"name": name, "shape": list(arr.shape), "offset": len(blob)}
         )
@@ -440,11 +445,21 @@ def save_params(path, params: dict[str, Tensor], meta: dict | None = None) -> No
 
 
 def load_params(path) -> tuple[dict[str, Tensor], dict]:
+    """Read a checkpoint written by ``save_params``.
+
+    The checkpoint's dtype must be the active default dtype: tensors take
+    the default dtype, so loading it under another would silently convert
+    every parameter.
+    """
     path = Path(path)
     manifest = json.loads(path.with_name(path.name + ".json").read_text())
     if manifest.get("format") != "kgpercolate-checkpoint-v1":
         raise ValueError(f"{path}: not a recognized checkpoint")
     dt = np.dtype(manifest["dtype"])
+    if dt.name != get_default_dtype():
+        raise ValueError(f"{path}: checkpoint dtype {dt.name} differs from the active "
+                         f"default dtype {get_default_dtype()}; call "
+                         f"set_default_dtype({dt.name!r}) before loading")
     blob = path.read_bytes()
     params: dict[str, Tensor] = {}
     for entry in manifest["tensors"]:

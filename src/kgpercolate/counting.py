@@ -1,14 +1,14 @@
 """Involved-triple accounting for layered percolation vs. prior GNN schemes.
 
-All figures are per query and read one ``layering.relative_distances``
-pass.  Two layer notions coexist and are reported side by side:
-``percolation_layer_triples[l]`` counts the directed layer sets (head at
-l-1, tail at l-1 or l) that the percolation encoder actually processes,
-while ``hop_triple_counts[l]`` counts every triple with both endpoints
-inside hops {l-1, l}, the bookkeeping unit of the comparison formulas.  A
-triple whose endpoints sit at the same depth c contributes to hop counts c
-and c+1, so the hop total can exceed the number of distinct subgraph
-triples.
+All figures are per query; the queries of one call share one
+``layering.batch_distances`` pass.  Two layer notions coexist and are
+reported side by side: ``percolation_layer_triples[l]`` counts the directed
+layer sets (head at l-1, tail at l-1 or l) that the percolation encoder
+actually processes, while ``hop_triple_counts[l]`` counts every triple with
+both endpoints inside hops {l-1, l}, the bookkeeping unit of the comparison
+formulas.  A triple whose endpoints sit at the same depth c contributes to
+hop counts c and c+1, so the hop total can exceed the number of distinct
+subgraph triples.
 
 Method totals (L = horizon, n_l = hop_triple_counts, N = sum n_l):
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kg import AdjacencyIndex
-from .layering import DistanceMap, relative_distances
+from .layering import DistanceMap, batch_distances
 
 
 @dataclass
@@ -75,19 +75,56 @@ class TripleCountReport:
         }
 
 
-def hop_triple_counts(index: AdjacencyIndex, dm: DistanceMap) -> list[int]:
-    """n_l = triples with both endpoints inside hops {l-1, l}, l = 1..horizon.
+def _hop_counts(index: AdjacencyIndex, dist: np.ndarray, slot: np.ndarray,
+                pos: np.ndarray, n_slots: int, horizon: int) -> np.ndarray:
+    """(n_slots, horizon) hop counts of the decoder triples (slot, pos),
+    over a distance table keyed ``slot*|E| + entity``.
 
-    Each such triple is a decoder triple.  With endpoint depths a <= b it
-    lies in hops {l-1, l} exactly for b <= l <= a+1: at b when b = a+1, at
-    a and a+1 when a = b, and nowhere when b >= a+2 (possible only when the
-    mask removed the triple's reverse).
+    With endpoint depths a <= b a decoder triple lies in hops {l-1, l}
+    exactly for b <= l <= a+1: at b when b = a+1, at a and a+1 when a = b,
+    and nowhere when b >= a+2 (possible only when the mask removed the
+    triple's reverse).
     """
-    hd = dm.dist[index.head[dm.decoder]]
-    td = dm.dist[index.tail[dm.decoder]]
+    base = slot * index.num_entities
+    hd = dist[base + index.head[pos]]
+    td = dist[base + index.tail[pos]]
     lo, hi = np.minimum(hd, td), np.maximum(hd, td)
-    at = np.concatenate([hi[hi - lo <= 1], lo[hi == lo] + 1])
-    return np.bincount(at, minlength=dm.horizon + 2)[1 : dm.horizon + 1].tolist()
+    width = horizon + 2
+    at = slot * width + hi
+    at = np.concatenate([at[hi - lo <= 1], at[hi == lo] + 1])
+    return np.bincount(at, minlength=n_slots * width).reshape(n_slots, width)[:, 1 : horizon + 1]
+
+
+def hop_triple_counts(index: AdjacencyIndex, dm: DistanceMap) -> list[int]:
+    """n_l = triples with both endpoints inside hops {l-1, l}, l = 1..horizon."""
+    slot = np.zeros(len(dm.decoder), dtype=np.int64)
+    return _hop_counts(index, dm.dist, slot, dm.decoder, 1, dm.horizon)[0].tolist()
+
+
+def _query_counts(index: AdjacencyIndex, queries, horizon: int,
+                  removed: list[np.ndarray | None] | None = None) -> list[QueryCount]:
+    """All per-method figures for each query, from one kernel call."""
+    bd = batch_distances(index, queries, horizon, removed)
+    n = len(bd.queries)
+    perc = np.stack([np.bincount(slot, minlength=n) for slot, _ in bd.layers], axis=1)
+    hops = _hop_counts(index, bd.dist, *bd.decoder, n, horizon)
+    decoder = np.bincount(bd.decoder[0], minlength=n)
+    out = []
+    for q, p, h, d in zip(bd.queries.tolist(), perc.tolist(), hops.tolist(), decoder.tolist()):
+        n_total = sum(h)
+        encoder = sum(p[: horizon - 1])
+        out.append(QueryCount(
+            query=q,
+            percolation_layer_triples=p,
+            hop_triple_counts=h,
+            encoder_triples=encoder,
+            decoder_triples=d,
+            percolation_total=encoder + d,
+            layer_rebuild_total=n_total + sum(sum(h[:l]) for l in range(1, horizon)),
+            full_propagation_total=horizon * min(index.num_triples, n_total),
+            pairwise_lower_bound=horizon * n_total,
+        ))
+    return out
 
 
 def count_query(
@@ -97,25 +134,7 @@ def count_query(
     removed: np.ndarray | None = None,
 ) -> QueryCount:
     """All per-method involved-triple figures for one query."""
-    dm = relative_distances(index, q, horizon, removed=removed)
-    perc = [len(pos) for pos in dm.layers]
-    hops = hop_triple_counts(index, dm)
-    n_total = sum(hops)
-    decoder = len(dm.decoder)
-    encoder = sum(perc[: horizon - 1])
-    rebuild = n_total + sum(sum(hops[:l]) for l in range(1, horizon))
-    full_prop = horizon * min(index.num_triples, n_total)
-    return QueryCount(
-        query=q,
-        percolation_layer_triples=perc,
-        hop_triple_counts=hops,
-        encoder_triples=encoder,
-        decoder_triples=decoder,
-        percolation_total=encoder + decoder,
-        layer_rebuild_total=rebuild,
-        full_propagation_total=full_prop,
-        pairwise_lower_bound=horizon * n_total,
-    )
+    return _query_counts(index, [q], horizon, [removed])[0]
 
 
 def count_queries(
@@ -123,8 +142,9 @@ def count_queries(
     queries: list[int] | np.ndarray,
     horizon: int,
 ) -> TripleCountReport:
+    """``count_query`` for every query, from one kernel call."""
     return TripleCountReport(
         horizon=horizon,
         total_augmented_triples=index.num_triples,
-        queries=[count_query(index, int(q), horizon) for q in queries],
+        queries=_query_counts(index, queries, horizon),
     )

@@ -1,4 +1,4 @@
-"""Query-relative distance layering: one kernel, and the batch builder.
+"""Query-relative distance layering: one batched kernel, and the batch builder.
 
 For a query entity q, every entity within the hop horizon L gets a relative
 distance (BFS hops over the augmented triples).  Layer l of the percolation
@@ -7,18 +7,21 @@ sits at distance l-1 or l, i.e. messages flow outward (downhill in
 potential) or sideways, never back toward the query.  The decoder pass sees
 every triple with both endpoints inside the horizon.
 
-``relative_distances`` is the one kernel that makes these selections: a
-single BFS pass returns the distances, the triples of every layer and the
-decoder's triples, with an optional anti-leakage mask applied throughout.
-The batch builder, the triple counts and the principle checks all read its
-``DistanceMap``.  The builder merges several queries into one node table so
-the model can process them in a single set of tensor ops; each query keeps
-its own distance structure and edge mask.
+``batch_distances`` is the one kernel that makes these selections, for B
+queries at once: a single multi-source BFS over flat keys ``slot*|E| +
+entity`` returns every slot's distances, the triples of every layer and the
+decoder's triples, each slot with its own anti-leakage mask.  Slots never
+interact, so a slot's result does not depend on the others in its batch;
+the same entity may fill several slots.  ``relative_distances`` is its
+one-slot form.  The batch builder, the triple counts and the principle
+checks all read the kernel.  The builder merges the slots into one node
+table so the model can process them in a single set of tensor ops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -53,18 +56,133 @@ class DistanceMap:
         return np.flatnonzero(self.dist >= 0)
 
 
-def _gather_ranges(indptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Concatenate CSR ranges indptr[n]:indptr[n+1] for all given nodes."""
-    if len(nodes) == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = indptr[nodes]
-    counts = indptr[nodes + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    cum = np.cumsum(counts)
-    within = np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
-    return np.repeat(starts, counts) + within
+@dataclass
+class BatchDistanceMap:
+    """``DistanceMap``s of B query slots, keyed flat.
+
+    Slot s keys entity e as ``s*|E| + e``.  ``dist`` is indexed by that key;
+    ``within`` lists the keys at distance >= 0, ascending, i.e. by slot and
+    then by entity.  ``layers[l-1]`` and ``decoder`` are (slot, pos) pairs
+    of arrays, ascending by slot and then by triple position.
+    """
+
+    queries: np.ndarray  # (B,) int64 query entity per slot
+    horizon: int
+    dist: np.ndarray  # (B*|E|,) int16, -1 for unreachable within horizon
+    within: np.ndarray  # (n,) int64 entity keys
+    layers: list[tuple[np.ndarray, np.ndarray]]  # percolation layers 1..horizon
+    decoder: tuple[np.ndarray, np.ndarray]
+
+
+def _slot_ids(name: str, values, lo: int, hi: int) -> np.ndarray:
+    """One integer per slot in [lo, hi), as int64; otherwise ValueError
+    naming the first slot that breaks the rule."""
+    ids = np.asarray(values)
+    if len(ids) and ids.dtype.kind not in "iu":
+        s = next((i for i, v in enumerate(values)
+                  if isinstance(v, bool) or not isinstance(v, (int, np.integer))), 0)
+        raise ValueError(f"query slot {s}: {name}={values[s]!r} is not an integer id")
+    ids = ids.astype(np.int64).reshape(-1)
+    bad = np.flatnonzero((ids < lo) | (ids >= hi))
+    if len(bad):
+        s = bad[0]
+        raise ValueError(f"query slot {s}: {name}={ids[s]} outside [{lo}, {hi})")
+    return ids
+
+
+def _masked_keys(removed: Sequence[np.ndarray | None], n_triples: int) -> np.ndarray | None:
+    """Sorted unique keys ``slot*|T+| + pos`` of the masked triples, or None.
+
+    An empty array masks nothing whatever its dtype; any other array must
+    hold integer positions in [0, |T+|), or ValueError names its slot.
+    """
+    slots, parts = [], []
+    for s, pos in enumerate(removed):
+        if pos is None or len(pos) == 0:
+            continue
+        pos = np.asarray(pos)
+        if pos.dtype.kind not in "iu":
+            raise ValueError(f"query slot {s}: removed has dtype {pos.dtype}, "
+                             "not integer triple positions")
+        slots.append(s)
+        parts.append(pos)
+    if not parts:
+        return None
+    pos = np.concatenate(parts, dtype=np.int64)
+    slot = np.repeat(np.array(slots, dtype=np.int64), [len(p) for p in parts])
+    bad = np.flatnonzero((pos < 0) | (pos >= n_triples))
+    if len(bad):
+        s = slot[bad[0]]
+        own = pos[slot == s]
+        raise ValueError(f"query slot {s}: removed positions span "
+                         f"[{own.min()}, {own.max()}], outside [0, {n_triples})")
+    return np.unique(slot * n_triples + pos)
+
+
+def _out_triples(
+    index: AdjacencyIndex, keys: np.ndarray, masked: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slots and positions of the unmasked triples leaving the entities of
+    ``keys``; ascending keys give ascending (slot, pos)."""
+    slot, ent = np.divmod(keys, index.num_entities)
+    starts = index.indptr[ent]
+    counts = index.indptr[ent + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    # position k of the run of key i is starts[i] + k - (ends[i] - counts[i])
+    pos = np.arange(total, dtype=np.int64) + np.repeat(starts - ends + counts, counts)
+    slot = np.repeat(slot, counts)
+    if masked is not None:
+        key = slot * index.num_triples + pos
+        keep = masked.take(np.searchsorted(masked, key), mode="clip") != key
+        slot, pos = slot[keep], pos[keep]
+    return slot, pos
+
+
+def batch_distances(
+    index: AdjacencyIndex,
+    queries: np.ndarray | Sequence[int],
+    horizon: int,
+    removed: Sequence[np.ndarray | None] | None = None,
+) -> BatchDistanceMap:
+    """One BFS over the augmented triples from every query entity, capped at
+    horizon, with each slot's percolation layers and decoder triples.
+
+    ``removed[s]`` is an optional array of triple positions (into the
+    index's sorted order) that slot s excludes from traversal and from every
+    selection, used for anti-leakage masking.  A query entity or a removed
+    position out of range, or removed positions that are not integers, raise
+    ValueError naming the slot.
+    """
+    if horizon <= 0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    n_e = index.num_entities
+    queries = _slot_ids("query", queries, 0, n_e)
+    masked = None
+    if removed is not None:
+        if len(removed) != len(queries):
+            raise ValueError(f"{len(removed)} removed arrays for {len(queries)} queries")
+        masked = _masked_keys(removed, index.num_triples)
+
+    dist = np.full(len(queries) * n_e, -1, dtype=np.int16)
+    frontier = np.arange(len(queries), dtype=np.int64) * n_e + queries
+    dist[frontier] = 0
+    layers = []
+    for l in range(1, horizon + 1):
+        # the frontier holds every key at distance l-1, ascending
+        slot, pos = _out_triples(index, frontier, masked)
+        tails = slot * n_e + index.tail[pos]
+        fresh = tails[dist[tails] == -1]
+        dist[fresh] = l
+        if l < horizon:  # the last layer's frontier is never expanded
+            frontier = np.unique(fresh)
+        # no tail is deeper than l, so layer l keeps the tails at l-1 or l
+        sel = dist[tails] >= l - 1
+        layers.append((slot[sel], pos[sel]))
+    within = np.flatnonzero(dist >= 0)
+    slot, pos = _out_triples(index, within, masked)
+    sel = dist[slot * n_e + index.tail[pos]] >= 0
+    return BatchDistanceMap(queries, horizon, dist, within, layers, (slot[sel], pos[sel]))
 
 
 def relative_distances(
@@ -73,48 +191,9 @@ def relative_distances(
     horizon: int,
     removed: np.ndarray | None = None,
 ) -> DistanceMap:
-    """BFS distances from q over the augmented triples, capped at horizon,
-    with the percolation layers and the decoder triples.
-
-    ``removed`` is an optional array of triple positions (into the index's
-    sorted order) excluded from traversal and from every selection, used for
-    anti-leakage masking.  A query entity or a removed position out of range
-    raises ValueError.
-    """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    if not 0 <= q < index.num_entities:
-        raise ValueError(f"query={q} outside [0, {index.num_entities})")
-    keep = None
-    if removed is not None and len(removed):
-        lo, hi = removed.min(), removed.max()
-        if lo < 0 or hi >= index.num_triples:
-            raise ValueError(f"removed positions span [{lo}, {hi}], "
-                             f"outside [0, {index.num_triples})")
-        keep = np.ones(index.num_triples, dtype=bool)
-        keep[removed] = False
-
-    def out_triples(nodes: np.ndarray) -> np.ndarray:
-        pos = _gather_ranges(index.indptr, nodes)
-        return pos if keep is None else pos[keep[pos]]
-
-    dist = np.full(index.num_entities, -1, dtype=np.int16)
-    dist[q] = 0
-    frontier = np.array([q], dtype=np.int64)
-    layers = []
-    for l in range(1, horizon + 1):
-        # the frontier holds every entity at distance l-1, ascending
-        pos = out_triples(frontier)
-        tails = index.tail[pos]
-        fresh = tails[dist[tails] == -1]
-        dist[fresh] = l
-        if l < horizon:  # the last layer's frontier is never expanded
-            frontier = np.unique(fresh)
-        # no tail is deeper than l, so layer l keeps the tails at l-1 or l
-        layers.append(pos[dist[tails] >= l - 1])
-    pos = out_triples(np.flatnonzero(dist >= 0))
-    decoder = pos[dist[index.tail[pos]] >= 0]
-    return DistanceMap(q, horizon, dist, layers, decoder)
+    """``batch_distances`` for the single query q: its slot 0."""
+    bd = batch_distances(index, [q], horizon, [removed])
+    return DistanceMap(q, horizon, bd.dist, [pos for _, pos in bd.layers], bd.decoder[1])
 
 
 @dataclass
@@ -169,102 +248,119 @@ class BatchGraph:
     def num_queries(self) -> int:
         return len(self.query_rels)
 
+    def check(self) -> None:
+        """Raise ValueError unless the batch's structural invariants hold.
 
-# the columns of SubgraphBuilder._translate for no triples
-_NO_TRIPLES = (np.empty(0, dtype=np.int64),) * 4
+        The slots' spans tile the node rows in slot order and agree with
+        ``node_query``; each slot's query and answer node (unless -1) lie in
+        its own span; in every layer and the decoder, ``seg_ptr`` runs from 0
+        to the triple count without decreasing, ``targets`` strictly
+        increase, and each triple's head and target rows lie in the span of
+        its ``triple_query``.
+        """
+        n_q = self.num_queries
+        spans = self.spans
+        if spans.shape != (n_q, 2) or len(self.node_entity) != self.n_nodes:
+            raise ValueError(f"spans of shape {spans.shape} and {len(self.node_entity)} "
+                             f"entity rows for {n_q} queries and {self.n_nodes} nodes")
+        bounds = np.append(spans[:, 0], self.n_nodes)
+        if bounds[0] != 0 or not np.array_equal(spans[:, 1], bounds[1:]) \
+                or (np.diff(bounds) < 0).any():
+            raise ValueError(f"spans do not tile the {self.n_nodes} node rows in slot order")
+        if not np.array_equal(self.node_query, np.repeat(np.arange(n_q), np.diff(bounds))):
+            raise ValueError("node_query disagrees with spans")
+        for name, rows, present in (("query_nodes", self.query_nodes, True),
+                                    ("answer_nodes", self.answer_nodes, self.answer_nodes != -1)):
+            bad = np.flatnonzero(((rows < spans[:, 0]) | (rows >= spans[:, 1])) & present)
+            if len(bad):
+                s = bad[0]
+                raise ValueError(f"{name}[{s}]={rows[s]} outside span {spans[s].tolist()}")
+        named = [(f"layer {l}", lt) for l, lt in enumerate(self.layers, 1)]
+        for name, lt in named + [("decoder", self.decoder)]:
+            ptr, m = lt.seg_ptr, lt.num_triples
+            if len(ptr) != len(lt.targets) + 1 or ptr[0] != 0 or ptr[-1] != m \
+                    or (np.diff(ptr) < 0).any():
+                raise ValueError(f"{name}: seg_ptr is not a monotone 0..{m} pointer "
+                                 f"over {len(lt.targets)} targets")
+            if (np.diff(lt.targets) <= 0).any():
+                raise ValueError(f"{name}: targets are not strictly increasing")
+            tq = lt.triple_query
+            if len(tq) != m or ((tq < 0) | (tq >= n_q)).any():
+                raise ValueError(f"{name}: triple_query is not one slot in [0, {n_q}) per triple")
+            lo, hi = spans[tq].T
+            tail = np.repeat(lt.targets, np.diff(ptr))
+            for end, rows in (("head", lt.head_node), ("target", tail)):
+                bad = np.flatnonzero((rows < lo) | (rows >= hi))
+                if len(bad):
+                    i = bad[0]
+                    raise ValueError(f"{name}: triple {i} has {end} row {rows[i]} outside "
+                                     f"the span of its query slot {lt.triple_query[i]}")
 
 
 class SubgraphBuilder:
     """Builds per-query layered subgraphs and merges them into batches.
 
-    Reuses a scratch entity-to-row map across queries, so one builder
-    instance should be kept per worker.  Construction is pure numpy and
-    deterministic.
+    One ``batch_distances`` call lays out all queries of a batch; the
+    builder keeps no state between calls, so a failed call cannot affect
+    later ones.  Construction is pure numpy and deterministic.
     """
 
     def __init__(self, index: AdjacencyIndex):
         self.index = index
-        self._nodemap = np.full(index.num_entities, -1, dtype=np.int64)
 
     def build_batch(self, queries: list[QuerySpec], horizon: int) -> BatchGraph:
-        if horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
-        self._check(queries)
-        n_q = len(queries)
-        node_entity_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-        spans = np.zeros((n_q, 2), dtype=np.int64)
-        query_nodes = np.zeros(n_q, dtype=np.int64)
-        answer_nodes = np.full(n_q, -1, dtype=np.int64)
-        # for layers 1..horizon and then the decoder: the columns of
-        # _translate, one tuple per query after an empty one
-        parts: list[list[tuple[np.ndarray, ...]]] = [[_NO_TRIPLES] for _ in range(horizon + 1)]
+        index = self.index
+        n_q, n_e = len(queries), index.num_entities
+        # the kernel checks the horizon, the query entities and the masks
+        rels = _slot_ids("rel", [qs.rel for qs in queries], 0, index.identity_rel + 1)
+        answers = _slot_ids("answer", [qs.answer for qs in queries], -1, n_e)
+        bd = batch_distances(index, [qs.query for qs in queries], horizon,
+                             [qs.removed for qs in queries])
 
-        offset = 0
-        for slot, qs in enumerate(queries):
-            try:
-                dm = relative_distances(self.index, qs.query, horizon, removed=qs.removed)
-            except ValueError as e:
-                raise ValueError(f"query slot {slot}: {e}") from None
-            nodes = dm.within()
-            node_entity_parts.append(nodes)
-            spans[slot] = (offset, offset + len(nodes))
-            self._nodemap[nodes] = offset + np.arange(len(nodes), dtype=np.int64)
-            try:
-                query_nodes[slot] = self._nodemap[qs.query]
-                if qs.answer >= 0 and dm.dist[qs.answer] >= 0:
-                    answer_nodes[slot] = self._nodemap[qs.answer]
-                for part, pos in zip(parts, dm.layers + [dm.decoder]):
-                    if len(pos):
-                        part.append(self._translate(pos, slot))
-            finally:
-                self._nodemap[nodes] = -1
-            offset += len(nodes)
-
-        node_entity = np.concatenate(node_entity_parts)
-        merged = [self._merge(part, node_entity) for part in parts]
+        # node rows are the ranks of the slots' entity keys, in key order
+        keys = bd.within
+        node_query, node_entity = np.divmod(keys, n_e)
+        rows = np.empty(len(bd.dist), dtype=np.int32)
+        rows[keys] = np.arange(len(keys), dtype=np.int32)
+        sizes = np.bincount(node_query, minlength=n_q)
+        ends = np.cumsum(sizes)
+        base = np.arange(n_q, dtype=np.int64) * n_e
+        answer_keys = base + np.maximum(answers, 0)
+        reached = (answers >= 0) & (bd.dist[answer_keys] >= 0)
+        merged = [self._merge(slot, pos, rows, node_entity)
+                  for slot, pos in bd.layers + [bd.decoder]]
         return BatchGraph(
-            n_nodes=offset,
+            n_nodes=len(keys),
             node_entity=node_entity,
-            node_query=np.repeat(np.arange(n_q, dtype=np.int64), spans[:, 1] - spans[:, 0]),
-            spans=spans,
-            query_nodes=query_nodes,
-            query_rels=np.array([qs.rel for qs in queries], dtype=np.int64),
-            answer_nodes=answer_nodes,
+            node_query=node_query,
+            spans=np.stack([ends - sizes, ends], axis=1),
+            query_nodes=rows[base + bd.queries].astype(np.int64),
+            query_rels=rels,
+            answer_nodes=np.where(reached, rows[answer_keys], -1).astype(np.int64),
             layers=merged[:-1],
             decoder=merged[-1],
             horizon=horizon,
         )
 
-    def _check(self, queries: list[QuerySpec]) -> None:
-        """Reject the ids the kernel does not see, before any scratch state
-        is touched; it checks the query entity and the removed positions."""
-        n_e, max_rel = self.index.num_entities, self.index.identity_rel
-        for slot, qs in enumerate(queries):
-            if not 0 <= qs.rel <= max_rel:
-                raise ValueError(f"query slot {slot}: rel={qs.rel} outside [0, {max_rel}]")
-            if not -1 <= qs.answer < n_e:
-                raise ValueError(f"query slot {slot}: answer={qs.answer} outside [-1, {n_e})")
-
-    def _translate(self, pos: np.ndarray, slot: int) -> tuple[np.ndarray, ...]:
-        """Head node rows, relations, tail node rows and query slots."""
+    def _merge(self, slot: np.ndarray, pos: np.ndarray, rows: np.ndarray,
+               node_entity: np.ndarray) -> LayerTriples:
+        """One layer's (slot, pos) triples as node rows, grouped by tail row;
+        a stable sort keeps each group in (slot, pos) order."""
         index = self.index
-        return (
-            self._nodemap[index.head[pos]],
-            index.rel[pos].astype(np.int64),
-            self._nodemap[index.tail[pos]],
-            np.full(len(pos), slot, dtype=np.int64),
-        )
-
-    def _merge(self, parts: list[tuple[np.ndarray, ...]], node_entity: np.ndarray) -> LayerTriples:
-        head, rel, tail, tq = (np.concatenate(column) for column in zip(*parts))
-        order = np.argsort(tail, kind="stable")
-        head, rel, tail, tq = head[order], rel[order], tail[order], tq[order]
-        targets, start = np.unique(tail, return_index=True)
+        n_e = index.num_entities
+        tail = rows[slot * n_e + index.tail[pos]]
+        m = len(tail)
+        # the keys row*m + i are unique, so sorting them is a stable sort of
+        # the rows, and one without a sort index (np.sort beats argsort)
+        tail, order = np.divmod(np.sort(tail * np.int64(m) + np.arange(m)), m)
+        slot, pos = slot[order], pos[order]
+        start = np.flatnonzero(np.diff(tail, prepend=-1))
+        targets = tail[start]
         return LayerTriples(
-            head_node=head, rel=rel,
-            seg_ptr=np.append(start, len(tail)).astype(np.int64),
+            head_node=rows[slot * n_e + index.head[pos]].astype(np.int64),
+            rel=index.rel[pos].astype(np.int64),
+            seg_ptr=np.append(start, len(tail)),
             targets=targets,
-            denom=self.index.out_degree[node_entity[targets]].astype(np.float32),
-            triple_query=tq,
+            denom=index.out_degree[node_entity[targets]].astype(np.float32),
+            triple_query=slot,
         )
-

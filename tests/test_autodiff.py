@@ -385,6 +385,22 @@ class TestCheckpoint:
         assert manifest["format"] == "kgpercolate-checkpoint-v1"
         assert manifest["tensors"][0]["shape"] == [2]
 
+    def test_dtype_mismatch_rejected(self, tmp_path, float64):
+        path = tmp_path / "f64.ckpt"
+        save_params(path, {"w": Tensor(np.array([0.1, 0.2]))})
+        ad.set_default_dtype("float32")
+        # loading under float32 would round every parameter
+        with pytest.raises(ValueError, match="dtype float64 .* default dtype float32"):
+            load_params(path)
+        ad.set_default_dtype("float64")
+        loaded, _ = load_params(path)
+        assert loaded["w"].data.dtype == np.float64
+        assert loaded["w"].data.tolist() == [0.1, 0.2]
+        # a float64 tensor saved under float32 would be labelled float32
+        ad.set_default_dtype("float32")
+        with pytest.raises(ValueError, match="'w' has dtype float64, not .* float32"):
+            save_params(tmp_path / "mixed.ckpt", loaded)
+
     def test_bad_format_rejected(self, tmp_path):
         path = tmp_path / "x.ckpt"
         path.write_bytes(b"")

@@ -36,11 +36,19 @@ def test_toy_counts(toy_index, toy_aug):
     assert c.pairwise_lower_bound == 3 * 22
 
 
-@pytest.mark.parametrize("removed", [[-1], [99]], ids=["low", "high"])
-def test_count_query_rejects_out_of_range_removed(toy_index, removed):
+@pytest.mark.parametrize(
+    "removed, match",
+    [([-1], r"removed positions span .* outside \[0, 17\)"),
+     ([99], r"removed positions span .* outside \[0, 17\)"),
+     ([1.0], r"removed has dtype float64"),
+     ([True], r"removed has dtype bool")],
+    ids=["low", "high", "float", "bool"],
+)
+def test_count_query_rejects_out_of_range_removed(toy_index, removed, match):
     # the kernel checks the positions for every caller, not only the builder:
-    # -1 would silently mask the last triple, 99 would fail in numpy indexing
-    with pytest.raises(ValueError, match=r"removed positions span .* outside \[0, 17\)"):
+    # -1 would silently mask the last triple, 99 would fail in numpy indexing,
+    # and a float or bool array is no list of positions
+    with pytest.raises(ValueError, match=match):
         count_query(toy_index, 0, 3, removed=np.array(removed))
 
 
@@ -86,3 +94,17 @@ def test_report_aggregation(toy_index, toy_aug):
     assert rep.mean("percolation_total") > 0
     d = rep.as_dict()
     assert d["mean_percolation"] <= d["mean_layer_rebuild"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 4))
+def test_count_queries_match_count_query(seed, L):
+    # one kernel call for all queries, repeated entities included, gives
+    # each query the figures of its own call
+    rng = np.random.default_rng(seed)
+    idx = build_index(augment(random_kg(rng)))
+    queries = rng.integers(0, idx.num_entities, size=int(rng.integers(0, 9)))
+    rep = count_queries(idx, queries, L)
+    assert [c.as_dict() for c in rep.queries] == [
+        count_query(idx, int(q), L).as_dict() for q in queries
+    ]
