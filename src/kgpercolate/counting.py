@@ -141,10 +141,12 @@ def count_queries(
     index: AdjacencyIndex,
     queries: list[int] | np.ndarray,
     horizon: int,
+    removed: list[np.ndarray | None] | None = None,
 ) -> TripleCountReport:
-    """``count_query`` for every query, from one kernel call."""
+    """``count_query`` for every query, from one kernel call; ``removed[s]``
+    is query s's mask."""
     return TripleCountReport(
         horizon=horizon,
         total_augmented_triples=index.num_triples,
-        queries=_query_counts(index, queries, horizon),
+        queries=_query_counts(index, queries, horizon, removed),
     )

@@ -9,6 +9,9 @@ still shares at least that many distinct triples with a single shortest
 path.  Identity self-loops are excluded from enumeration by default; a
 shortest path extended by an identity step would otherwise count as both
 valid and redundant and the structural checks below would be vacuous.
+
+One climbing DFS from the query (``shortest_path_map``) gives the
+shortest-path set of every in-horizon entity; all checks below read it.
 """
 
 from __future__ import annotations
@@ -95,21 +98,23 @@ def enumerate_paths(
     return out
 
 
-def shortest_paths(
+def shortest_path_map(
     index: AdjacencyIndex,
     dm: DistanceMap,
-    target: int,
     max_expansions: int = 2_000_000,
-) -> list[RelationalPath]:
-    """The complete set of shortest paths from dm.query to target.
+    max_depth: int | None = None,
+) -> dict[int, list[RelationalPath]]:
+    """The complete shortest-path set of every entity, from one climbing DFS.
 
-    Enumerated by climbing DFS: only triples raising the relative distance
-    by exactly one can sit on a shortest path.  Unreachable target -> error.
+    Only triples raising the relative distance by exactly one can sit on a
+    shortest path, and a climbing prefix of d triples ends at an entity at
+    distance d, so each climbing prefix is a shortest path to its endpoint.
+    Keys are endpoints, paths are in DFS order, and an in-horizon entity
+    without a key has no shortest path.  ``max_depth`` stops the climb at
+    that many triples.  One budget unit is one climbing prefix visited.
     """
-    gamma = int(dm.dist[target])
-    if gamma < 0:
-        raise ValueError(f"target {target} unreachable within horizon {dm.horizon}")
-    out: list[RelationalPath] = []
+    dist = _in_horizon(dm)
+    out: dict[int, list[RelationalPath]] = {}
     prefix: list[Triple] = []
     budget = [max_expansions]
 
@@ -119,21 +124,43 @@ def shortest_paths(
             raise ValueError(
                 f"shortest-path enumeration exceeded {max_expansions} expansions"
             )
-        if depth == gamma:
-            if node == target:
-                out.append(RelationalPath(dm.query, target, tuple(prefix)))
+        if dist.get(node) == depth:
+            out.setdefault(node, []).append(RelationalPath(dm.query, node, tuple(prefix)))
+        if depth == max_depth:
             return
-        lo, hi = index.indptr[node], index.indptr[node + 1]
-        for p in range(lo, hi):
-            t = int(index.tail[p])
-            if dm.dist[t] != depth + 1:
+        lo, hi = index.indptr[node : node + 2].tolist()
+        for r, t in zip(index.rel[lo:hi].tolist(), index.tail[lo:hi].tolist()):
+            if dist.get(t) != depth + 1:
                 continue
-            prefix.append((node, int(index.rel[p]), t))
+            prefix.append((node, r, t))
             climb(t, depth + 1)
             prefix.pop()
 
     climb(dm.query, 0)
     return out
+
+
+def _in_horizon(dm: DistanceMap) -> dict[int, int]:
+    """The relative distance of every entity within the horizon."""
+    within = dm.within()
+    return dict(zip(within.tolist(), dm.dist[within].tolist()))
+
+
+def shortest_paths(
+    index: AdjacencyIndex,
+    dm: DistanceMap,
+    target: int,
+    max_expansions: int = 2_000_000,
+) -> list[RelationalPath]:
+    """The complete set of shortest paths from dm.query to target.
+
+    ``shortest_path_map`` climbing no deeper than the target's distance.
+    Unreachable target -> error.
+    """
+    gamma = int(dm.dist[target])
+    if gamma < 0:
+        raise ValueError(f"target {target} unreachable within horizon {dm.horizon}")
+    return shortest_path_map(index, dm, max_expansions, gamma).get(target, [])
 
 
 def potential_deltas(path: RelationalPath, dm: DistanceMap) -> list[int]:
@@ -237,21 +264,23 @@ def verify_percolation_principles(
         than tail appears in exactly one percolation layer.  Heads at
         exactly the horizon have no layer to appear in; the combined
         full-neighborhood pass covers them instead.
+
+    (1) reads one ``shortest_path_map`` climb.  (2) is one walk DFS that
+    tracks validity as it goes (every step but the last climbs strictly,
+    the last does not descend: exactly ``potential_deltas > 0``) and builds
+    a ``RelationalPath`` only for a valid walk longer than its target's
+    distance, the only kind that can be redundant.  ``max_expansions``
+    bounds each pass apart, raising ValueError past it: the climb's
+    prefixes over all targets together, and the walk DFS's prefixes.
     """
     dm = relative_distances(index, q, horizon)
     rep = PrincipleReport(
         query=q, horizon=horizon,
         shortest_all_valid=True, no_valid_redundant=True, coverage_complete=True,
     )
-    cache: dict[int, list[RelationalPath]] = {}
-
-    def short(t: int) -> list[RelationalPath]:
-        if t not in cache:
-            cache[t] = shortest_paths(index, dm, t, max_expansions)
-        return cache[t]
-
-    for t in dm.within():
-        paths = short(int(t))
+    short = shortest_path_map(index, dm, max_expansions)
+    for t in dm.within().tolist():
+        paths = short.get(t, [])
         rep.n_shortest += len(paths)
         for p in paths:
             if not is_percolation_valid(p, dm):
@@ -259,55 +288,65 @@ def verify_percolation_principles(
                 rep.counterexamples.append(f"shortest-not-valid: {p.triples}")
 
     # (2): enumerate every walk from q up to the horizon (identity excluded)
+    dist = _in_horizon(dm)
+    identity = index.identity_rel
     prefix: list[Triple] = []
     budget = [max_expansions]
 
-    def walk(node: int, depth: int):
+    def walk(node: int, depth: int, gh: int, climbed: bool, inside: bool):
+        # gh: distance of the previous entity; climbed: every step before
+        # the last one climbs strictly; inside: no entity outside the horizon
         budget[0] -= 1
         if budget[0] < 0:
             raise ValueError(
                 f"principle check exceeded {max_expansions} expansions; "
                 "reduce the horizon or the graph size"
             )
-        if depth > 0 and dm.dist[node] >= 0:
-            p = RelationalPath(q, node, tuple(prefix))
+        gt = dist.get(node, -1)
+        if depth > 0 and gt >= 0:
             rep.n_walks += 1
-            if is_percolation_valid(p, dm):
+            if not inside:  # raises, naming the triple that leaves the horizon
+                potential_deltas(RelationalPath(q, node, tuple(prefix)), dm)
+            if climbed and gt >= gh:
                 rep.n_valid += 1
-                if classify_redundant(p, dm, short(node)):
-                    rep.n_redundant += 1
-                    rep.no_valid_redundant = False
-                    rep.counterexamples.append(f"valid-and-redundant: {p.triples}")
+                # only a walk longer than its target's distance can be redundant
+                if depth > gt:
+                    p = RelationalPath(q, node, tuple(prefix))
+                    if classify_redundant(p, dm, short.get(node, [])):
+                        rep.n_redundant += 1
+                        rep.no_valid_redundant = False
+                        rep.counterexamples.append(f"valid-and-redundant: {p.triples}")
         if depth == horizon:
             return
-        lo, hi = index.indptr[node], index.indptr[node + 1]
-        for pos in range(lo, hi):
-            r = int(index.rel[pos])
-            if r == index.identity_rel:
+        climbed = climbed and (depth == 0 or gt > gh)
+        inside = inside and gt >= 0
+        lo, hi = index.indptr[node : node + 2].tolist()
+        for r, t in zip(index.rel[lo:hi].tolist(), index.tail[lo:hi].tolist()):
+            if r == identity:
                 continue
-            t = int(index.tail[pos])
             prefix.append((node, r, t))
-            walk(t, depth + 1)
+            walk(t, depth + 1, gt, climbed, inside)
             prefix.pop()
 
-    walk(q, 0)
+    walk(q, 0, 0, True, True)
 
-    covered: set[int] = set()
-    for layer in dm.layers:
-        for pos in layer:
-            if pos in covered:
-                rep.coverage_complete = False
-                rep.counterexamples.append(f"triple in two layers: pos {pos}")
-            covered.add(int(pos))
+    # (3): every repeat of a layered triple, then every wanted triple missed
+    layered = np.concatenate(dm.layers)
+    first = np.zeros(len(layered), dtype=bool)
+    first[np.unique(layered, return_index=True)[1]] = True
+    for pos in layered[~first].tolist():
+        rep.coverage_complete = False
+        rep.counterexamples.append(f"triple in two layers: pos {pos}")
     hd = dm.dist[index.head]
     td = dm.dist[index.tail]
     want = np.flatnonzero((hd >= 0) & (hd <= horizon - 1) & (td >= hd))
-    for pos in want:
-        if int(pos) not in covered:
-            rep.coverage_complete = False
-            rep.counterexamples.append(
-                f"non-uphill triple missing from all layers: pos {pos}"
-            )
+    seen = np.zeros(index.num_triples, dtype=bool)
+    seen[layered] = True
+    for pos in want[~seen[want]].tolist():
+        rep.coverage_complete = False
+        rep.counterexamples.append(
+            f"non-uphill triple missing from all layers: pos {pos}"
+        )
     return rep
 
 
@@ -355,6 +394,12 @@ def check_uphill_insertion(
       from e2 back to the query.  The result targets the query itself, whose
       relative distance is zero, and any nonempty path to the query is
       redundant by definition.  This witness always exists.
+
+    Shortest paths come from one ``shortest_path_map`` climb per distinct
+    distance asked for, each stopped at that distance as ``shortest_paths``
+    stops at its target.  ``max_expansions`` bounds each climb apart,
+    raising ValueError past it, and separately the enumerated-witness
+    search, which stops quietly with the witnesses found so far.
     """
     e1, r_new, e2 = new_triple
     g1, g2 = int(dm.dist[e1]), int(dm.dist[e2])
@@ -369,19 +414,21 @@ def check_uphill_insertion(
     if dup.any():
         raise ValueError("inserted triple already exists in the graph")
 
-    to_e1 = shortest_paths(index, dm, e1, max_expansions)
-    to_e2 = shortest_paths(index, dm, e2, max_expansions)
+    climbs: dict[int, dict[int, list[RelationalPath]]] = {}
+
+    def short(t: int) -> list[RelationalPath]:
+        d = int(dm.dist[t])
+        if d not in climbs:
+            climbs[d] = shortest_path_map(index, dm, max_expansions, d)
+        return climbs[d].get(t, [])
+
+    to_e1 = short(e1)
+    to_e2 = short(e2)
 
     witnesses: list[RelationalPath] = []
     # enumerated witnesses: extend past e2 along climbing triples
     budget = [max_expansions]
     suffix: list[Triple] = []
-    short_cache: dict[int, list[RelationalPath]] = {}
-
-    def short(t: int) -> list[RelationalPath]:
-        if t not in short_cache:
-            short_cache[t] = shortest_paths(index, dm, t, max_expansions)
-        return short_cache[t]
 
     def extend(node: int):
         if len(witnesses) >= max_witnesses:

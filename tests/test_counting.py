@@ -108,3 +108,18 @@ def test_count_queries_match_count_query(seed, L):
     assert [c.as_dict() for c in rep.queries] == [
         count_query(idx, int(q), L).as_dict() for q in queries
     ]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 4))
+def test_masked_count_queries_match_count_query(seed, L):
+    # each slot counts under its own mask, whatever the other slots mask
+    rng = np.random.default_rng(seed)
+    idx = build_index(augment(random_kg(rng)))
+    queries = rng.integers(0, idx.num_entities, size=int(rng.integers(0, 9)))
+    removed = [None if rng.random() < 0.25 else random_mask(rng, idx, rng.uniform(0, 0.5))[0]
+               for _ in queries]
+    rep = count_queries(idx, queries, L, removed)
+    assert [c.as_dict() for c in rep.queries] == [
+        count_query(idx, int(q), L, removed=r).as_dict() for q, r in zip(queries, removed)
+    ]

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from kgpercolate.paths import (
     enumerate_paths,
     is_percolation_valid,
     potential_deltas,
+    shortest_path_map,
     shortest_paths,
     shortest_subgraph_positions,
     verify_percolation_principles,
@@ -180,6 +184,172 @@ def test_principles_random_graphs(seed, L):
     assert rep.all_ok, rep.counterexamples
 
 
+def oracle_shortest(index, dm, t) -> list:
+    """The shortest paths to t from the definition, by brute force: walks of
+    exactly dist[t] triples whose k-th entity sits at distance k.  On a true
+    distance map every walk that long to t qualifies."""
+    d = int(dm.dist[t])
+    return [
+        p for p in enumerate_paths(index, dm.query, t, d, include_identity=True)
+        if p.length == d and all(dm.dist[e] == k for k, (_, _, e) in enumerate(p.triples, 1))
+    ]
+
+
+def oracle_report(index, dm) -> dict:
+    """The PrincipleReport fields from the definitions, target by target:
+    walks of length 1..H from ``enumerate_paths``, ``oracle_shortest``,
+    ``is_percolation_valid`` and ``classify_redundant``, and the layer
+    coverage from a count of every layered position."""
+    q, H = dm.query, dm.horizon
+    n = Counter()
+    bad = {"shortest": [], "redundant": [], "coverage": []}
+    for t in dm.within().tolist():
+        short = oracle_shortest(index, dm, t)
+        n["shortest"] += len(short)
+        bad["shortest"] += [
+            f"shortest-not-valid: {p.triples}" for p in short if not is_percolation_valid(p, dm)
+        ]
+        for p in enumerate_paths(index, q, t, H):
+            if p.length == 0:
+                continue
+            n["walks"] += 1
+            if is_percolation_valid(p, dm):
+                n["valid"] += 1
+                if classify_redundant(p, dm, short):
+                    n["redundant"] += 1
+                    bad["redundant"].append(f"valid-and-redundant: {p.triples}")
+    layered = Counter(pos for layer in dm.layers for pos in layer.tolist())
+    bad["coverage"] += [
+        f"triple in two layers: pos {pos}" for pos, k in layered.items() for _ in range(k - 1)
+    ]
+    for pos, (h, t) in enumerate(zip(index.head.tolist(), index.tail.tolist())):
+        dh, dt = int(dm.dist[h]), int(dm.dist[t])
+        if 0 <= dh <= H - 1 and dt >= dh and pos not in layered:
+            bad["coverage"].append(f"non-uphill triple missing from all layers: pos {pos}")
+    return dict(
+        shortest_all_valid=not bad["shortest"],
+        no_valid_redundant=not bad["redundant"],
+        coverage_complete=not bad["coverage"],
+        n_shortest=n["shortest"],
+        n_walks=n["walks"],
+        n_valid=n["valid"],
+        n_redundant=n["redundant"],
+        counterexamples=Counter(sum(bad.values(), [])),
+    )
+
+
+def report_fields(rep) -> dict:
+    got = {k: getattr(rep, k) for k in (
+        "shortest_all_valid", "no_valid_redundant", "coverage_complete",
+        "n_shortest", "n_walks", "n_valid", "n_redundant",
+    )}
+    got["counterexamples"] = Counter(rep.counterexamples)
+    return got
+
+
+def loopy_kg(rng: np.random.Generator):
+    """``random_kg`` plus base self-loops, parallel triples under another
+    relation and exact duplicate triples."""
+    kg = random_kg(rng, n_entities=int(rng.integers(4, 11)), density=1.5)
+    n_e, n_r = len(kg.entities), len(kg.relations)
+    rows = [kg.triples]
+    loops = rng.integers(0, n_e, size=int(rng.integers(0, 3)))
+    rows.append(np.stack([loops, rng.integers(0, n_r, len(loops)), loops], axis=1))
+    pick = kg.triples[rng.integers(0, len(kg.triples), size=int(rng.integers(0, 4)))]
+    parallel = pick.copy()
+    parallel[:, 1] = (parallel[:, 1] + 1) % n_r
+    rows += [parallel, pick[:1]]
+    return make_graph(np.concatenate(rows), kg.entities, kg.relations)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 4))
+def test_principles_match_definitions(seed, L):
+    rng = np.random.default_rng(seed)
+    idx = build_index(augment(loopy_kg(rng)))
+    for q in rng.choice(idx.num_entities, size=3).tolist():
+        dm = relative_distances(idx, q, L)
+        assert report_fields(verify_percolation_principles(idx, q, L)) == oracle_report(idx, dm)
+        # the one-pass map holds exactly the walks as long as each target's distance
+        short = shortest_path_map(idx, dm)
+        for t in dm.within().tolist():
+            want = [p.triples for p in enumerate_paths(idx, q, t, int(dm.dist[t]))
+                    if p.length == dm.dist[t]]
+            assert Counter(p.triples for p in short.get(t, [])) == Counter(want)
+            assert short.get(t, []) == shortest_paths(idx, dm, t)
+        assert set(short) == set(dm.within().tolist())
+
+
+def corrupt_query_distance(dm):
+    # the query's neighbours now sit level with it: a climb through them is
+    # a shortest path whose first step does not climb
+    dist = dm.dist.copy()
+    dist[dm.query] = 1
+    return replace(dm, dist=dist)
+
+
+def corrupt_neighbour_distance(dm):
+    # a neighbour at distance 0: the one-step walk to it is valid and longer
+    # than its distance, so redundant
+    dist = dm.dist.copy()
+    dist[dist == 1] = 0
+    return replace(dm, dist=dist)
+
+
+def corrupt_layers(dm):
+    # layer 1 twice and layer 2 gone: repeats and missing triples
+    return replace(dm, layers=[dm.layers[0], dm.layers[0], *dm.layers[2:]])
+
+
+@pytest.mark.parametrize("corrupt, flag", [
+    (corrupt_query_distance, "shortest_all_valid"),
+    (corrupt_neighbour_distance, "no_valid_redundant"),
+    (corrupt_layers, "coverage_complete"),
+])
+def test_principle_failures_match_definitions(monkeypatch, toy_index, toy_aug, corrupt, flag):
+    import kgpercolate.paths
+
+    q = toy_aug.entities.id("A")
+    dm = corrupt(relative_distances(toy_index, q, 3))
+    monkeypatch.setattr(kgpercolate.paths, "relative_distances", lambda *a: dm)
+    rep = verify_percolation_principles(toy_index, q, 3)
+    assert not getattr(rep, flag) and not rep.all_ok
+    assert report_fields(rep) == oracle_report(toy_index, dm)
+
+
+def test_principle_entity_outside_horizon_raises(monkeypatch, toy_index, toy_aug):
+    # B left outside the horizon: the walks through it to C and D fall
+    # outside the definitions, and the check refuses them as the oracle does
+    import kgpercolate.paths
+
+    q = toy_aug.entities.id("A")
+    dm = relative_distances(toy_index, q, 3)
+    dist = dm.dist.copy()
+    dist[toy_aug.entities.id("B")] = -1
+    dm = replace(dm, dist=dist)
+    monkeypatch.setattr(kgpercolate.paths, "relative_distances", lambda *a: dm)
+    with pytest.raises(ValueError, match="path entity outside horizon 3"):
+        oracle_report(toy_index, dm)
+    with pytest.raises(ValueError, match="path entity outside horizon 3"):
+        verify_percolation_principles(toy_index, q, 3)
+
+
+def test_principle_budget_guards(toy_index, toy_aug):
+    # from A at horizon 3 the climb visits 7 prefixes: A, AB, ABC, ABCE, AD,
+    # ADC, ADCE; the walk DFS visits many more
+    q = toy_aug.entities.id("A")
+    dm = relative_distances(toy_index, q, 3)
+    assert sum(map(len, shortest_path_map(toy_index, dm, 7).values())) == 7
+    with pytest.raises(ValueError, match="shortest-path enumeration exceeded 6 expansions"):
+        shortest_path_map(toy_index, dm, 6)
+    with pytest.raises(ValueError, match="shortest-path enumeration exceeded 6 expansions"):
+        verify_percolation_principles(toy_index, q, 3, max_expansions=6)
+    with pytest.raises(ValueError, match="principle check exceeded 7 expansions"):
+        verify_percolation_principles(toy_index, q, 3, max_expansions=7)
+    # shortest_paths climbs no deeper than its target: B costs 3 prefixes
+    assert len(shortest_paths(toy_index, dm, toy_aug.entities.id("B"), 3)) == 1
+
+
 def test_shortest_subgraph_positions(toy_index, toy_dm):
     pos = shortest_subgraph_positions(toy_index, toy_dm)
     hd = toy_dm.dist[toy_index.head[pos]]
@@ -214,6 +384,33 @@ def test_uphill_insertion_validations(toy_index, toy_aug, toy_dm):
         check_uphill_insertion(
             toy_index, toy_dm, (ids.id("D"), rels.id("r2_inv"), ids.id("B"))
         )
+
+
+def test_uphill_insertion_budget(toy_index, toy_aug, toy_dm):
+    # the witness search from B reaches E at distance 3, whose climb visits
+    # 7 prefixes: A, AB, ABC, ABCE, AD, ADC, ADCE
+    ids, rels = toy_aug.entities, toy_aug.relations
+    new = (ids.id("C"), rels.id("r1"), ids.id("B"))
+    with pytest.raises(ValueError, match="shortest-path enumeration exceeded 6"):
+        check_uphill_insertion(toy_index, toy_dm, new, max_expansions=6)
+    rep = check_uphill_insertion(toy_index, toy_dm, new, max_expansions=7)
+    assert rep.found and rep.degenerate_witness is not None
+
+
+def test_uphill_insertion_budget_per_depth():
+    # Q->B, Q->C, C->D1..D3: the full climb visits 6 prefixes, the climb to
+    # distance 1 only Q, QB, QC.  Inserting C->B, whose tail B climbs
+    # nowhere, needs no shortest path deeper than 1, so a budget of 3 holds.
+    ents, rels = Vocab(["Q", "B", "C", "D1", "D2", "D3"]), Vocab(["r", "s"])
+    rows = [(0, 0, 1), (0, 0, 2), (2, 0, 3), (2, 0, 4), (2, 0, 5)]
+    idx = build_index(augment(make_graph(np.array(rows), ents, rels)))
+    dm = relative_distances(idx, 0, 2)
+    with pytest.raises(ValueError, match="shortest-path enumeration exceeded 5"):
+        shortest_path_map(idx, dm, 5)
+    new = (2, 1, 1)
+    rep = check_uphill_insertion(idx, dm, new, max_expansions=3)
+    assert rep == check_uphill_insertion(idx, dm, new)
+    assert rep.found and rep.degenerate_witness is not None
 
 
 @settings(max_examples=25, deadline=None)

@@ -11,6 +11,10 @@ outputs unchanged must print the same hash before and after.
 
 ``--root`` picks the checkout whose ``src/`` and ``bench/`` are imported, so
 the script can hash an older commit from a copy of that commit's tree.
+
+The train logits depend on the BLAS thread count, since it changes the
+summation order of the matmuls, so OpenBLAS is pinned to one thread before
+numpy loads; the first output line is the thread count in effect.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ import hashlib
 import os
 import sys
 
-import numpy as np
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402  (after the BLAS pin)
 
 SEEDS = (701, 702)
 BATCHES = 12  # first batches of each workload's loop, per seed
@@ -59,8 +65,9 @@ def main() -> None:
     from kgpercolate.model import ModelConfig
     from spans import NullTracer
     from synth import make_split
-    from workloads import LOOPS, WORKLOADS, _graph, set_up
+    from workloads import LOOPS, WORKLOADS, _graph, blas_threads, set_up
 
+    print(f"{'blas':9s} {blas_threads()} thread(s)")
     total = hashlib.sha256()
     for name in ("train", "eval", "analysis"):
         wl = WORKLOADS[name]
