@@ -2,10 +2,11 @@
 
 Covers exactly the operations the percolation model needs: dense linear
 algebra, elementwise activations, row gather/scatter, contiguous-segment
-reductions with caller-supplied denominators, paired 2-D rotations, and a
-stable logsumexp.  Records happen only inside a ``with Tape() as tape``
-block; outside a tape every op is a plain numpy computation, which is what
-evaluation uses.
+reductions with caller-supplied denominators (``segment_sum``,
+``segment_mean``, and ``segment_mean_std``, PNA's mean and std from one
+reduction), paired 2-D rotations, and a stable logsumexp.  Records happen
+only inside a ``with Tape() as tape`` block; outside a tape every op is a
+plain numpy computation, which is what evaluation uses.
 
 Default precision is float32.  ``set_default_dtype("float64")`` switches
 new tensors to double, which the gradient-check tests rely on.
@@ -23,7 +24,7 @@ _DTYPE = np.float32
 _DEBUG_FINITE = False
 _ACTIVE_TAPE: "Tape | None" = None
 
-STD_EPS = 1e-6  # inside the sqrt of segment_std
+STD_EPS = 1e-6  # inside the sqrt of segment_mean_std
 
 
 def set_default_dtype(name: str) -> None:
@@ -125,14 +126,29 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def index_add(target: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
     """target[idx] += values with duplicate indices accumulated.
 
-    Sort + reduceat; much faster than np.add.at for the index volumes a
-    batched subgraph produces.
+    Rows of one index are summed by reduceat in their order in ``values``
+    (much faster than np.add.at at batched-subgraph volumes).  The path
+    depends on the index, and each gives the bytes of a stable argsort of
+    idx followed by reduceat:
+
+    - strictly increasing: every row is its own segment, so a plain
+      ``target[idx] += values`` adds the same single values;
+    - non-decreasing: the stable argsort is the identity, so reduceat runs
+      on ``values`` as given, with no sort and no reordered copy;
+    - otherwise: a stable argsort, on a uint16 key when the target has at
+      most 65536 rows (numpy radix-sorts it); a stable sort's permutation
+      depends only on the key order, so it equals that of idx itself.
     """
     if idx.size == 0:
         return
-    order = np.argsort(idx, kind="stable")
-    si = idx[order]
-    sv = values[order]
+    if np.all(idx[1:] > idx[:-1]):
+        target[idx] += values
+        return
+    si, sv = idx, values
+    if not np.all(idx[1:] >= idx[:-1]):
+        key = idx.astype(np.uint16) if target.shape[0] <= 1 << 16 else idx
+        order = np.argsort(key, kind="stable")
+        si, sv = idx[order], values[order]
     starts = np.flatnonzero(np.r_[True, si[1:] != si[:-1]])
     target[si[starts]] += np.add.reduceat(sv, starts, axis=0)
 
@@ -312,26 +328,31 @@ def segment_mean(a: Tensor, seg_ptr: np.ndarray, denom: np.ndarray) -> Tensor:
     return _out(_segment_sum_data(a.data, seg_ptr) * inv, (a,), vjp)
 
 
-def segment_std(a: Tensor, seg_ptr: np.ndarray, denom: np.ndarray) -> Tensor:
-    """sqrt(relu(E[x^2] - E[x]^2) + eps) per segment, denominator-weighted."""
+def segment_mean_std(a: Tensor, seg_ptr: np.ndarray, denom: np.ndarray) -> Tensor:
+    """[mean : std] per segment, denominator-weighted, from one reduction.
+
+    mean = sum(x) / denom and std = sqrt(relu(E[x^2] - E[x]^2) + eps),
+    with E[.] = sum(.) / denom.  One reduceat over [x : x*x] gives both
+    sums; reduceat sums each column on its own, so they equal two separate
+    reductions byte for byte.
+    """
     seg_ptr = np.asarray(seg_ptr)
     _check_segments(seg_ptr, a.data.shape[0])
     denom = np.asarray(denom, dtype=a.data.dtype)
     sizes = np.diff(seg_ptr)
     inv = (1.0 / denom)[:, None]
-    m1 = _segment_sum_data(a.data, seg_ptr) * inv
-    m2 = _segment_sum_data(a.data * a.data, seg_ptr) * inv
-    w = m2 - m1 * m1
-    out_data = np.sqrt(np.maximum(w, 0) + STD_EPS)
+    d = a.data.shape[1]
+    sums = _segment_sum_data(np.concatenate([a.data, a.data * a.data], axis=1), seg_ptr)
+    m1 = sums[:, :d] * inv
+    w = sums[:, d:] * inv - m1 * m1
+    std = np.sqrt(np.maximum(w, 0) + STD_EPS)
 
     def vjp(g):
-        coef = g * (w > 0) * inv / out_data
-        dx = np.repeat(coef, sizes, axis=0) * (
-            a.data - np.repeat(m1, sizes, axis=0)
-        )
-        return (dx,)
+        coef = g[:, d:] * (w > 0) * inv / std
+        dx = np.repeat(coef, sizes, axis=0) * (a.data - np.repeat(m1, sizes, axis=0))
+        return (dx + np.repeat(g[:, :d] * inv, sizes, axis=0),)
 
-    return _out(out_data, (a,), vjp)
+    return _out(np.concatenate([m1, std], axis=1), (a,), vjp)
 
 
 # --------------------------------------------------------- paired rotation

@@ -33,7 +33,7 @@ from .autodiff import (
     rotate_pairs,
     scatter_rows_add,
     segment_mean,
-    segment_std,
+    segment_mean_std,
     segment_sum,
     tanh,
 )
@@ -154,10 +154,7 @@ def apply_aggregate(
     if name == "mean":
         return segment_mean(msg, seg_ptr, denom)
     if name == "pna":
-        return concat(
-            [segment_mean(msg, seg_ptr, denom), segment_std(msg, seg_ptr, denom)],
-            axis=1,
-        )
+        return segment_mean_std(msg, seg_ptr, denom)
     raise ValueError(f"aggregate must be one of {AGGREGATES}")
 
 

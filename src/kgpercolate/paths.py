@@ -9,6 +9,9 @@ still shares at least that many distinct triples with a single shortest
 path.  Identity self-loops are excluded from enumeration by default; a
 shortest path extended by an identity step would otherwise count as both
 valid and redundant and the structural checks below would be vacuous.
+Principle (2) drops base-relation self-loops from its walks for the same
+reason: a triple whose head is its tail is a sideways step, and a shortest
+path ending in one is valid and shares every triple with that path.
 
 One climbing DFS from the query (``shortest_path_map``) gives the
 shortest-path set of every in-horizon entity; all checks below read it.
@@ -259,7 +262,11 @@ def verify_percolation_principles(
     """Check the three layering guarantees for one query by enumeration.
 
     (1) every shortest path to an in-horizon entity is percolation-valid;
-    (2) no percolation-valid walk of length <= horizon is redundant;
+    (2) no percolation-valid walk of length <= horizon is redundant.  The
+        walks never step along a self-loop, a triple whose head is its
+        tail, of the identity or of a base relation: a shortest path plus
+        a final self-loop is valid and redundant, so with them (2) would
+        fail on every graph with a self-loop in the horizon;
     (3) every triple with head distance <= horizon-1 and head no deeper
         than tail appears in exactly one percolation layer.  Heads at
         exactly the horizon have no layer to appear in; the combined
@@ -287,9 +294,8 @@ def verify_percolation_principles(
                 rep.shortest_all_valid = False
                 rep.counterexamples.append(f"shortest-not-valid: {p.triples}")
 
-    # (2): enumerate every walk from q up to the horizon (identity excluded)
+    # (2): enumerate every walk from q up to the horizon, self-loops excluded
     dist = _in_horizon(dm)
-    identity = index.identity_rel
     prefix: list[Triple] = []
     budget = [max_expansions]
 
@@ -322,7 +328,7 @@ def verify_percolation_principles(
         inside = inside and gt >= 0
         lo, hi = index.indptr[node : node + 2].tolist()
         for r, t in zip(index.rel[lo:hi].tolist(), index.tail[lo:hi].tolist()):
-            if r == identity:
+            if t == node:
                 continue
             prefix.append((node, r, t))
             walk(t, depth + 1, gt, climbed, inside)

@@ -23,7 +23,7 @@ from kgpercolate.autodiff import (
     scale,
     scatter_rows_add,
     segment_mean,
-    segment_std,
+    segment_mean_std,
     segment_sum,
     slice_rows,
     sub,
@@ -153,7 +153,7 @@ class TestGradients64:
             expect[i] += upd.data[k]
         np.testing.assert_allclose(out.data, expect)
 
-    @pytest.mark.parametrize("op", ["sum", "mean", "std"])
+    @pytest.mark.parametrize("op", ["sum", "mean", "mean_std"])
     def test_segment_ops(self, float64, op):
         rng = np.random.default_rng(7)
         x = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
@@ -162,9 +162,9 @@ class TestGradients64:
         fn = {
             "sum": lambda: segment_sum(x, seg_ptr),
             "mean": lambda: segment_mean(x, seg_ptr, denom),
-            "std": lambda: segment_std(x, seg_ptr, denom),
+            "mean_std": lambda: segment_mean_std(x, seg_ptr, denom),
         }[op]
-        w = Tensor(rng.standard_normal((3, 3)))
+        w = Tensor(rng.standard_normal(fn().data.shape))
         check_grads(lambda: sum_all(hadamard(fn(), w)), [x])
 
     def test_segment_forward_loop_oracle(self, float64):
@@ -174,7 +174,9 @@ class TestGradients64:
         denom = np.array([3.0, 2.0, 1.0, 5.0])
         sums = segment_sum(x, seg_ptr).data
         means = segment_mean(x, seg_ptr, denom).data
-        stds = segment_std(x, seg_ptr, denom).data
+        mean_std = segment_mean_std(x, seg_ptr, denom).data
+        np.testing.assert_array_equal(mean_std[:, :2], means)
+        stds = mean_std[:, 2:]
         for i in range(4):
             rows = x.data[seg_ptr[i]:seg_ptr[i + 1]]
             s = rows.sum(axis=0) if len(rows) else np.zeros(2)
@@ -227,6 +229,50 @@ class TestGradients64:
         a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         w = Tensor(rng.standard_normal(4))
         check_grads(lambda: sum_all(hadamard(sum_all(a, axis=0), w)), [a])
+
+
+def segment_std_reference(a, seg_ptr, denom):
+    """The separate std op ``segment_mean_std`` replaced, kept as its reference."""
+    seg_ptr = np.asarray(seg_ptr)
+    denom = np.asarray(denom, dtype=a.data.dtype)
+    sizes = np.diff(seg_ptr)
+    inv = (1.0 / denom)[:, None]
+    m1 = ad._segment_sum_data(a.data, seg_ptr) * inv
+    m2 = ad._segment_sum_data(a.data * a.data, seg_ptr) * inv
+    w = m2 - m1 * m1
+    out_data = np.sqrt(np.maximum(w, 0) + ad.STD_EPS)
+
+    def vjp(g):
+        coef = g * (w > 0) * inv / out_data
+        return (np.repeat(coef, sizes, axis=0) * (a.data - np.repeat(m1, sizes, axis=0)),)
+
+    return ad._out(out_data, (a,), vjp)
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 32, 64])
+def test_segment_mean_std_bytes_match_separate_ops(width):
+    # float32 (rounding shows), empty segments and segments of up to 40 rows
+    rng = np.random.default_rng(100 + width)
+    sizes = rng.integers(0, 41, 25)
+    sizes[:3] = [0, 10, 40]
+    seg_ptr = np.r_[0, np.cumsum(sizes)]
+    denom = rng.uniform(0.5, 50.0, len(sizes))
+    data = rng.standard_normal((int(seg_ptr[-1]), width)) + rng.standard_normal(width)
+    w = Tensor(rng.standard_normal((len(sizes), 2 * width)))
+    got = {}
+    for name in ("fused", "pair"):
+        x = Tensor(data, requires_grad=True)
+        with Tape() as tape:
+            if name == "fused":
+                out = segment_mean_std(x, seg_ptr, denom)
+            else:
+                out = concat([segment_mean(x, seg_ptr, denom),
+                              segment_std_reference(x, seg_ptr, denom)], axis=1)
+            loss = sum_all(hadamard(out, w))
+        tape.backward(loss)
+        assert out.data.dtype == x.grad.dtype == np.float32
+        got[name] = (out.data.tobytes(), x.grad.tobytes())
+    assert got["fused"] == got["pair"]
 
 
 def test_float32_chain_gradcheck():
@@ -317,6 +363,89 @@ def test_index_add_matches_np_add_at():
         index_add(a, idx, vals)
         np.add.at(b, idx, vals)
         np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-6)
+
+
+def sorted_index_add(target, idx, values):
+    """The reference for ``index_add``'s bytes: a stable argsort of idx for
+    every index, then one reduceat over the sorted values."""
+    if idx.size == 0:
+        return
+    order = np.argsort(idx, kind="stable")
+    si = idx[order]
+    sv = values[order]
+    starts = np.flatnonzero(np.r_[True, si[1:] != si[:-1]])
+    target[si[starts]] += np.add.reduceat(sv, starts, axis=0)
+
+
+def index_cases(rng):
+    """(name, n_rows, idx) for every index class ``index_add`` tells apart."""
+    runs = np.repeat(np.sort(rng.choice(40, 12, replace=False)), rng.integers(1, 14, 12))
+    return [
+        ("empty", 9, np.zeros(0, dtype=np.int64)),
+        ("single", 9, np.array([4])),
+        ("increasing", 40, np.sort(rng.choice(40, 25, replace=False))),
+        ("nondecreasing", 40, runs),
+        ("unsorted-small", 17, rng.integers(0, 17, 300)),
+        ("unsorted-uint16-edge", 1 << 16, rng.integers((1 << 16) - 20, 1 << 16, 300)),
+        ("unsorted-large", 70_000, rng.integers(0, 70_000, 3000)),
+    ]
+
+
+@pytest.mark.parametrize("width", [None, 1, 3, 64])
+def test_index_add_bytes_match_sorted_reduceat(width):
+    rng = np.random.default_rng(41)
+    for name, n, idx in index_cases(rng):
+        shape = (idx.size,) if width is None else (idx.size, width)
+        values = rng.standard_normal(shape).astype(np.float32)
+        strided = np.repeat(values[..., None], 2, axis=-1)[..., 0]  # a non-contiguous view
+        for vals in (values, strided):
+            base = rng.standard_normal((n,) + shape[1:]).astype(np.float32)
+            want, got = base.copy(), base.copy()
+            sorted_index_add(want, idx, vals)
+            index_add(got, idx, vals)
+            assert got.tobytes() == want.tobytes(), name
+
+
+def test_index_add_sorts_only_unsorted_indices(monkeypatch):
+    # sorted indices skip the argsort; unsorted ones into at most 65536
+    # rows sort a uint16 key, larger targets sort the index itself
+    rng = np.random.default_rng(42)
+    keys = []
+    argsort = np.argsort
+
+    def spy(a, *args, **kw):
+        keys.append(a.dtype)
+        return argsort(a, *args, **kw)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    for name, n, idx in index_cases(rng):
+        keys.clear()
+        index_add(np.zeros((n, 2), np.float32), idx, np.ones((idx.size, 2), np.float32))
+        if name.startswith("unsorted"):
+            assert keys == [np.dtype(np.uint16) if n <= 1 << 16 else idx.dtype], name
+        else:
+            assert keys == [], name
+
+
+def test_index_add_is_called_through_the_module(monkeypatch):
+    # the bench's traced runs wrap this attribute to time and count calls
+    calls = []
+    plain = ad.index_add
+
+    def recording(target, idx, values):
+        calls.append(idx.tolist())
+        plain(target, idx, values)
+
+    monkeypatch.setattr(ad, "index_add", recording)
+    table = Tensor(np.ones((4, 2)), requires_grad=True)
+    base = Tensor(np.zeros((4, 2)), requires_grad=True)
+    with Tape() as tape:
+        rows = gather(table, np.array([3, 1, 3]))
+        loss = sum_all(scatter_rows_add(base, np.array([0, 2, 3]), rows))
+    assert calls == [[0, 2, 3]]
+    tape.backward(loss)
+    assert calls == [[0, 2, 3], [3, 1, 3]]
+    assert table.grad.tolist() == [[0, 0], [1, 1], [0, 0], [2, 2]]
 
 
 class TestAdam:

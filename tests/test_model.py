@@ -342,7 +342,7 @@ class TestFullModelGradients:
         # relu kinks make isolated partials fragile (a kink within h of an
         # entry), so the check is on the whole-gradient relative error; the
         # float32 analytic gradient is off its float64 reference by ~4e-8,
-        # while a 0.1% error in the segment_std backward shows as ~1e-5
+        # while a 0.1% error in segment_mean_std's std backward shows as ~1e-5
         cfg = small_config(dim=6, dim_low=4)
         params, numeric = self.compute_grads(cfg, seed=11, h=1e-6)
         analytic = np.concatenate([p.grad.ravel() for p in params.values()])

@@ -197,9 +197,9 @@ def oracle_shortest(index, dm, t) -> list:
 
 def oracle_report(index, dm) -> dict:
     """The PrincipleReport fields from the definitions, target by target:
-    walks of length 1..H from ``enumerate_paths``, ``oracle_shortest``,
-    ``is_percolation_valid`` and ``classify_redundant``, and the layer
-    coverage from a count of every layered position."""
+    walks of length 1..H from ``enumerate_paths`` with no self-loop triple,
+    ``oracle_shortest``, ``is_percolation_valid`` and ``classify_redundant``,
+    and the layer coverage from a count of every layered position."""
     q, H = dm.query, dm.horizon
     n = Counter()
     bad = {"shortest": [], "redundant": [], "coverage": []}
@@ -210,7 +210,7 @@ def oracle_report(index, dm) -> dict:
             f"shortest-not-valid: {p.triples}" for p in short if not is_percolation_valid(p, dm)
         ]
         for p in enumerate_paths(index, q, t, H):
-            if p.length == 0:
+            if p.length == 0 or any(h == e for h, _, e in p.triples):
                 continue
             n["walks"] += 1
             if is_percolation_valid(p, dm):
@@ -269,7 +269,9 @@ def test_principles_match_definitions(seed, L):
     idx = build_index(augment(loopy_kg(rng)))
     for q in rng.choice(idx.num_entities, size=3).tolist():
         dm = relative_distances(idx, q, L)
-        assert report_fields(verify_percolation_principles(idx, q, L)) == oracle_report(idx, dm)
+        rep = verify_percolation_principles(idx, q, L)
+        assert report_fields(rep) == oracle_report(idx, dm)
+        assert rep.all_ok, rep.counterexamples
         # the one-pass map holds exactly the walks as long as each target's distance
         short = shortest_path_map(idx, dm)
         for t in dm.within().tolist():
