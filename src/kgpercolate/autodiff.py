@@ -8,6 +8,12 @@ reduction), paired 2-D rotations, and a stable logsumexp.  Records happen
 only inside a ``with Tape() as tape`` block; outside a tape every op is a
 plain numpy computation, which is what evaluation uses.
 
+Row gathers go through ``np.take``, and every segment sum (the segment ops
+and ``index_add``) goes through one kernel, ``_segment_sums``.  Both give
+the bytes of numpy's own ``x[idx]`` and ``np.add.reduceat``; the kernel
+reproduces reduceat's summation order, which is numpy's, and a bytes test
+pins it to the installed numpy.
+
 Default precision is float32.  ``set_default_dtype("float64")`` switches
 new tensors to double, which the gradient-check tests rely on.
 """
@@ -62,10 +68,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"Tensor{tag}(shape={self.data.shape}, grad={self.requires_grad})"
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 class Tape:
@@ -123,18 +125,65 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+_SHORT = 8  # reduceat sums a segment of at most this many rows in row order
+# Below this many inner-loop calls (segments of at most _SHORT rows times
+# the row width) reduceat costs less than the kernel's ~25 numpy calls.
+_KERNEL_MIN_CALLS = 4096
+
+
+def _segment_sums(x: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """Row sums of the segments x[ptr[i]:ptr[i + 1]], byte for byte those of
+    ``np.add.reduceat(x, ptr[:-1], axis=0)``; ptr rises strictly from 0 to
+    len(x).
+
+    reduceat calls its inner loop once per segment and column.  For a
+    segment of m <= 8 rows that loop gives
+    ``x[s] + (((-0.0 + x[s+1]) + x[s+2]) + ...)``, numpy's order, and the
+    leading -0.0 changes no value.  Here one-row segments are a single
+    ``np.take``; segments of 2..8 rows are grouped by row count, longest
+    first, so for each row offset k one ``np.take`` and one vectorized add
+    accumulate row k into every segment longer than k.  Longer segments keep
+    numpy's blocked pairwise order: reduceat runs on their rows alone.  When
+    the short segments would cost reduceat few calls, it runs on everything.
+    """
+    starts = ptr[:-1]
+    sizes = ptr[1:] - starts
+    counts = np.bincount(np.minimum(sizes, _SHORT + 1), minlength=_SHORT + 2)
+    if counts[1:_SHORT + 1].sum() * (x.size // x.shape[0]) < _KERNEL_MIN_CALLS:
+        return np.add.reduceat(x, starts, axis=0)
+    out = np.take(x, starts, axis=0)
+    multi = [m for m in range(_SHORT, 1, -1) if counts[m]]
+    if multi:
+        seg = np.concatenate([np.flatnonzero(sizes == m) for m in multi])
+        first = starts[seg]
+        # longer[k]: how many of them have more than k rows, a prefix of seg
+        longer = np.cumsum(counts[_SHORT:0:-1])[::-1].tolist()
+        tail = np.take(x, first + 1, axis=0)
+        for k in range(2, multi[0]):
+            n = longer[k]
+            tail[:n] += np.take(x, first[:n] + k, axis=0)
+        out[seg] = np.take(x, first, axis=0) + tail
+    if counts[_SHORT + 1]:
+        long = np.flatnonzero(sizes > _SHORT)
+        rows_in = sizes[long]
+        packed = np.cumsum(rows_in) - rows_in  # their starts once packed
+        rows = np.repeat(starts[long] - packed, rows_in) + np.arange(packed[-1] + rows_in[-1])
+        out[long] = np.add.reduceat(np.take(x, rows, axis=0), packed, axis=0)
+    return out
+
+
 def index_add(target: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
     """target[idx] += values with duplicate indices accumulated.
 
-    Rows of one index are summed by reduceat in their order in ``values``
-    (much faster than np.add.at at batched-subgraph volumes).  The path
-    depends on the index, and each gives the bytes of a stable argsort of
-    idx followed by reduceat:
+    Rows of one index are summed by ``_segment_sums`` in their order in
+    ``values`` (much faster than np.add.at at batched-subgraph volumes).
+    The path depends on the index, and each gives the bytes of a stable
+    argsort of idx followed by ``np.add.reduceat``:
 
     - strictly increasing: every row is its own segment, so a plain
       ``target[idx] += values`` adds the same single values;
-    - non-decreasing: the stable argsort is the identity, so reduceat runs
-      on ``values`` as given, with no sort and no reordered copy;
+    - non-decreasing: the stable argsort is the identity, so the segments
+      are summed from ``values`` as given, with no sort and no reordered copy;
     - otherwise: a stable argsort, on a uint16 key when the target has at
       most 65536 rows (numpy radix-sorts it); a stable sort's permutation
       depends only on the key order, so it equals that of idx itself.
@@ -148,9 +197,9 @@ def index_add(target: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
     if not np.all(idx[1:] >= idx[:-1]):
         key = idx.astype(np.uint16) if target.shape[0] <= 1 << 16 else idx
         order = np.argsort(key, kind="stable")
-        si, sv = idx[order], values[order]
-    starts = np.flatnonzero(np.r_[True, si[1:] != si[:-1]])
-    target[si[starts]] += np.add.reduceat(sv, starts, axis=0)
+        si, sv = idx[order], np.take(values, order, axis=0)
+    ptr = np.flatnonzero(np.r_[True, si[1:] != si[:-1], True])
+    target[si[ptr[:-1]]] += _segment_sums(sv, ptr)
 
 
 # ---------------------------------------------------------------- basic ops
@@ -240,26 +289,34 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     return _out(a.data[start:stop], (a,), vjp)
 
 
+def _row_index(idx, op: str) -> np.ndarray:
+    # np.take reads a boolean mask as the row ids 0 and 1
+    idx = np.asarray(idx)
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"{op} needs an integer row index, not {idx.dtype}")
+    return idx
+
+
 def gather(a: Tensor, idx: np.ndarray) -> Tensor:
     """Row lookup a[idx]; duplicates in idx accumulate in the backward."""
-    idx = np.asarray(idx)
+    idx = _row_index(idx, "gather")
 
     def vjp(g):
         da = np.zeros_like(a.data)
         index_add(da, idx, g)
         return (da,)
 
-    return _out(a.data[idx], (a,), vjp)
+    return _out(np.take(a.data, idx, axis=0), (a,), vjp)
 
 
 def scatter_rows_add(a: Tensor, idx: np.ndarray, b: Tensor) -> Tensor:
     """out = a with out[idx] += b, duplicates accumulated."""
-    idx = np.asarray(idx)
+    idx = _row_index(idx, "scatter_rows_add")
     data = a.data.copy()
     index_add(data, idx, b.data)
 
     def vjp(g):
-        return g, g[idx]
+        return g, np.take(g, idx, axis=0)
 
     return _out(data, (a, b), vjp)
 
@@ -294,12 +351,11 @@ def _check_segments(seg_ptr: np.ndarray, n_rows: int) -> None:
 def _segment_sum_data(x: np.ndarray, seg_ptr: np.ndarray) -> np.ndarray:
     n_seg = len(seg_ptr) - 1
     out = np.zeros((n_seg,) + x.shape[1:], dtype=x.dtype)
-    sizes = np.diff(seg_ptr)
-    nonempty = sizes > 0
-    if x.shape[0] and nonempty.any():
-        # consecutive nonempty starts span any empty segments in between,
-        # which contribute no rows, so reduceat still sums the right slices
-        out[nonempty] = np.add.reduceat(x, seg_ptr[:-1][nonempty], axis=0)
+    nonempty = seg_ptr[1:] > seg_ptr[:-1]
+    if x.shape[0]:
+        # the bounds of the nonempty segments: each one ends where the next
+        # nonempty one starts, as empty segments in between hold no rows
+        out[nonempty] = _segment_sums(x, seg_ptr[np.r_[True, nonempty]])
     return out
 
 
@@ -332,8 +388,8 @@ def segment_mean_std(a: Tensor, seg_ptr: np.ndarray, denom: np.ndarray) -> Tenso
     """[mean : std] per segment, denominator-weighted, from one reduction.
 
     mean = sum(x) / denom and std = sqrt(relu(E[x^2] - E[x]^2) + eps),
-    with E[.] = sum(.) / denom.  One reduceat over [x : x*x] gives both
-    sums; reduceat sums each column on its own, so they equal two separate
+    with E[.] = sum(.) / denom.  One segment sum over [x : x*x] gives both
+    sums; it sums each column on its own, so they equal two separate
     reductions byte for byte.
     """
     seg_ptr = np.asarray(seg_ptr)

@@ -427,6 +427,62 @@ def test_index_add_sorts_only_unsorted_indices(monkeypatch):
             assert keys == [], name
 
 
+def kernel_input(rng, dtype, width):
+    """Segment sizes 0-10, 16, 17 and 130, enough short ones that the segment
+    sum kernel (not plain reduceat) runs, and rows of mixed magnitude (so the
+    summation order shows in the rounding) holding -0.0, +0.0, inf and NaN."""
+    w = 1 if width is None else width
+    n_seg = 2 * ad._KERNEL_MIN_CALLS // w + 64
+    sizes = rng.choice(np.r_[0:11, 16, 17, 130], n_seg)
+    assert np.count_nonzero((sizes > 0) & (sizes <= ad._SHORT)) * w >= ad._KERNEL_MIN_CALLS
+    n = int(sizes.sum())
+    shape = (n,) if width is None else (n, width)
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 6, shape)
+    u = rng.random(shape)
+    x[u < 0.2] = -0.0
+    x[(u >= 0.2) & (u < 0.25)] = 0.0
+    x[u > 0.999] = np.inf
+    x[(u > 0.998) & (u <= 0.999)] = -np.inf
+    x[(u > 0.997) & (u <= 0.998)] = np.nan
+    return sizes, x.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", [None, 1, 2, 8, 16, 64])
+def test_segment_sums_bytes_match_reduceat(dtype, width):
+    # the kernel copies numpy's summation order; this pins it to the
+    # installed numpy, through both callers, on contiguous and strided rows
+    rng = np.random.default_rng(43 + (width or 0))
+    sizes, data = kernel_input(rng, dtype, width)
+    seg_ptr = np.r_[0, np.cumsum(sizes)]
+    idx = np.repeat(np.arange(len(sizes)), sizes)
+    shuffled = rng.permutation(len(idx))
+    strided = np.repeat(data[..., None], 2, axis=-1)[..., 0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for x in (data, strided):
+            nonempty = sizes > 0
+            want = np.zeros((len(sizes),) + x.shape[1:], dtype)
+            want[nonempty] = np.add.reduceat(x, seg_ptr[:-1][nonempty], axis=0)
+            got = ad._segment_sum_data(x, seg_ptr)
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+            for i, vals in ((idx, x), (idx[shuffled], x[shuffled])):
+                base = np.zeros(want.shape, dtype)
+                want_t, got_t = base.copy(), base.copy()
+                sorted_index_add(want_t, i, vals)
+                index_add(got_t, i, vals)
+                assert got_t.tobytes() == want_t.tobytes()
+
+
+@pytest.mark.parametrize("index", [np.array([True, False, True]), np.array([0.0, 2.0, 1.0])])
+def test_row_ops_reject_non_integer_index(index):
+    # np.take would read a mask as the row ids 0 and 1, not select rows
+    a = Tensor(np.ones((3, 2)))
+    with pytest.raises(ValueError, match="gather"):
+        gather(a, index)
+    with pytest.raises(ValueError, match="scatter_rows_add"):
+        scatter_rows_add(a, index, Tensor(np.ones((3, 2))))
+
+
 def test_index_add_is_called_through_the_module(monkeypatch):
     # the bench's traced runs wrap this attribute to time and count calls
     calls = []

@@ -14,7 +14,10 @@ the script can hash an older commit from a copy of that commit's tree.
 
 The train logits depend on the BLAS thread count, since it changes the
 summation order of the matmuls, so OpenBLAS is pinned to one thread before
-numpy loads; the first output line is the thread count in effect.
+numpy loads; the first output line is the thread count in effect.  All
+digests also depend on the numpy version, whose summation order the
+segment sums reproduce, so the second line is that version: digests are
+comparable only under the same numpy and the same BLAS.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ def main() -> None:
     from workloads import LOOPS, WORKLOADS, _graph, blas_threads, set_up
 
     print(f"{'blas':9s} {blas_threads()} thread(s)")
+    print(f"{'numpy':9s} {np.__version__}")
     total = hashlib.sha256()
     for name in ("train", "eval", "analysis"):
         wl = WORKLOADS[name]
