@@ -45,7 +45,11 @@ def get_default_dtype() -> str:
 
 
 def set_debug_checks(enabled: bool) -> None:
-    """When on, every op output is checked for NaN/inf (slow, for debugging)."""
+    """When on, every op output is checked for NaN/inf (slow, for debugging).
+
+    A non-finite output raises FloatingPointError naming the op and the
+    tape position its entry would take (or "untaped" outside a tape).
+    """
     global _DEBUG_FINITE
     _DEBUG_FINITE = bool(enabled)
 
@@ -106,7 +110,9 @@ class Tape:
 
 def _out(data: np.ndarray, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
     if _DEBUG_FINITE and not np.all(np.isfinite(data)):
-        raise FloatingPointError("non-finite values in op output")
+        op = vjp.__qualname__.split(".")[0]
+        at = "untaped" if _ACTIVE_TAPE is None else f"tape position {len(_ACTIVE_TAPE._entries)}"
+        raise FloatingPointError(f"non-finite values in {op} output ({at})")
     res = Tensor(data)
     if _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs):
         res.requires_grad = True
@@ -147,9 +153,13 @@ def _segment_sums(x: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     the short segments would cost reduceat few calls, it runs on everything.
     """
     starts = ptr[:-1]
+    width = x.size // x.shape[0]
+    # the segment count bounds the short ones: few segments skip the counting
+    if len(starts) * width < _KERNEL_MIN_CALLS:
+        return np.add.reduceat(x, starts, axis=0)
     sizes = ptr[1:] - starts
     counts = np.bincount(np.minimum(sizes, _SHORT + 1), minlength=_SHORT + 2)
-    if counts[1:_SHORT + 1].sum() * (x.size // x.shape[0]) < _KERNEL_MIN_CALLS:
+    if counts[1:_SHORT + 1].sum() * width < _KERNEL_MIN_CALLS:
         return np.add.reduceat(x, starts, axis=0)
     out = np.take(x, starts, axis=0)
     multi = [m for m in range(_SHORT, 1, -1) if counts[m]]

@@ -15,10 +15,15 @@ path ending in one is valid and shares every triple with that path.
 
 One climbing DFS from the query (``shortest_path_map``) gives the
 shortest-path set of every in-horizon entity; all checks below read it.
+Both DFS passes read one per-query adjacency, ``_Horizon``: the relative
+distance of every in-horizon entity in one dict, and each entity's
+out-triples read from the CSR once.  ``verify_percolation_principles``
+builds it once per query and shares it between its checks.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,7 +121,48 @@ def shortest_path_map(
     without a key has no shortest path.  ``max_depth`` stops the climb at
     that many triples.  One budget unit is one climbing prefix visited.
     """
-    dist = _in_horizon(dm)
+    return _climb(_Horizon(index, dm), dm.query, max_expansions, max_depth)
+
+
+class _Horizon(dict):
+    """One query's adjacency as the DFS passes read it.
+
+    ``dist`` maps every entity within the horizon to its relative distance,
+    in ascending entity order.  ``self[e]`` lists e's out-triples as
+    ``(rel, tail)`` pairs in index order.  Those of the in-horizon entities
+    are read in one CSR gather; any other entity's are read the first time
+    it is asked for, since a walk over a corrupted map can leave the horizon.
+    """
+
+    def __init__(self, index: AdjacencyIndex, dm: DistanceMap):
+        super().__init__()
+        within = dm.within()
+        ents = within.tolist()
+        self.dist: dict[int, int] = dict(zip(ents, dm.dist[within].tolist()))
+        self.index = index
+        lo = index.indptr[within]
+        n = index.indptr[within + 1] - lo
+        ends = np.cumsum(n)
+        # position k of entity i's run is lo[i] + k - (ends[i] - n[i])
+        pos = np.arange(n.sum()) + np.repeat(lo - ends + n, n)
+        pairs = list(zip(index.rel[pos].tolist(), index.tail[pos].tolist()))
+        start = 0
+        for e, end in zip(ents, ends.tolist()):
+            self[e] = pairs[start:end]
+            start = end
+
+    def __missing__(self, e: int) -> list[tuple[int, int]]:
+        ix = self.index
+        lo, hi = ix.indptr[e : e + 2].tolist()
+        out = self[e] = list(zip(ix.rel[lo:hi].tolist(), ix.tail[lo:hi].tolist()))
+        return out
+
+
+def _climb(
+    adj: _Horizon, query: int, max_expansions: int, max_depth: int | None,
+) -> dict[int, list[RelationalPath]]:
+    """``shortest_path_map`` on a built adjacency."""
+    dist = adj.dist
     out: dict[int, list[RelationalPath]] = {}
     prefix: list[Triple] = []
     budget = [max_expansions]
@@ -128,25 +174,18 @@ def shortest_path_map(
                 f"shortest-path enumeration exceeded {max_expansions} expansions"
             )
         if dist.get(node) == depth:
-            out.setdefault(node, []).append(RelationalPath(dm.query, node, tuple(prefix)))
+            out.setdefault(node, []).append(RelationalPath(query, node, tuple(prefix)))
         if depth == max_depth:
             return
-        lo, hi = index.indptr[node : node + 2].tolist()
-        for r, t in zip(index.rel[lo:hi].tolist(), index.tail[lo:hi].tolist()):
+        for r, t in adj[node]:
             if dist.get(t) != depth + 1:
                 continue
             prefix.append((node, r, t))
             climb(t, depth + 1)
             prefix.pop()
 
-    climb(dm.query, 0)
+    climb(query, 0)
     return out
-
-
-def _in_horizon(dm: DistanceMap) -> dict[int, int]:
-    """The relative distance of every entity within the horizon."""
-    within = dm.within()
-    return dict(zip(within.tolist(), dm.dist[within].tolist()))
 
 
 def shortest_paths(
@@ -174,19 +213,23 @@ def potential_deltas(path: RelationalPath, dm: DistanceMap) -> list[int]:
     still counts as progress.  Every entity on the path must be within the
     horizon.
     """
+    ents = [e for h, _, t in path.triples for e in (h, t)]
+    return _deltas(path.triples, dict(zip(ents, dm.dist[ents].tolist())), dm.horizon)
+
+
+def _deltas(triples: Sequence[Triple], dist: dict[int, int], horizon: int) -> list[int]:
+    """``potential_deltas`` of a chain of triples; ``dist`` gives each
+    entity's distance, and an entity it lacks is outside the horizon."""
     out: list[int] = []
-    n = path.length
-    for i, (h, _, t) in enumerate(path.triples):
-        gh, gt = int(dm.dist[h]), int(dm.dist[t])
+    last = len(triples) - 1
+    for i, (h, _, t) in enumerate(triples):
+        gh, gt = dist.get(h, -1), dist.get(t, -1)
         if gh < 0 or gt < 0:
             raise ValueError(
-                f"path entity outside horizon {dm.horizon}: triple {i} has "
+                f"path entity outside horizon {horizon}: triple {i} has "
                 f"distances ({gh}, {gt})"
             )
-        if i < n - 1:
-            out.append(max(gt - gh, 0))
-        else:
-            out.append(min(gt - gh + 1, 1))
+        out.append(max(gt - gh, 0) if i < last else min(gt - gh + 1, 1))
     return out
 
 
@@ -272,30 +315,38 @@ def verify_percolation_principles(
         exactly the horizon have no layer to appear in; the combined
         full-neighborhood pass covers them instead.
 
-    (1) reads one ``shortest_path_map`` climb.  (2) is one walk DFS that
-    tracks validity as it goes (every step but the last climbs strictly,
-    the last does not descend: exactly ``potential_deltas > 0``) and builds
-    a ``RelationalPath`` only for a valid walk longer than its target's
-    distance, the only kind that can be redundant.  ``max_expansions``
-    bounds each pass apart, raising ValueError past it: the climb's
-    prefixes over all targets together, and the walk DFS's prefixes.
+    The query's adjacency (``_Horizon``: one distance dict, each entity's
+    out-triples read from the CSR once) is built once and read by every
+    check.  (1) reads one ``shortest_path_map`` climb over it and applies
+    the ``potential_deltas`` rule to each path with distances from the dict.
+    (2) is one walk DFS that tracks validity as it goes (every step but the
+    last climbs strictly, the last does not descend: exactly
+    ``potential_deltas > 0``) and builds a ``RelationalPath`` only for a
+    valid walk longer than its target's distance, the only kind that can be
+    redundant.  (3) takes its wanted triples from the CSR ranges of the
+    heads at distance <= horizon-1, in ascending position as a scan of all
+    triples would, and never from the map's decoder or layers, so that it
+    does not lean on the kernel it checks.  ``max_expansions`` bounds each
+    DFS pass apart, raising ValueError past it: the climb's prefixes over
+    all targets together, and the walk DFS's prefixes.
     """
     dm = relative_distances(index, q, horizon)
     rep = PrincipleReport(
         query=q, horizon=horizon,
         shortest_all_valid=True, no_valid_redundant=True, coverage_complete=True,
     )
-    short = shortest_path_map(index, dm, max_expansions)
-    for t in dm.within().tolist():
+    adj = _Horizon(index, dm)
+    dist = adj.dist
+    short = _climb(adj, q, max_expansions, None)
+    for t in dist:
         paths = short.get(t, [])
         rep.n_shortest += len(paths)
         for p in paths:
-            if not is_percolation_valid(p, dm):
+            if not all(d > 0 for d in _deltas(p.triples, dist, horizon)):
                 rep.shortest_all_valid = False
                 rep.counterexamples.append(f"shortest-not-valid: {p.triples}")
 
     # (2): enumerate every walk from q up to the horizon, self-loops excluded
-    dist = _in_horizon(dm)
     prefix: list[Triple] = []
     budget = [max_expansions]
 
@@ -326,8 +377,7 @@ def verify_percolation_principles(
             return
         climbed = climbed and (depth == 0 or gt > gh)
         inside = inside and gt >= 0
-        lo, hi = index.indptr[node : node + 2].tolist()
-        for r, t in zip(index.rel[lo:hi].tolist(), index.tail[lo:hi].tolist()):
+        for r, t in adj[node]:
             if t == node:
                 continue
             prefix.append((node, r, t))
@@ -336,23 +386,24 @@ def verify_percolation_principles(
 
     walk(q, 0, 0, True, True)
 
-    # (3): every repeat of a layered triple, then every wanted triple missed
-    layered = np.concatenate(dm.layers)
-    first = np.zeros(len(layered), dtype=bool)
-    first[np.unique(layered, return_index=True)[1]] = True
-    for pos in layered[~first].tolist():
-        rep.coverage_complete = False
-        rep.counterexamples.append(f"triple in two layers: pos {pos}")
-    hd = dm.dist[index.head]
-    td = dm.dist[index.tail]
-    want = np.flatnonzero((hd >= 0) & (hd <= horizon - 1) & (td >= hd))
-    seen = np.zeros(index.num_triples, dtype=bool)
-    seen[layered] = True
-    for pos in want[~seen[want]].tolist():
-        rep.coverage_complete = False
-        rep.counterexamples.append(
-            f"non-uphill triple missing from all layers: pos {pos}"
-        )
+    # (3): every repeat of a layered triple, then every wanted triple missed.
+    # The wanted triples leave the heads at distance <= horizon-1, so they
+    # are read from those heads' CSR ranges, ascending as positions are.
+    layered: set[int] = set()
+    for pos in np.concatenate(dm.layers).tolist():
+        if pos in layered:
+            rep.coverage_complete = False
+            rep.counterexamples.append(f"triple in two layers: pos {pos}")
+        layered.add(pos)
+    heads = [h for h, d in dist.items() if d < horizon]
+    for h, lo in zip(heads, index.indptr[heads].tolist()):
+        dh = dist[h]
+        for k, (_, t) in enumerate(adj[h]):
+            if dist.get(t, -1) >= dh and lo + k not in layered:
+                rep.coverage_complete = False
+                rep.counterexamples.append(
+                    f"non-uphill triple missing from all layers: pos {lo + k}"
+                )
     return rep
 
 

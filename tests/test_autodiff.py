@@ -337,6 +337,21 @@ class TestTapeMechanics:
             ad.set_debug_checks(False)
         scale(a, 2.0)  # no raise once disabled
 
+    def test_debug_check_names_op_and_tape_position(self):
+        w = Tensor(np.array([[1.0, 2.0], [np.nan, 3.0]]), requires_grad=True)
+        ad.set_debug_checks(True)
+        try:
+            with pytest.raises(FloatingPointError, match=r"in gather output \(untaped\)"):
+                gather(w, np.array([1]))
+            with Tape():
+                ok = gather(w, np.array([0]))  # tape position 0
+                scale(ok, 2.0)  # tape position 1
+                with pytest.raises(FloatingPointError,
+                                   match=r"in gather output \(tape position 2\)"):
+                    gather(w, np.array([0, 1]))
+        finally:
+            ad.set_debug_checks(False)
+
     def test_segment_ptr_validation(self):
         x = Tensor(np.ones((4, 2)))
         with pytest.raises(ValueError, match="seg_ptr"):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from kgpercolate.kg import Vocab, augment, build_index, make_graph
 from kgpercolate.layering import relative_distances
 from kgpercolate.paths import (
+    PrincipleReport,
     RelationalPath,
     check_uphill_insertion,
     classify_path,
@@ -334,6 +335,180 @@ def test_principle_entity_outside_horizon_raises(monkeypatch, toy_index, toy_aug
         oracle_report(toy_index, dm)
     with pytest.raises(ValueError, match="path entity outside horizon 3"):
         verify_percolation_principles(toy_index, q, 3)
+
+
+def reference_verify(index, dm, max_expansions=2_000_000):
+    """The principle checks written straight against the index and the
+    map: numpy lookups of ``dm.dist`` per triple, the CSR sliced at every
+    visit, and check (3) as a scan of every triple.  Nothing here reads the
+    code under test except ``RelationalPath``, ``classify_redundant`` and
+    the report type."""
+    q, horizon = dm.query, dm.horizon
+    rep = PrincipleReport(
+        query=q, horizon=horizon,
+        shortest_all_valid=True, no_valid_redundant=True, coverage_complete=True,
+    )
+    within = dm.within()
+    dist = dict(zip(within.tolist(), dm.dist[within].tolist()))
+
+    def deltas(path):
+        out = []
+        for i, (h, _, t) in enumerate(path.triples):
+            gh, gt = int(dm.dist[h]), int(dm.dist[t])
+            if gh < 0 or gt < 0:
+                raise ValueError(
+                    f"path entity outside horizon {dm.horizon}: triple {i} has "
+                    f"distances ({gh}, {gt})"
+                )
+            out.append(max(gt - gh, 0) if i < path.length - 1 else min(gt - gh + 1, 1))
+        return out
+
+    short, prefix, budget = {}, [], [max_expansions]
+
+    def climb(node, depth):
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise ValueError(f"shortest-path enumeration exceeded {max_expansions} expansions")
+        if dist.get(node) == depth:
+            short.setdefault(node, []).append(RelationalPath(q, node, tuple(prefix)))
+        lo, hi = index.indptr[node : node + 2].tolist()
+        for r, t in zip(index.rel[lo:hi].tolist(), index.tail[lo:hi].tolist()):
+            if dist.get(t) != depth + 1:
+                continue
+            prefix.append((node, r, t))
+            climb(t, depth + 1)
+            prefix.pop()
+
+    climb(q, 0)
+    for t in within.tolist():
+        rep.n_shortest += len(short.get(t, []))
+        for p in short.get(t, []):
+            if not all(d > 0 for d in deltas(p)):
+                rep.shortest_all_valid = False
+                rep.counterexamples.append(f"shortest-not-valid: {p.triples}")
+
+    budget = [max_expansions]
+
+    def walk(node, depth, gh, climbed, inside):
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise ValueError(
+                f"principle check exceeded {max_expansions} expansions; "
+                "reduce the horizon or the graph size"
+            )
+        gt = dist.get(node, -1)
+        if depth > 0 and gt >= 0:
+            rep.n_walks += 1
+            if not inside:
+                deltas(RelationalPath(q, node, tuple(prefix)))
+            if climbed and gt >= gh:
+                rep.n_valid += 1
+                if depth > gt:
+                    p = RelationalPath(q, node, tuple(prefix))
+                    if classify_redundant(p, dm, short.get(node, [])):
+                        rep.n_redundant += 1
+                        rep.no_valid_redundant = False
+                        rep.counterexamples.append(f"valid-and-redundant: {p.triples}")
+        if depth == horizon:
+            return
+        climbed = climbed and (depth == 0 or gt > gh)
+        inside = inside and gt >= 0
+        lo, hi = index.indptr[node : node + 2].tolist()
+        for r, t in zip(index.rel[lo:hi].tolist(), index.tail[lo:hi].tolist()):
+            if t == node:
+                continue
+            prefix.append((node, r, t))
+            walk(t, depth + 1, gt, climbed, inside)
+            prefix.pop()
+
+    walk(q, 0, 0, True, True)
+
+    layered = np.concatenate(dm.layers)
+    first = np.zeros(len(layered), dtype=bool)
+    first[np.unique(layered, return_index=True)[1]] = True
+    for pos in layered[~first].tolist():
+        rep.coverage_complete = False
+        rep.counterexamples.append(f"triple in two layers: pos {pos}")
+    hd = dm.dist[index.head]
+    td = dm.dist[index.tail]
+    want = np.flatnonzero((hd >= 0) & (hd <= horizon - 1) & (td >= hd))
+    seen = np.zeros(index.num_triples, dtype=bool)
+    seen[layered] = True
+    for pos in want[~seen[want]].tolist():
+        rep.coverage_complete = False
+        rep.counterexamples.append(f"non-uphill triple missing from all layers: pos {pos}")
+    return rep
+
+
+def outcome(check, *args):
+    """The report, or the message of the ValueError raised instead."""
+    try:
+        return check(*args)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def repeat_layers_reversed(dm):
+    # every layer twice, the second time in reverse: repeats out of order
+    return replace(dm, layers=[*dm.layers, *dm.layers[::-1]])
+
+
+def leave_horizon(dm, e):
+    # e left outside the horizon: walks through it leave the horizon
+    dist = dm.dist.copy()
+    dist[e] = -1
+    return replace(dm, dist=dist)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 4))
+def test_verify_matches_reference(seed, L):
+    # reports equal field for field, counterexamples as ordered lists, on the
+    # true map, each corrupted map and one entity left outside the horizon,
+    # under the default budget and under budgets that may run out
+    import kgpercolate.paths
+
+    rng = np.random.default_rng(seed)
+    idx = build_index(augment(loopy_kg(rng)))
+    for q in rng.choice(idx.num_entities, size=3).tolist():
+        true = relative_distances(idx, q, L)
+        maps = [true, corrupt_query_distance(true), corrupt_neighbour_distance(true),
+                corrupt_layers(true), repeat_layers_reversed(true)]
+        inside = [e for e in true.within().tolist() if e != q]
+        if inside:
+            maps.append(leave_horizon(true, int(rng.choice(inside))))
+        for dm in maps:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kgpercolate.paths, "relative_distances", lambda *a: dm)
+                full = outcome(reference_verify, idx, dm)
+                assert outcome(verify_percolation_principles, idx, q, L) == full
+                # a climb visits n_shortest prefixes, plus one per prefix
+                # ending off its distance: budgets at that edge pin the unit
+                n = full.n_shortest if isinstance(full, PrincipleReport) else 1
+                for budget in (n, n + 1, int(rng.integers(1, 120))):
+                    want = outcome(reference_verify, idx, dm, budget)
+                    assert outcome(verify_percolation_principles, idx, q, L, budget) == want
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 4])
+def test_verify_ignores_decoder(monkeypatch, horizon):
+    # check (3) picks its triples from the CSR, not from the kernel's
+    # decoder: with the decoder emptied it still reports the triples that
+    # corrupted layers miss
+    import kgpercolate.paths
+
+    rng = np.random.default_rng(horizon)
+    idx = build_index(augment(loopy_kg(rng)))
+    missed = 0
+    for q in range(idx.num_entities):
+        true = relative_distances(idx, q, horizon)
+        for dm in (true, corrupt_layers(true)):
+            want = reference_verify(idx, dm)
+            missed += sum(c.startswith("non-uphill") for c in want.counterexamples)
+            no_decoder = replace(dm, decoder=np.empty(0, dtype=np.int64))
+            monkeypatch.setattr(kgpercolate.paths, "relative_distances", lambda *a: no_decoder)
+            assert verify_percolation_principles(idx, q, horizon) == want
+    assert missed > 0 or horizon == 1
 
 
 def test_principle_budget_guards(toy_index, toy_aug):
