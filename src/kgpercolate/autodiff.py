@@ -14,12 +14,34 @@ the bytes of numpy's own ``x[idx]`` and ``np.add.reduceat``; the kernel
 reproduces reduceat's summation order, which is numpy's, and a bytes test
 pins it to the installed numpy.
 
+A tape runs backward once.  ``Tape.backward`` pops each entry once its VJP
+has run and drops that entry's output gradient, so the forward
+intermediates are freed while backward runs and later gradients reuse
+their memory; only leaves (parameters, and any tensor that no entry of the
+tape produced) keep a gradient.  A second ``backward`` raises RuntimeError.
+
+The first ``backward`` in a process also sets glibc's malloc policy, once,
+through ``mallopt``: M_MMAP_THRESHOLD = 32 MiB, the ceiling glibc's own
+dynamic threshold can reach on 64-bit, and M_TRIM_THRESHOLD = 64 MiB,
+twice that, the ratio of glibc's dynamic rule.  Under the default policy
+the trim threshold is twice the largest freed mmapped block (about 1 MB
+in a bench train step), so each step's backward temporaries fill the top
+of the heap, glibc hands those pages back to the OS, and the next step
+faults them in again: 1,000-1,800 minor faults a step.  With both
+thresholds fixed, a step takes a few.  Only backward sets the policy, so
+processes that never differentiate (evaluation, path analysis) keep the
+default; where ``mallopt`` is missing (not glibc) nothing is set.
+M_TOP_PAD is no substitute: setting it switches the dynamic threshold off,
+which leaves the mmap threshold at 128 KiB, so every larger array is
+mapped and faulted in afresh.
+
 Default precision is float32.  ``set_default_dtype("float64")`` switches
 new tensors to double, which the gradient-check tests rely on.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 from pathlib import Path
 from typing import Callable, Sequence
@@ -31,6 +53,13 @@ _DEBUG_FINITE = False
 _ACTIVE_TAPE: "Tape | None" = None
 
 STD_EPS = 1e-6  # inside the sqrt of segment_mean_std
+
+# glibc's mallopt parameters (malloc.h) and the values backward sets
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20  # DEFAULT_MMAP_THRESHOLD_MAX on 64-bit
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+_heap_policy_set = False
 
 
 def set_default_dtype(name: str) -> None:
@@ -75,10 +104,17 @@ class Tensor:
 
 
 class Tape:
-    """Records ops applied inside the block; ``backward`` replays them."""
+    """Records ops applied inside the block; ``backward`` replays them once.
+
+    ``backward`` consumes the tape: each entry is popped once its VJP has
+    run and its output's gradient is dropped, so intermediates are freed as
+    backward goes and only leaves keep their gradients.  The first
+    ``backward`` in a process sets the heap policy (module docstring).
+    """
 
     def __init__(self):
         self._entries: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self._spent = False
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
@@ -92,20 +128,47 @@ class Tape:
         _ACTIVE_TAPE = None
 
     def backward(self, loss: Tensor) -> None:
+        if self._spent:
+            raise RuntimeError("backward already ran on this tape; record a new one")
         if loss.data.size != 1:
             raise ValueError("backward needs a scalar loss")
+        self._spent = True
+        _keep_freed_heap()
+        entries = self._entries
         loss.grad = np.ones_like(loss.data)
-        for out, inputs, vjp in reversed(self._entries):
+        while entries:
+            out, inputs, vjp = entries.pop()
             if out.grad is None:
                 continue
             grads = vjp(out.grad)
+            out.grad = None
             for t, g in zip(inputs, grads):
                 if g is None or not t.requires_grad:
                     continue
                 t.grad = g if t.grad is None else t.grad + g
 
-    def clear(self) -> None:
-        self._entries.clear()
+
+def _libc():
+    """The C library's handle, or None where it cannot be opened."""
+    try:
+        return ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return None
+
+
+def _keep_freed_heap() -> None:
+    """Fix glibc's mmap and trim thresholds, once per process."""
+    global _heap_policy_set
+    if _heap_policy_set:
+        return
+    _heap_policy_set = True
+    mallopt = getattr(_libc(), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def _out(data: np.ndarray, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:

@@ -234,10 +234,24 @@ def score(params: dict[str, Tensor], config: ModelConfig,
 
 def forward_batch(params: dict[str, Tensor], config: ModelConfig,
                   bg: BatchGraph) -> Tensor:
-    """Full pipeline: logits for every node row of the batch."""
+    """Full pipeline: logits for every node row of the batch.
+
+    Raises ValueError when the batch was built with another horizon, or when
+    a relation id of its queries, layers or decoder is at or above
+    ``config.num_augmented_relations`` (a config with fewer relations than
+    the graph).  A config with more relations than the graph cannot be
+    detected from a batch: its ids all fit the larger tables.
+    """
     if bg.horizon != config.horizon:
         raise ValueError(
             f"batch built with horizon {bg.horizon}, model expects {config.horizon}"
+        )
+    n_rel = config.num_augmented_relations
+    top = max(int(ids.max(initial=-1)) for ids in
+              [bg.query_rels, bg.decoder.rel, *(layer.rel for layer in bg.layers)])
+    if top >= n_rel:
+        raise ValueError(
+            f"batch has relation id {top}, model has {n_rel} augmented relations"
         )
     h = encode(params, config, bg)
     compressed = compress(params, config, bg, h)

@@ -1,5 +1,9 @@
 """Gradient checks for the tape: finite differences plus loop oracles."""
 
+import platform
+import weakref
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -517,6 +521,117 @@ def test_index_add_is_called_through_the_module(monkeypatch):
     tape.backward(loss)
     assert calls == [[0, 2, 3], [3, 1, 3]]
     assert table.grad.tolist() == [[0, 0], [1, 1], [0, 0], [2, 2]]
+
+
+class TestSingleUseTape:
+    def test_backward_empties_tape_and_drops_intermediate_grads(self):
+        rng = np.random.default_rng(40)
+        p = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+        x = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        with Tape() as tape:
+            h = tanh(matmul(p, x))
+            loss = sum_all(h)
+        assert len(tape._entries) == 3
+        tape.backward(loss)
+        assert tape._entries == []
+        assert h.grad is None and loss.grad is None
+        # leaves keep theirs: d sum(tanh(px)) = (1 - tanh^2) chained
+        dh = 1 - np.tanh(p.data @ x.data) ** 2
+        np.testing.assert_allclose(p.grad, dh @ x.data.T, rtol=1e-6)
+        np.testing.assert_allclose(x.grad, p.data.T @ dh, rtol=1e-6)
+
+    def test_untaped_tensor_is_a_leaf(self):
+        # a tensor no entry of the tape produced keeps its gradient, even
+        # when an op outside the tape made it
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = scale(a, 3.0)
+        b.requires_grad = True
+        with Tape() as tape:
+            loss = sum_all(hadamard(b, b))
+        tape.backward(loss)
+        assert b.grad.tolist() == [6.0, 12.0] and a.grad is None
+
+    def test_intermediates_freed_during_backward(self):
+        p = Tensor(np.ones((4, 4)), requires_grad=True)
+        seen = []
+
+        def probe(t):
+            def vjp(g):
+                seen.append(ref() is None)
+                return (g,)
+            return ad._out(t.data.copy(), (t,), vjp)
+
+        with Tape() as tape:
+            first = probe(p)  # its VJP runs last
+            big = tanh(first)
+            ref = weakref.ref(big.data)
+            loss = sum_all(big)
+        del big
+        assert ref() is not None  # the tape holds it until backward
+        tape.backward(loss)
+        assert seen == [True]
+
+    def test_second_backward_raises(self):
+        p = Tensor(np.ones(3), requires_grad=True)
+        with Tape() as tape:
+            loss = sum_all(scale(p, 2.0))
+        tape.backward(loss)
+        with pytest.raises(RuntimeError, match="backward already ran"):
+            tape.backward(loss)
+        assert p.grad.tolist() == [2.0, 2.0, 2.0]
+
+
+@pytest.fixture
+def fake_libc(monkeypatch):
+    """Monkeypatched C library handle; records mallopt calls and loads."""
+    calls, loads = [], []
+
+    def libc():
+        loads.append(1)
+        return SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 1)
+
+    monkeypatch.setattr(ad, "_libc", libc)
+    monkeypatch.setattr(ad, "_heap_policy_set", False)
+    return calls, loads
+
+
+def small_step():
+    p = Tensor(np.ones((2, 2)), requires_grad=True)
+    with Tape() as tape:
+        loss = sum_all(tanh(matmul(p, p)))
+    return tape, loss, p
+
+
+def test_heap_policy_set_once_by_backward(fake_libc):
+    calls, loads = fake_libc
+    tape, loss, _ = small_step()
+    assert calls == [] and loads == []  # a forward pass sets nothing
+    tape.backward(loss)
+    want = [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+    assert calls == want and loads == [1]
+    for _ in range(2):
+        tape, loss, _ = small_step()
+        tape.backward(loss)
+    assert calls == want and loads == [1]
+
+
+@pytest.mark.parametrize("handle", [None, SimpleNamespace()], ids=["no-libc", "no-mallopt"])
+def test_heap_policy_noop_without_mallopt(monkeypatch, handle):
+    monkeypatch.setattr(ad, "_libc", lambda: handle)
+    monkeypatch.setattr(ad, "_heap_policy_set", False)
+    tape, loss, p = small_step()
+    tape.backward(loss)
+    assert p.grad is not None and ad._heap_policy_set
+
+
+def test_heap_policy_values_accepted_by_glibc():
+    # glibc's mallopt returns 0 for a value it refuses, which would leave
+    # the policy silently unset
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the thresholds are glibc's")
+    mallopt = ad._libc().mallopt
+    assert mallopt(ad._M_MMAP_THRESHOLD, ad._MMAP_THRESHOLD) == 1
+    assert mallopt(ad._M_TRIM_THRESHOLD, ad._TRIM_THRESHOLD) == 1
 
 
 class TestAdam:

@@ -191,6 +191,26 @@ class TestForward:
         with pytest.raises(ValueError, match="horizon"):
             forward_batch(init_params(cfg), cfg, bg)
 
+    def test_config_with_fewer_relations_rejected(self):
+        # the toy graph's augmented relation ids run 0..4; one base relation
+        # gives the model tables of 3 rows
+        _, aug, index, builder = toy_setup()
+        bg = toy_batch(builder, aug)
+        cfg = small_config(n_base_relations=1)
+        with pytest.raises(ValueError, match="relation id 4, model has 3 augmented"):
+            forward_batch(init_params(cfg), cfg, bg)
+
+    @pytest.mark.parametrize("where", ["query_rels", "layer", "decoder"])
+    def test_relation_id_out_of_range_named(self, where):
+        _, aug, index, builder = toy_setup()
+        bg = toy_batch(builder, aug)
+        cfg = small_config()
+        ids = {"query_rels": bg.query_rels, "layer": bg.layers[1].rel,
+               "decoder": bg.decoder.rel}[where]
+        ids[0] = 7
+        with pytest.raises(ValueError, match="relation id 7, model has 5 augmented"):
+            forward_batch(init_params(cfg), cfg, bg)
+
     def test_unreached_by_encoder_stays_zero(self):
         # E sits at distance 3 = L, so layers 1..L-1 never target it
         _, aug, index, builder = toy_setup()
