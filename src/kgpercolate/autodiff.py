@@ -30,7 +30,11 @@ of the heap, glibc hands those pages back to the OS, and the next step
 faults them in again: 1,000-1,800 minor faults a step.  With both
 thresholds fixed, a step takes a few.  Only backward sets the policy, so
 processes that never differentiate (evaluation, path analysis) keep the
-default; where ``mallopt`` is missing (not glibc) nothing is set.
+default; where ``mallopt`` is missing (not glibc) nothing is set.  Once set,
+the policy lasts for the rest of the process and is never undone: any
+evaluation or analysis that runs after training in the same process (a
+script, a notebook) also allocates arrays under 32 MiB from the heap and
+keeps up to 64 MiB of freed memory resident.
 M_TOP_PAD is no substitute: setting it switches the dynamic threshold off,
 which leaves the mmap threshold at 128 KiB, so every larger array is
 mapped and faulted in afresh.
@@ -109,7 +113,8 @@ class Tape:
     ``backward`` consumes the tape: each entry is popped once its VJP has
     run and its output's gradient is dropped, so intermediates are freed as
     backward goes and only leaves keep their gradients.  The first
-    ``backward`` in a process sets the heap policy (module docstring).
+    ``backward`` in a process sets the heap policy (module docstring); it
+    holds for the rest of the process, later forward-only work included.
     """
 
     def __init__(self):

@@ -161,44 +161,30 @@ class _Horizon(dict):
 def _climb(
     adj: _Horizon, query: int, max_expansions: int, max_depth: int | None,
 ) -> dict[int, list[RelationalPath]]:
-    """``shortest_path_map`` on a built adjacency.
-
-    Each climbing prefix extends its parent's path by one triple, so every
-    link is checked once, when it is added, not again for each longer path.
-    """
+    """``shortest_path_map`` on a built adjacency."""
     dist = adj.dist
     out: dict[int, list[RelationalPath]] = {}
+    prefix: list[Triple] = []
     budget = [max_expansions]
 
-    def climb(path: RelationalPath, depth: int):
+    def climb(node: int, depth: int):
         budget[0] -= 1
         if budget[0] < 0:
             raise ValueError(
                 f"shortest-path enumeration exceeded {max_expansions} expansions"
             )
-        node = path.target
         if dist.get(node) == depth:
-            out.setdefault(node, []).append(path)
+            out.setdefault(node, []).append(RelationalPath(query, node, tuple(prefix)))
         if depth == max_depth:
             return
         for r, t in adj[node]:
             if dist.get(t) != depth + 1:
                 continue
-            climb(_extend(path, (node, r, t)), depth + 1)
+            prefix.append((node, r, t))
+            climb(t, depth + 1)
+            prefix.pop()
 
-    climb(RelationalPath(query, query, ()), 0)
-    return out
-
-
-def _extend(path: RelationalPath, triple: Triple) -> RelationalPath:
-    """``path`` plus one triple; only the new link is checked, since the
-    path's own links were checked when it was built."""
-    h, _, t = triple
-    if h != path.target:
-        raise ValueError(f"path breaks at triple ({h}, _, {t}): expected head {path.target}")
-    out = object.__new__(RelationalPath)  # the frozen class, without __init__
-    d = out.__dict__
-    d["source"], d["target"], d["triples"] = path.source, t, path.triples + (triple,)
+    climb(query, 0)
     return out
 
 

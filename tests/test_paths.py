@@ -24,7 +24,6 @@ from kgpercolate.paths import (
     shortest_subgraph_positions,
     verify_percolation_principles,
 )
-from kgpercolate.paths import _extend
 
 from conftest import random_kg, toy_triple
 
@@ -45,17 +44,6 @@ def test_path_chaining_validated(toy_aug):
         RelationalPath(0, 2, ((0, 0, 1), (3, 0, 2)))
     with pytest.raises(ValueError, match="ends at"):
         RelationalPath(0, 2, ((0, 0, 1),))
-
-
-def test_extended_path_checks_new_link():
-    # the climb's one-triple extension equals the checked constructor's path
-    base = RelationalPath(0, 1, ((0, 0, 1),))
-    longer = _extend(base, (1, 2, 2))
-    assert longer == RelationalPath(0, 2, ((0, 0, 1), (1, 2, 2)))
-    assert hash(longer) == hash(RelationalPath(0, 2, ((0, 0, 1), (1, 2, 2))))
-    assert base.triples == ((0, 0, 1),)  # the parent is left as it was
-    with pytest.raises(ValueError, match="breaks at triple \\(3, _, 2\\): expected head 1"):
-        _extend(base, (3, 0, 2))
 
 
 def test_enumerate_a_to_c_len2(toy_index, toy_aug):
