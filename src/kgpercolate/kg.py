@@ -152,7 +152,21 @@ def write_triples(path: str, kg: KnowledgeGraph, augmented: bool = False) -> Non
 
 
 def make_graph(triples: np.ndarray, entities: Vocab, relations: Vocab) -> KnowledgeGraph:
-    triples = np.asarray(triples, dtype=np.int32).reshape(-1, 3)
+    """Wrap (n, 3) (head, relation, tail) ids as an int32 base graph.
+
+    Entity ids must lie in [0, |entities|) and relation ids in
+    [0, |relations|); otherwise ValueError names the first bad row and field.
+    """
+    ids = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    hi = np.array([len(entities), len(relations), len(entities)])
+    bad = (ids < 0) | (ids >= hi)
+    rows = np.flatnonzero(bad.any(axis=1))
+    if len(rows):
+        i = rows[0]
+        f = int(np.argmax(bad[i]))
+        raise ValueError(f"triple row {i}: {('head', 'relation', 'tail')[f]} id "
+                         f"{ids[i, f]} outside [0, {hi[f]})")
+    triples = ids.astype(np.int32)
     return KnowledgeGraph(
         entities=entities,
         relations=relations,
@@ -206,11 +220,15 @@ def augment(kg: KnowledgeGraph) -> KnowledgeGraph:
 class AdjacencyIndex:
     """CSR layout of the augmented triples, bucketed by head entity.
 
-    ``head``/``rel``/``tail`` hold the augmented triples sorted stably by
-    head; the out-going triples of entity e occupy positions
-    indptr[e]:indptr[e+1].  ``out_degree`` counts augmented out-going triples
-    per entity (identity loop included), which in an augmented graph equals
-    the in-degree and is used as the global aggregation denominator.
+    ``head``/``rel``/``tail`` (C-contiguous, the augmented array's dtype)
+    hold the augmented triples sorted stably by head: within a bucket the
+    triples keep their order in ``KnowledgeGraph.augmented``.  ``build_index``
+    makes that order with one sort of the int64 keys ``head*|T+| + row``, so
+    it needs |E|*|T+| < 2**63.  The out-going
+    triples of entity e occupy positions indptr[e]:indptr[e+1] (int64).
+    ``out_degree`` (int64) counts augmented out-going triples per entity
+    (identity loop included), which in an augmented graph equals the
+    in-degree and is used as the global aggregation denominator.
     """
 
     indptr: np.ndarray
@@ -241,21 +259,37 @@ class AdjacencyIndex:
 
 
 def build_index(kg: KnowledgeGraph) -> AdjacencyIndex:
-    """Index the augmented triple set by head entity (stable order)."""
+    """Index the augmented triple set by head entity (stable order).
+
+    Row i of the m augmented rows gets the key ``head*m + i``.  The keys are
+    unique, so one sort of them orders the rows stably by head without a
+    comparison argsort, and ``key - head*m`` recovers each sorted row's
+    position.  The keys are int64, which bounds the graph to
+    |E|*|T+| < 2**63.  A head id outside [0, |E|) raises ValueError naming
+    its row; in an augmented graph every tail is also some triple's head.
+    """
     if kg.augmented is None:
         raise ValueError("augment the graph before indexing")
     aug = kg.augmented
-    n_e = len(kg.entities)
-    order = np.argsort(aug[:, 0], kind="stable")
-    srt = aug[order]
-    counts = np.bincount(srt[:, 0], minlength=n_e)
+    n_e, m = len(kg.entities), len(aug)
+    heads = aug[:, 0]
+    if m and (heads.min() < 0 or heads.max() >= n_e):
+        i = np.flatnonzero((heads < 0) | (heads >= n_e))[0]
+        raise ValueError(f"augmented row {i}: head id {heads[i]} outside [0, {n_e})")
+    counts = np.bincount(heads, minlength=n_e)
     indptr = np.zeros(n_e + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
+    head = np.repeat(np.arange(n_e, dtype=aug.dtype), counts)
+    # the keys head*m + i, sorted in place and reduced to row positions
+    order = heads * np.int64(m)
+    order += np.arange(m)
+    order.sort()
+    order -= head * np.int64(m)
     return AdjacencyIndex(
         indptr=indptr,
-        head=np.ascontiguousarray(srt[:, 0]),
-        rel=np.ascontiguousarray(srt[:, 1]),
-        tail=np.ascontiguousarray(srt[:, 2]),
+        head=head,
+        rel=np.take(aug[:, 1], order),
+        tail=np.take(aug[:, 2], order),
         out_degree=counts.astype(np.int64),
         n_base_relations=kg.n_base_relations,
         num_entities=n_e,

@@ -90,6 +90,15 @@ def _slot_ids(name: str, values, lo: int, hi: int) -> np.ndarray:
     return ids
 
 
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct keys, as ``np.unique`` gives them, from one sort
+    and a compare of neighbours (no hash table); empty keys give empty."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
 def _masked_keys(removed: Sequence[np.ndarray | None], n_triples: int) -> np.ndarray | None:
     """Sorted unique keys ``slot*|T+| + pos`` of the masked triples, or None.
 
@@ -116,7 +125,7 @@ def _masked_keys(removed: Sequence[np.ndarray | None], n_triples: int) -> np.nda
         own = pos[slot == s]
         raise ValueError(f"query slot {s}: removed positions span "
                          f"[{own.min()}, {own.max()}], outside [0, {n_triples})")
-    return np.unique(slot * n_triples + pos)
+    return _sorted_unique(slot * n_triples + pos)
 
 
 def _out_triples(
@@ -175,7 +184,7 @@ def batch_distances(
         fresh = tails[dist[tails] == -1]
         dist[fresh] = l
         if l < horizon:  # the last layer's frontier is never expanded
-            frontier = np.unique(fresh)
+            frontier = _sorted_unique(fresh)
         # no tail is deeper than l, so layer l keeps the tails at l-1 or l
         sel = dist[tails] >= l - 1
         layers.append((slot[sel], pos[sel]))

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgpercolate.kg import (
@@ -139,6 +141,27 @@ def test_index_completeness_and_degrees(toy_index, toy_aug):
     assert seen == {tuple(r) for r in toy_aug.augmented.tolist()}
 
 
+@pytest.mark.parametrize("rows, msg", [
+    ([[0, 0, 1], [0, 3, 1]], r"triple row 1: relation id 3 outside \[0, 1\)"),
+    ([[0, 0, 5]], r"triple row 0: tail id 5 outside \[0, 2\)"),
+    ([[-1, 0, 1]], r"triple row 0: head id -1 outside \[0, 2\)"),
+    # the first bad row, and in it the first bad field
+    ([[0, 0, 1], [2, 0, -1], [0, 9, 0]], r"triple row 1: head id 2 outside"),
+])
+def test_make_graph_rejects_out_of_range_ids(rows, msg):
+    with pytest.raises(ValueError, match=msg):
+        make_graph(np.array(rows), Vocab(["a", "b"]), Vocab(["r"]))
+
+
+@pytest.mark.parametrize("head", [5, -1])
+def test_index_rejects_head_outside_entities(toy_aug, head):
+    aug = toy_aug.augmented.copy()
+    aug[3, 0] = head
+    bad = dataclasses.replace(toy_aug, augmented=aug)
+    with pytest.raises(ValueError, match=rf"augmented row 3: head id {head} outside \[0, 5\)"):
+        build_index(bad)
+
+
 def test_index_before_augment_is_error(toy_kg):
     with pytest.raises(ValueError, match="augment"):
         build_index(toy_kg)
@@ -182,3 +205,44 @@ def test_augment_arithmetic_random(seed):
     # out-degree equals in-degree in an augmented graph
     indeg = np.bincount(aug.augmented[:, 2], minlength=len(kg.entities))
     assert np.array_equal(idx.out_degree, indeg)
+
+
+def _layout_graph(seed: int, n_e: int):
+    """Random base graph whose rows include self-loops and repeated (h, t)
+    pairs, over entities of which about half are isolated."""
+    rng = np.random.default_rng(seed)
+    n_r = int(rng.integers(1, 5))
+    n_t = int(rng.integers(0, 2 * n_e + 1))
+    used = rng.integers(0, n_e, size=max(1, n_e // 2))
+    rows = np.stack([rng.choice(used, n_t), rng.integers(0, n_r, n_t),
+                     rng.choice(used, n_t)], axis=1)
+    loops = rng.choice(used, n_t // 8 + 1)
+    rows = np.concatenate([rows, rows[: n_t // 4],
+                           np.stack([loops, np.zeros_like(loops), loops], axis=1)])
+    return make_graph(rows, Vocab([f"e{i}" for i in range(n_e)]),
+                      Vocab([f"r{i}" for i in range(n_r)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60))
+@example(seed=11, n_e=70_000)  # keys head*m + i beyond 2**31, heads beyond uint16
+def test_index_layout_matches_stable_argsort(seed, n_e):
+    aug = augment(_layout_graph(seed, n_e))
+    idx = build_index(aug)
+    # reference: a stable argsort by head and a gather of whole rows
+    srt = aug.augmented[np.argsort(aug.augmented[:, 0], kind="stable")]
+    counts = np.bincount(srt[:, 0], minlength=n_e)
+    want = {
+        "indptr": np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
+        "head": np.ascontiguousarray(srt[:, 0]),
+        "rel": np.ascontiguousarray(srt[:, 1]),
+        "tail": np.ascontiguousarray(srt[:, 2]),
+        "out_degree": counts.astype(np.int64),
+    }
+    for name, ref in want.items():
+        got = getattr(idx, name)
+        assert got.dtype == ref.dtype, name
+        assert got.flags.c_contiguous, name
+        assert np.array_equal(got, ref), name
+    assert idx.num_entities == n_e
+    assert idx.n_base_relations == aug.n_base_relations

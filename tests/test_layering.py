@@ -362,6 +362,30 @@ def test_batch_slots_match_single_query_and_oracle(seed, n_slots, L):
             assert slot_triples(bg, lt, s) == single == want
 
 
+@pytest.mark.parametrize("queries", [[0, 1], [0], [1, 0, 1]])
+def test_batch_bfs_dies_before_horizon(queries):
+    # a is isolated and b -> c -> d is a chain, so from layer 3 on no slot
+    # finds a new entity and the BFS expands empty frontiers; slot 2 masks
+    # b -> c, so its BFS dies at once
+    ents = Vocab(["a", "b", "c", "d"])
+    idx = build_index(augment(make_graph(np.array([[1, 0, 2], [2, 0, 3]]), ents, Vocab(["r"]))))
+    triples = np.stack([idx.head, idx.rel, idx.tail], axis=1)
+    masks = [None, None, idx.find_edges(1, 2)]
+    specs = [QuerySpec(q, 0, removed=masks[s]) for s, q in enumerate(queries)]
+    bg = SubgraphBuilder(idx).build_batch(specs, 5)
+    bg.check()
+    for s, qs in enumerate(specs):
+        kept = np.delete(triples, [] if qs.removed is None else qs.removed, axis=0)
+        oracle = bfs_oracle(kept, 4, qs.query, 5)
+        lo, hi = bg.spans[s]
+        assert np.array_equal(bg.node_entity[lo:hi], np.flatnonzero(oracle >= 0))
+        dm = relative_distances(idx, qs.query, 5, removed=qs.removed)
+        assert np.array_equal(dm.dist.astype(np.int64), oracle)
+        sizes = [len(pos) for pos in dm.layers]
+        assert sizes[3:] == [0, 0]
+        assert [len(slot_triples(bg, lt, s)) for lt in bg.layers] == sizes
+
+
 def batch_int_digest(seeds=range(6)) -> str:
     """sha256 of the integer fields of seeded batches on random graphs, with
     repeated query entities, masked and unmasked slots, at horizons 1-4."""

@@ -7,10 +7,13 @@ Adam, so later logits cover the gradients too), the per-query count_query
 dicts, and the PrincipleReport tallies.  A refactor that claims to keep the
 outputs unchanged must print the same hash before and after.
 
-    python tools/golden_hash.py [--root CHECKOUT]
+    python tools/golden_hash.py [--root CHECKOUT] [--expect HEX]
 
 ``--root`` picks the checkout whose ``src/`` and ``bench/`` are imported, so
 the script can hash an older commit from a copy of that commit's tree.
+``--expect`` makes a byte-identity claim one command: the script exits 1
+when the combined digest differs from HEX, and names the workloads whose
+digests moved when HEX is a combined digest listed in ``KNOWN``.
 
 The train logits depend on the BLAS thread count, since it changes the
 summation order of the matmuls, so OpenBLAS is pinned to one thread before
@@ -34,6 +37,16 @@ import numpy as np  # noqa: E402  (after the BLAS pin)
 
 SEEDS = (701, 702)
 BATCHES = 12  # first batches of each workload's loop, per seed
+
+# Per-workload digests of known combined digests (numpy 2.4.6, one BLAS
+# thread), so that --expect can say which workloads moved.
+KNOWN = {
+    "9b12483b0772e584121d85312250a236f35a73ce862d489784ae722f9a246325": {
+        "train": "8a8624f95fc0e08a0297599d5ba813d2a0c56fee03e43fd63977723899c09815",
+        "eval": "783056383d347ab9fe38ddf8a7c119a62c3a3df593e85e1eb9c79b33ba08d6f9",
+        "analysis": "0992bc98d8e435422e1945ac557a0f30047f6ac2a0ecc8a6e618e6ca445839e6",
+    },
+}
 
 
 def feed(h, obj) -> None:
@@ -61,6 +74,8 @@ def feed(h, obj) -> None:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", default=os.path.join(os.path.dirname(__file__), os.pardir))
+    ap.add_argument("--expect", metavar="HEX", type=str.lower,
+                    help="exit 1 unless the combined digest equals HEX")
     args = ap.parse_args()
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
@@ -73,6 +88,7 @@ def main() -> None:
     print(f"{'blas':9s} {blas_threads()} thread(s)")
     print(f"{'numpy':9s} {np.__version__}")
     total = hashlib.sha256()
+    digests = {}
     for name in ("train", "eval", "analysis"):
         wl = WORKLOADS[name]
         h = hashlib.sha256()
@@ -96,9 +112,15 @@ def main() -> None:
                     feed(h, [count_query(loop.s.index, qs.query, wl.horizon,
                                          removed=qs.removed).as_dict()
                              for qs in queries])
-        print(f"{name:9s} {h.hexdigest()}")
+        digests[name] = h.hexdigest()
+        print(f"{name:9s} {digests[name]}")
         total.update(h.digest())
     print(f"{'all':9s} {total.hexdigest()}")
+    if args.expect is not None and total.hexdigest() != args.expect:
+        known = KNOWN.get(args.expect)
+        moved = ("; moved: " + ", ".join(n for n in digests if digests[n] != known[n])
+                 if known else " (its workload digests are not in KNOWN)")
+        sys.exit(f"combined digest differs from {args.expect}{moved}")
 
 
 if __name__ == "__main__":
