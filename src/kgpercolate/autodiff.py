@@ -315,10 +315,6 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
     return _out(a.data * b.data, (a, b), vjp)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    return _out(a.data * c, (a,), lambda g: (g * c,))
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
     return _out(np.where(mask, a.data, 0), (a,), lambda g: (g * mask,))
@@ -356,15 +352,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
         tuple(tensors),
         vjp,
     )
-
-
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    def vjp(g):
-        da = np.zeros_like(a.data)
-        da[start:stop] = g
-        return (da,)
-
-    return _out(a.data[start:stop], (a,), vjp)
 
 
 def _row_index(idx, op: str) -> np.ndarray:

@@ -139,18 +139,6 @@ def load_triples(
     return arr, entities, relations
 
 
-def write_triples(path: str, kg: KnowledgeGraph, augmented: bool = False) -> None:
-    """Write triples back to TSV using vocabulary names."""
-    arr = kg.augmented if augmented else kg.triples
-    if arr is None:
-        raise ValueError("graph has no augmented triples to write")
-    with open(path, "w", encoding="utf-8") as f:
-        for h, r, t in arr:
-            f.write(
-                f"{kg.entities.name(h)}\t{kg.relations.name(r)}\t{kg.entities.name(t)}\n"
-            )
-
-
 def make_graph(triples: np.ndarray, entities: Vocab, relations: Vocab) -> KnowledgeGraph:
     """Wrap (n, 3) (head, relation, tail) ids as an int32 base graph.
 
@@ -251,6 +239,17 @@ class AdjacencyIndex:
         """(k, 3) view-copy of the out-going triples of entity e."""
         lo, hi = self.indptr[e], self.indptr[e + 1]
         return np.stack([self.head[lo:hi], self.rel[lo:hi], self.tail[lo:hi]], axis=1)
+
+    def out_positions(self, ents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the out-going triples of each entity of ``ents``, as
+        one run per entity in that order, and the length of each run."""
+        starts = self.indptr[ents]
+        counts = self.indptr[ents + 1] - starts
+        ends = np.cumsum(counts)
+        total = int(ends[-1]) if len(ends) else 0
+        # position k of run i is starts[i] + k - (ends[i] - counts[i])
+        pos = np.arange(total, dtype=np.int64) + np.repeat(starts - ends + counts, counts)
+        return pos, counts
 
     def find_edges(self, h: int, t: int) -> np.ndarray:
         """Positions (sorted-order triple ids) of all edges h -> t."""

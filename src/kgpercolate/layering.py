@@ -31,7 +31,7 @@ from .kg import AdjacencyIndex
 @dataclass
 class DistanceMap:
     """Relative distances from one query entity, capped at the horizon, and
-    the triples the model reads.
+    the triples of each percolation layer and of the decoder pass.
 
     ``layers[l-1]`` holds the triple positions of percolation layer l (head
     at distance l-1, tail at l-1 or l) and ``decoder`` those of every triple
@@ -134,12 +134,7 @@ def _out_triples(
     """Slots and positions of the unmasked triples leaving the entities of
     ``keys``; ascending keys give ascending (slot, pos)."""
     slot, ent = np.divmod(keys, index.num_entities)
-    starts = index.indptr[ent]
-    counts = index.indptr[ent + 1] - starts
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
-    # position k of the run of key i is starts[i] + k - (ends[i] - counts[i])
-    pos = np.arange(total, dtype=np.int64) + np.repeat(starts - ends + counts, counts)
+    pos, counts = index.out_positions(ent)
     slot = np.repeat(slot, counts)
     if masked is not None:
         key = slot * index.num_triples + pos
@@ -240,7 +235,12 @@ class LayerTriples:
 
 @dataclass
 class BatchGraph:
-    """Several query subgraphs merged into one disjoint node table."""
+    """Several query subgraphs merged into one disjoint node table.
+
+    ``layers`` holds percolation layers 1..horizon-1, the ones the encoder
+    reads; layer ``horizon`` feeds no model pass and is not merged (the
+    kernel still selects it for the triple counts and the principle checks).
+    """
 
     n_nodes: int
     node_entity: np.ndarray   # (n_nodes,) entity id of each node row
@@ -249,7 +249,7 @@ class BatchGraph:
     query_nodes: np.ndarray   # (B,) node row holding each query entity
     query_rels: np.ndarray    # (B,) augmented relation id per query
     answer_nodes: np.ndarray  # (B,) node row of the answer, -1 if absent
-    layers: list[LayerTriples]  # percolation layers 1..horizon
+    layers: list[LayerTriples]  # percolation layers 1..horizon-1, the encoder's
     decoder: LayerTriples       # full-neighborhood pass
     horizon: int
 
@@ -262,13 +262,18 @@ class BatchGraph:
 
         The slots' spans tile the node rows in slot order and agree with
         ``node_query``; each slot's query and answer node (unless -1) lie in
-        its own span; in every layer and the decoder, ``seg_ptr`` runs from 0
-        to the triple count without decreasing, ``targets`` strictly
-        increase, and each triple's head and target rows lie in the span of
-        its ``triple_query``.
+        its own span; there are ``horizon - 1`` layers; in every layer and
+        the decoder, ``seg_ptr`` runs from 0 to the triple count without
+        decreasing, ``targets`` strictly increase, no target has fewer
+        ``denom`` than messages (it cannot receive more than its visible
+        in-triples), and each triple's head and target rows lie in the span
+        of its ``triple_query``.
         """
         n_q = self.num_queries
         spans = self.spans
+        if len(self.layers) != self.horizon - 1:
+            raise ValueError(f"{len(self.layers)} layers at horizon {self.horizon}, "
+                             f"not {self.horizon - 1}")
         if spans.shape != (n_q, 2) or len(self.node_entity) != self.n_nodes:
             raise ValueError(f"spans of shape {spans.shape} and {len(self.node_entity)} "
                              f"entity rows for {n_q} queries and {self.n_nodes} nodes")
@@ -293,6 +298,11 @@ class BatchGraph:
                                  f"over {len(lt.targets)} targets")
             if (np.diff(lt.targets) <= 0).any():
                 raise ValueError(f"{name}: targets are not strictly increasing")
+            short = np.flatnonzero(lt.denom < np.diff(ptr))
+            if len(short):
+                i = short[0]
+                raise ValueError(f"{name}: target row {lt.targets[i]} has denom "
+                                 f"{lt.denom[i]} below its {ptr[i + 1] - ptr[i]} messages")
             tq = lt.triple_query
             if len(tq) != m or ((tq < 0) | (tq >= n_q)).any():
                 raise ValueError(f"{name}: triple_query is not one slot in [0, {n_q}) per triple")
@@ -337,7 +347,7 @@ class SubgraphBuilder:
         answer_keys = base + np.maximum(answers, 0)
         reached = (answers >= 0) & (bd.dist[answer_keys] >= 0)
         merged = [self._merge(slot, pos, rows, node_entity)
-                  for slot, pos in bd.layers + [bd.decoder]]
+                  for slot, pos in bd.layers[:-1] + [bd.decoder]]
         return BatchGraph(
             n_nodes=len(keys),
             node_entity=node_entity,

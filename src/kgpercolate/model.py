@@ -123,19 +123,6 @@ def param_count(params: dict[str, Tensor]) -> int:
     return sum(int(np.prod(p.data.shape)) for p in params.values())
 
 
-def count_parameters(config: ModelConfig) -> int:
-    """Closed-form parameter count; mirrors init_params exactly."""
-    d, dl = config.dim, config.dim_low
-    n_rel = config.num_augmented_relations
-    w = config.agg_width
-    enc = (config.horizon - 1) * (n_rel * d + d * d)
-    enc += w * d * d + d
-    comp = 2 * d * d + d + d * dl + dl
-    dec = n_rel * dl + dl * dl + w * dl * dl + dl
-    score = 2 * dl * dl + dl + dl * 1 + 1
-    return enc + comp + dec + score
-
-
 def apply_transform(name: str, h: Tensor, r: Tensor) -> Tensor:
     if name == "distmult":
         return hadamard(h, r)

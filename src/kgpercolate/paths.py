@@ -1,22 +1,24 @@
-"""Relational path enumeration, classification and structural checks.
+"""Relational paths, their classification, and the percolation principle checks.
 
 A relational path is a head-to-tail chain of augmented triples; walks may
 revisit entities and triples.  Classification is relative to one query
 entity: a path is *shortest* when its length equals the target's relative
 distance, *percolation-valid* when every potential difference along it is
-positive, and *redundant* when it is longer than the relative distance yet
-still shares at least that many distinct triples with a single shortest
-path.  Identity self-loops are excluded from enumeration by default; a
-shortest path extended by an identity step would otherwise count as both
-valid and redundant and the structural checks below would be vacuous.
-Principle (2) drops base-relation self-loops from its walks for the same
-reason: a triple whose head is its tail is a sideways step, and a shortest
-path ending in one is valid and shares every triple with that path.
+positive (``potential_deltas``, ``is_percolation_valid``), and *redundant*
+when it is longer than the relative distance yet still shares at least that
+many distinct triples with a single shortest path (``classify_redundant``).
+``enumerate_paths`` lists every walk by brute force, a reference for the
+one-pass checks.  Identity self-loops are excluded from enumeration by
+default; a shortest path extended by an identity step would otherwise count
+as both valid and redundant and the structural checks below would be
+vacuous.  Principle (2) drops base-relation self-loops from its walks for
+the same reason: a triple whose head is its tail is a sideways step, and a
+shortest path ending in one is valid and shares every triple with that path.
 
 One climbing DFS from the query (``shortest_path_map``) gives the
-shortest-path set of every in-horizon entity; all checks below read it.
-Both DFS passes read one per-query adjacency, ``_Horizon``: the relative
-distance of every in-horizon entity in one dict, and each entity's
+shortest-path set of every in-horizon entity; ``verify_percolation_principles``
+reads it.  Both DFS passes read one per-query adjacency, ``_Horizon``: the
+relative distance of every in-horizon entity in one dict, and each entity's
 out-triples read from the CSR once.  ``verify_percolation_principles``
 builds it once per query and shares it between its checks.
 """
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kg import AdjacencyIndex, Triple, reverse_rel
+from .kg import AdjacencyIndex, Triple
 from .layering import DistanceMap, relative_distances
 
 
@@ -52,14 +54,6 @@ class RelationalPath:
     @property
     def length(self) -> int:
         return len(self.triples)
-
-
-@dataclass
-class PathClassification:
-    deltas: list[int]
-    is_shortest: bool
-    is_percolation_valid: bool
-    is_redundant: bool
 
 
 def enumerate_paths(
@@ -110,7 +104,6 @@ def shortest_path_map(
     index: AdjacencyIndex,
     dm: DistanceMap,
     max_expansions: int = 2_000_000,
-    max_depth: int | None = None,
 ) -> dict[int, list[RelationalPath]]:
     """The complete shortest-path set of every entity, from one climbing DFS.
 
@@ -118,10 +111,10 @@ def shortest_path_map(
     shortest path, and a climbing prefix of d triples ends at an entity at
     distance d, so each climbing prefix is a shortest path to its endpoint.
     Keys are endpoints, paths are in DFS order, and an in-horizon entity
-    without a key has no shortest path.  ``max_depth`` stops the climb at
-    that many triples.  One budget unit is one climbing prefix visited.
+    without a key has no shortest path.  One budget unit is one climbing
+    prefix visited.
     """
-    return _climb(_Horizon(index, dm), dm.query, max_expansions, max_depth)
+    return _climb(_Horizon(index, dm), dm.query, max_expansions)
 
 
 class _Horizon(dict):
@@ -140,14 +133,10 @@ class _Horizon(dict):
         ents = within.tolist()
         self.dist: dict[int, int] = dict(zip(ents, dm.dist[within].tolist()))
         self.index = index
-        lo = index.indptr[within]
-        n = index.indptr[within + 1] - lo
-        ends = np.cumsum(n)
-        # position k of entity i's run is lo[i] + k - (ends[i] - n[i])
-        pos = np.arange(n.sum()) + np.repeat(lo - ends + n, n)
+        pos, counts = index.out_positions(within)
         pairs = list(zip(index.rel[pos].tolist(), index.tail[pos].tolist()))
         start = 0
-        for e, end in zip(ents, ends.tolist()):
+        for e, end in zip(ents, np.cumsum(counts).tolist()):
             self[e] = pairs[start:end]
             start = end
 
@@ -159,7 +148,7 @@ class _Horizon(dict):
 
 
 def _climb(
-    adj: _Horizon, query: int, max_expansions: int, max_depth: int | None,
+    adj: _Horizon, query: int, max_expansions: int,
 ) -> dict[int, list[RelationalPath]]:
     """``shortest_path_map`` on a built adjacency."""
     dist = adj.dist
@@ -175,8 +164,6 @@ def _climb(
             )
         if dist.get(node) == depth:
             out.setdefault(node, []).append(RelationalPath(query, node, tuple(prefix)))
-        if depth == max_depth:
-            return
         for r, t in adj[node]:
             if dist.get(t) != depth + 1:
                 continue
@@ -186,23 +173,6 @@ def _climb(
 
     climb(query, 0)
     return out
-
-
-def shortest_paths(
-    index: AdjacencyIndex,
-    dm: DistanceMap,
-    target: int,
-    max_expansions: int = 2_000_000,
-) -> list[RelationalPath]:
-    """The complete set of shortest paths from dm.query to target.
-
-    ``shortest_path_map`` climbing no deeper than the target's distance.
-    Unreachable target -> error.
-    """
-    gamma = int(dm.dist[target])
-    if gamma < 0:
-        raise ValueError(f"target {target} unreachable within horizon {dm.horizon}")
-    return shortest_path_map(index, dm, max_expansions, gamma).get(target, [])
 
 
 def potential_deltas(path: RelationalPath, dm: DistanceMap) -> list[int]:
@@ -259,21 +229,6 @@ def classify_redundant(
     if gamma == 0:
         return True
     return any(len(tset & set(s.triples)) >= gamma for s in shortest)
-
-
-def classify_path(
-    path: RelationalPath,
-    dm: DistanceMap,
-    shortest: list[RelationalPath],
-) -> PathClassification:
-    deltas = potential_deltas(path, dm)
-    gamma = int(dm.dist[path.target])
-    return PathClassification(
-        deltas=deltas,
-        is_shortest=path.length == gamma,
-        is_percolation_valid=all(d > 0 for d in deltas),
-        is_redundant=classify_redundant(path, dm, shortest),
-    )
 
 
 @dataclass
@@ -337,7 +292,7 @@ def verify_percolation_principles(
     )
     adj = _Horizon(index, dm)
     dist = adj.dist
-    short = _climb(adj, q, max_expansions, None)
+    short = _climb(adj, q, max_expansions)
     for t in dist:
         paths = short.get(t, [])
         rep.n_shortest += len(paths)
@@ -405,131 +360,3 @@ def verify_percolation_principles(
                     f"non-uphill triple missing from all layers: pos {lo + k}"
                 )
     return rep
-
-
-@dataclass
-class InsertionReport:
-    """Result of the uphill-insertion redundancy search."""
-
-    new_triple: Triple
-    found: bool
-    witnesses: list[RelationalPath]
-    degenerate_witness: RelationalPath | None
-
-
-def shortest_subgraph_positions(index: AdjacencyIndex, dm: DistanceMap) -> np.ndarray:
-    """Positions of every triple lying on some shortest path from the query.
-
-    Exactly the triples that climb the relative distance by one: any such
-    triple extends a shortest path to its head into one for its tail.
-    """
-    hd = dm.dist[index.head]
-    td = dm.dist[index.tail]
-    return np.flatnonzero((hd >= 0) & (td == hd + 1)).astype(np.int64)
-
-
-def check_uphill_insertion(
-    index: AdjacencyIndex,
-    dm: DistanceMap,
-    new_triple: Triple,
-    max_expansions: int = 200_000,
-    max_witnesses: int = 5,
-) -> InsertionReport:
-    """Verify that inserting one uphill triple creates a new redundant path.
-
-    ``new_triple`` = (e1, r, e2) must satisfy gamma(e1) >= gamma(e2) and must
-    not already exist in the graph; distances are provably unchanged by such
-    an insertion, so all classification runs against the original dm.  The
-    search space is the shortest-path subgraph plus the inserted triple and
-    the reverses of both (reverses of augmented triples are themselves
-    augmented triples).  Two kinds of witness are produced:
-
-    * enumerated: climb to e1 along shortest paths, cross the new triple,
-      climb onward inside the shortest-path subgraph, and test each endpoint
-      against the redundancy definition;
-    * degenerate: shortest path to e1 + new triple + reversed shortest path
-      from e2 back to the query.  The result targets the query itself, whose
-      relative distance is zero, and any nonempty path to the query is
-      redundant by definition.  This witness always exists.
-
-    Shortest paths come from one ``shortest_path_map`` climb per distinct
-    distance asked for, each stopped at that distance as ``shortest_paths``
-    stops at its target.  ``max_expansions`` bounds each climb apart,
-    raising ValueError past it, and separately the enumerated-witness
-    search, which stops quietly with the witnesses found so far.
-    """
-    e1, r_new, e2 = new_triple
-    g1, g2 = int(dm.dist[e1]), int(dm.dist[e2])
-    if g1 < 0 or g2 < 0:
-        raise ValueError("inserted triple endpoints must be within the horizon")
-    if g1 < g2:
-        raise ValueError(
-            f"triple is not uphill: gamma(head)={g1} < gamma(tail)={g2}"
-        )
-    lo, hi = index.indptr[e1], index.indptr[e1 + 1]
-    dup = (index.tail[lo:hi] == e2) & (index.rel[lo:hi] == r_new)
-    if dup.any():
-        raise ValueError("inserted triple already exists in the graph")
-
-    climbs: dict[int, dict[int, list[RelationalPath]]] = {}
-
-    def short(t: int) -> list[RelationalPath]:
-        d = int(dm.dist[t])
-        if d not in climbs:
-            climbs[d] = shortest_path_map(index, dm, max_expansions, d)
-        return climbs[d].get(t, [])
-
-    to_e1 = short(e1)
-    to_e2 = short(e2)
-
-    witnesses: list[RelationalPath] = []
-    # enumerated witnesses: extend past e2 along climbing triples
-    budget = [max_expansions]
-    suffix: list[Triple] = []
-
-    def extend(node: int):
-        if len(witnesses) >= max_witnesses:
-            return
-        budget[0] -= 1
-        if budget[0] < 0:
-            return
-        for prefix_path in to_e1[:2]:
-            cand = RelationalPath(
-                dm.query, node,
-                prefix_path.triples + (new_triple,) + tuple(suffix),
-            )
-            if classify_redundant(cand, dm, short(node)):
-                witnesses.append(cand)
-                break
-        if len(witnesses) >= max_witnesses:
-            return
-        lo, hi = index.indptr[node], index.indptr[node + 1]
-        for pos in range(lo, hi):
-            t = int(index.tail[pos])
-            if dm.dist[t] != dm.dist[node] + 1:
-                continue
-            suffix.append((node, int(index.rel[pos]), t))
-            extend(t)
-            suffix.pop()
-
-    extend(e2)
-
-    degenerate = None
-    if to_e1 and to_e2:
-        back = tuple(
-            (t, int(reverse_rel(r, index.n_base_relations)), h)
-            for h, r, t in reversed(to_e2[0].triples)
-        )
-        degenerate = RelationalPath(
-            dm.query, dm.query, to_e1[0].triples + (new_triple,) + back
-        )
-        assert classify_redundant(
-            degenerate, dm, [RelationalPath(dm.query, dm.query, ())]
-        )
-    found = bool(witnesses) or degenerate is not None
-    return InsertionReport(
-        new_triple=new_triple,
-        found=found,
-        witnesses=witnesses,
-        degenerate_witness=degenerate,
-    )

@@ -14,7 +14,6 @@ from kgpercolate.kg import (
     load_triples,
     make_graph,
     reverse_rel,
-    write_triples,
 )
 
 from conftest import build_toy, random_kg
@@ -175,8 +174,12 @@ def test_find_edges(toy_index, toy_aug):
 
 
 def test_roundtrip_augmented_tsv(tmp_path, toy_aug):
+    # the augmented triples written by name, reverse and identity names
+    # included, load back as the same triples
     p = tmp_path / "aug.txt"
-    write_triples(str(p), toy_aug, augmented=True)
+    name = toy_aug.entities.name
+    p.write_text("".join(f"{name(h)}\t{toy_aug.relations.name(r)}\t{name(t)}\n"
+                         for h, r, t in toy_aug.augmented.tolist()), encoding="utf-8")
     arr, ents, rels = load_triples(str(p))
     # same multiset of triples up to the id remap induced by the new vocabs
     orig = sorted(

@@ -198,9 +198,9 @@ def test_batch_layers_match_single_query(toy_index, toy_aug):
         ],
         horizon=3,
     )
-    for l in range(3):
-        lt_s = single.layers[l]
-        lt_p = pair.layers[l]
+    # the batch holds the encoder's layers 1..H-1
+    assert len(single.layers) == len(pair.layers) == 2
+    for lt_s, lt_p in zip(single.layers, pair.layers):
         tri_s = {
             (
                 int(single.node_entity[h]),
@@ -269,8 +269,9 @@ def test_batch_respects_removed_edges(toy_index, toy_aug):
         t = bg.node_entity[dec.targets[seg]]
         assert not (h == ids.id("A") and t == ids.id("B"))
     # scratch state fully reset: a fresh unmasked build sees the edge again
-    bg2 = b.build_batch([QuerySpec(query=ids.id("A"), rel=0)], horizon=1)
-    lt = bg2.layers[0]
+    # in layer 1, the one layer a horizon-2 batch holds
+    bg2 = b.build_batch([QuerySpec(query=ids.id("A"), rel=0)], horizon=2)
+    [lt] = bg2.layers
     pairs = set()
     for i in range(lt.num_triples):
         seg = np.searchsorted(lt.seg_ptr, i, "right") - 1
@@ -355,8 +356,15 @@ def test_batch_slots_match_single_query_and_oracle(seed, n_slots, L):
         naive = [
             sorted((h, r, t) for h, r, t in rows.tolist() if d[h] == l - 1 and d[t] in (l - 1, l))
             for l in range(1, L + 1)
-        ] + [sorted((h, r, t) for h, r, t in rows.tolist() if d[h] >= 0 and d[t] >= 0)]
-        for lt, pos, want in zip(bg.layers + [bg.decoder], dm.layers + [dm.decoder], naive):
+        ]
+        for pos, want in zip(dm.layers, naive):
+            assert sorted(zip(idx.head[pos].tolist(), idx.rel[pos].tolist(),
+                              idx.tail[pos].tolist())) == want
+        # the batch holds the encoder's layers 1..L-1 and the decoder
+        assert len(bg.layers) == L - 1
+        dec = sorted((h, r, t) for h, r, t in rows.tolist() if d[h] >= 0 and d[t] >= 0)
+        for lt, pos, want in zip(bg.layers + [bg.decoder],
+                                 dm.layers[:-1] + [dm.decoder], naive[:-1] + [dec]):
             single = sorted(zip(idx.head[pos].tolist(), idx.rel[pos].tolist(),
                                 idx.tail[pos].tolist()))
             assert slot_triples(bg, lt, s) == single == want
@@ -383,7 +391,8 @@ def test_batch_bfs_dies_before_horizon(queries):
         assert np.array_equal(dm.dist.astype(np.int64), oracle)
         sizes = [len(pos) for pos in dm.layers]
         assert sizes[3:] == [0, 0]
-        assert [len(slot_triples(bg, lt, s)) for lt in bg.layers] == sizes
+        # the batch holds layers 1..4, the kernel's layer 5 is not merged
+        assert [len(slot_triples(bg, lt, s)) for lt in bg.layers] == sizes[:-1]
 
 
 def batch_int_digest(seeds=range(6)) -> str:
@@ -424,7 +433,7 @@ def test_batch_golden_pin():
     assert batch_int_digest() == GOLDEN_BATCH_DIGEST
 
 
-GOLDEN_BATCH_DIGEST = "3405fc87b4bf0b78aff6256547482e218595ccfa54088d7b42a33aedb71b0b3f"
+GOLDEN_BATCH_DIGEST = "1373cd653edd05dfd5f981b25248cede2477fa6a441b7f61b4f70f00e083a50d"
 
 
 def _swap_first_two(a):
@@ -445,10 +454,13 @@ def _swap_first_two(a):
         (lambda bg: bg.answer_nodes.__setitem__(1, 0), "answer_nodes"),
         (lambda bg: bg.node_query.__setitem__(0, 1), "node_query"),
         (lambda bg: bg.spans.__setitem__((0, 1), bg.spans[0, 1] - 1), "spans"),
+        (lambda bg: bg.layers.append(bg.decoder), "3 layers at horizon 3"),
+        (lambda bg: bg.layers[0].denom.__setitem__(0, bg.layers[0].seg_ptr[1] - 1), "denom"),
     ],
     ids=["seg_ptr-start", "seg_ptr-end", "seg_ptr-decreasing", "targets-order",
          "head-crosses-span", "target-crosses-span", "slot-out-of-range",
-         "query-node", "answer-node", "node_query", "spans-gap"],
+         "query-node", "answer-node", "node_query", "spans-gap", "layer-count",
+         "denom-below-messages"],
 )
 def test_batch_check_rejects_broken_invariants(toy_index, toy_aug, corrupt, match):
     ids = toy_aug.entities

@@ -13,15 +13,11 @@ from kgpercolate.layering import relative_distances
 from kgpercolate.paths import (
     PrincipleReport,
     RelationalPath,
-    check_uphill_insertion,
-    classify_path,
     classify_redundant,
     enumerate_paths,
     is_percolation_valid,
     potential_deltas,
     shortest_path_map,
-    shortest_paths,
-    shortest_subgraph_positions,
     verify_percolation_principles,
 )
 
@@ -119,36 +115,36 @@ def test_deltas_outside_horizon_error(toy_aug, toy_index):
 
 def test_shortest_paths_a_to_c(toy_index, toy_aug, toy_dm):
     ids = toy_aug.entities
-    paths = shortest_paths(toy_index, toy_dm, ids.id("C"))
+    paths = shortest_path_map(toy_index, toy_dm)[ids.id("C")]
     assert len(paths) == 2
     assert all(p.length == 2 for p in paths)
 
 
 def test_classify_redundant_backtrack(toy_aug, toy_index, toy_dm):
     ids = toy_aug.entities
-    shortest = shortest_paths(toy_index, toy_dm, ids.id("C"))
+    shortest = shortest_path_map(toy_index, toy_dm)[ids.id("C")]
     p = path_from_names(
         toy_aug,
         [("A", "r1", "B"), ("B", "r1_inv", "A"), ("A", "r1", "B"), ("B", "r1", "C")],
     )
     assert classify_redundant(p, toy_dm, shortest)
-    c = classify_path(p, toy_dm, shortest)
-    assert c.is_redundant and not c.is_shortest and not c.is_percolation_valid
+    assert p.length > toy_dm.dist[ids.id("C")] and not is_percolation_valid(p, toy_dm)
 
 
 def test_classify_detour_not_redundant(toy_aug, toy_index, toy_dm):
     # shares one triple with each shortest path but never two with the same one
     ids = toy_aug.entities
-    shortest = shortest_paths(toy_index, toy_dm, ids.id("C"))
+    shortest = shortest_path_map(toy_index, toy_dm)[ids.id("C")]
     p = path_from_names(toy_aug, [("A", "r1", "B"), ("B", "r2", "D"), ("D", "r2", "C")])
     assert not classify_redundant(p, toy_dm, shortest)
 
 
 def test_classify_shortest_never_redundant(toy_aug, toy_index, toy_dm):
     ids = toy_aug.entities
-    for p in shortest_paths(toy_index, toy_dm, ids.id("C")):
-        c = classify_path(p, toy_dm, shortest_paths(toy_index, toy_dm, ids.id("C")))
-        assert c.is_shortest and c.is_percolation_valid and not c.is_redundant
+    shortest = shortest_path_map(toy_index, toy_dm)[ids.id("C")]
+    for p in shortest:
+        assert p.length == toy_dm.dist[ids.id("C")] and is_percolation_valid(p, toy_dm)
+        assert not classify_redundant(p, toy_dm, shortest)
 
 
 def test_any_return_to_query_is_redundant(toy_aug, toy_index, toy_dm):
@@ -279,7 +275,6 @@ def test_principles_match_definitions(seed, L):
             want = [p.triples for p in enumerate_paths(idx, q, t, int(dm.dist[t]))
                     if p.length == dm.dist[t]]
             assert Counter(p.triples for p in short.get(t, [])) == Counter(want)
-            assert short.get(t, []) == shortest_paths(idx, dm, t)
         assert set(short) == set(dm.within().tolist())
 
 
@@ -523,96 +518,3 @@ def test_principle_budget_guards(toy_index, toy_aug):
         verify_percolation_principles(toy_index, q, 3, max_expansions=6)
     with pytest.raises(ValueError, match="principle check exceeded 7 expansions"):
         verify_percolation_principles(toy_index, q, 3, max_expansions=7)
-    # shortest_paths climbs no deeper than its target: B costs 3 prefixes
-    assert len(shortest_paths(toy_index, dm, toy_aug.entities.id("B"), 3)) == 1
-
-
-def test_shortest_subgraph_positions(toy_index, toy_dm):
-    pos = shortest_subgraph_positions(toy_index, toy_dm)
-    hd = toy_dm.dist[toy_index.head[pos]]
-    td = toy_dm.dist[toy_index.tail[pos]]
-    assert (td == hd + 1).all()
-    # identity loops never climb
-    assert (toy_index.rel[pos] != toy_index.identity_rel).all()
-
-
-def test_uphill_insertion_toy(toy_index, toy_aug, toy_dm):
-    ids, rels = toy_aug.entities, toy_aug.relations
-    new = (ids.id("C"), rels.id("r1"), ids.id("B"))
-    rep = check_uphill_insertion(toy_index, toy_dm, new)
-    assert rep.found
-    assert rep.degenerate_witness is not None
-    # at least one non-degenerate witness exists in this graph
-    assert len(rep.witnesses) >= 1
-    for w in rep.witnesses:
-        assert new in w.triples
-        assert classify_redundant(
-            w, toy_dm, shortest_paths(toy_index, toy_dm, w.target)
-        )
-
-
-def test_uphill_insertion_validations(toy_index, toy_aug, toy_dm):
-    ids, rels = toy_aug.entities, toy_aug.relations
-    with pytest.raises(ValueError, match="not uphill"):
-        check_uphill_insertion(
-            toy_index, toy_dm, (ids.id("B"), rels.id("r1"), ids.id("C"))
-        )
-    with pytest.raises(ValueError, match="already exists"):
-        check_uphill_insertion(
-            toy_index, toy_dm, (ids.id("D"), rels.id("r2_inv"), ids.id("B"))
-        )
-
-
-def test_uphill_insertion_budget(toy_index, toy_aug, toy_dm):
-    # the witness search from B reaches E at distance 3, whose climb visits
-    # 7 prefixes: A, AB, ABC, ABCE, AD, ADC, ADCE
-    ids, rels = toy_aug.entities, toy_aug.relations
-    new = (ids.id("C"), rels.id("r1"), ids.id("B"))
-    with pytest.raises(ValueError, match="shortest-path enumeration exceeded 6"):
-        check_uphill_insertion(toy_index, toy_dm, new, max_expansions=6)
-    rep = check_uphill_insertion(toy_index, toy_dm, new, max_expansions=7)
-    assert rep.found and rep.degenerate_witness is not None
-
-
-def test_uphill_insertion_budget_per_depth():
-    # Q->B, Q->C, C->D1..D3: the full climb visits 6 prefixes, the climb to
-    # distance 1 only Q, QB, QC.  Inserting C->B, whose tail B climbs
-    # nowhere, needs no shortest path deeper than 1, so a budget of 3 holds.
-    ents, rels = Vocab(["Q", "B", "C", "D1", "D2", "D3"]), Vocab(["r", "s"])
-    rows = [(0, 0, 1), (0, 0, 2), (2, 0, 3), (2, 0, 4), (2, 0, 5)]
-    idx = build_index(augment(make_graph(np.array(rows), ents, rels)))
-    dm = relative_distances(idx, 0, 2)
-    with pytest.raises(ValueError, match="shortest-path enumeration exceeded 5"):
-        shortest_path_map(idx, dm, 5)
-    new = (2, 1, 1)
-    rep = check_uphill_insertion(idx, dm, new, max_expansions=3)
-    assert rep == check_uphill_insertion(idx, dm, new)
-    assert rep.found and rep.degenerate_witness is not None
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10_000))
-def test_uphill_insertion_random(seed):
-    rng = np.random.default_rng(seed)
-    kg = augment(random_kg(rng, n_entities=14, density=1.6))
-    idx = build_index(kg)
-    q = int(rng.integers(0, len(kg.entities)))
-    dm = relative_distances(idx, q, 4)
-    within = dm.within()
-    if len(within) < 2:
-        return
-    pairs = [
-        (int(a), int(b))
-        for a in within
-        for b in within
-        if dm.dist[a] >= dm.dist[b] and a != b
-    ]
-    if not pairs:
-        return
-    e1, e2 = pairs[int(rng.integers(0, len(pairs)))]
-    r = int(rng.integers(0, kg.num_augmented_relations - 1))
-    lo, hi = idx.indptr[e1], idx.indptr[e1 + 1]
-    if ((idx.tail[lo:hi] == e2) & (idx.rel[lo:hi] == r)).any():
-        return
-    rep = check_uphill_insertion(idx, dm, (e1, r, e2))
-    assert rep.found

@@ -46,6 +46,12 @@ KNOWN = {
         "eval": "783056383d347ab9fe38ddf8a7c119a62c3a3df593e85e1eb9c79b33ba08d6f9",
         "analysis": "0992bc98d8e435422e1945ac557a0f30047f6ac2a0ecc8a6e618e6ca445839e6",
     },
+    # batches hold only the encoder's layers 1..H-1
+    "97b3b378ca212d56b4d7427700119c239a737f818e99f30dcd26b620a697129d": {
+        "train": "5ac234b4847f6af60ca4a1885a16890f0e71f639411a3bb59d60ae8abe23236c",
+        "eval": "c30492290b984d40cd8ded57e378f40bd7c0aeaa729febaa418155424d02484c",
+        "analysis": "0992bc98d8e435422e1945ac557a0f30047f6ac2a0ecc8a6e618e6ca445839e6",
+    },
 }
 
 
