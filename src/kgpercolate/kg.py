@@ -216,7 +216,8 @@ class AdjacencyIndex:
     triples of entity e occupy positions indptr[e]:indptr[e+1] (int64).
     ``out_degree`` (int64) counts augmented out-going triples per entity
     (identity loop included), which in an augmented graph equals the
-    in-degree and is used as the global aggregation denominator.
+    in-degree; less a query's masked in-triples it is the aggregation
+    denominator.
     """
 
     indptr: np.ndarray

@@ -72,6 +72,7 @@ class BatchDistanceMap:
     within: np.ndarray  # (n,) int64 entity keys
     layers: list[tuple[np.ndarray, np.ndarray]]  # percolation layers 1..horizon
     decoder: tuple[np.ndarray, np.ndarray]
+    masked: np.ndarray | None  # sorted keys slot*|T+| + pos of masked triples
 
 
 def _slot_ids(name: str, values, lo: int, hi: int) -> np.ndarray:
@@ -186,7 +187,8 @@ def batch_distances(
     within = np.flatnonzero(dist >= 0)
     slot, pos = _out_triples(index, within, masked)
     sel = dist[slot * n_e + index.tail[pos]] >= 0
-    return BatchDistanceMap(queries, horizon, dist, within, layers, (slot[sel], pos[sel]))
+    return BatchDistanceMap(queries, horizon, dist, within, layers, (slot[sel], pos[sel]),
+                            masked)
 
 
 def relative_distances(
@@ -216,8 +218,9 @@ class LayerTriples:
 
     Rows are sorted so that all triples sharing a target node are
     contiguous; seg_ptr[i]:seg_ptr[i+1] delimits the messages of
-    targets[i].  ``denom`` carries each target's global degree for
-    mean/std normalization.  ``triple_query`` maps each triple to its
+    targets[i].  ``denom`` carries each target's visible in-degree for
+    mean/std normalization: its in-triples in the graph, less those its
+    query slot masks, whether or not the layer selects them.  ``triple_query`` maps each triple to its
     query slot for query-conditioned relation embeddings.
     """
 
@@ -225,7 +228,7 @@ class LayerTriples:
     rel: np.ndarray          # (m,) augmented relation ids
     seg_ptr: np.ndarray      # (n_targets + 1,)
     targets: np.ndarray      # (n_targets,) batch node rows
-    denom: np.ndarray        # (n_targets,) float32 global degrees
+    denom: np.ndarray        # (n_targets,) float32 visible in-degrees
     triple_query: np.ndarray # (m,) query slot per triple
 
     @property
@@ -346,7 +349,16 @@ class SubgraphBuilder:
         base = np.arange(n_q, dtype=np.int64) * n_e
         answer_keys = base + np.maximum(answers, 0)
         reached = (answers >= 0) & (bd.dist[answer_keys] >= 0)
-        merged = [self._merge(slot, pos, rows, node_entity)
+        # visible in-degree: the global one less the slot's masked triples
+        # into the row, so that masking a triple equals deleting it
+        degree = index.out_degree[node_entity]
+        if bd.masked is not None:
+            slot, pos = np.divmod(bd.masked, index.num_triples)
+            tails = slot * n_e + index.tail[pos]
+            tails = tails[bd.dist[tails] >= 0]
+            degree = degree - np.bincount(rows[tails], minlength=len(keys))
+        degree = degree.astype(np.float32)
+        merged = [self._merge(slot, pos, rows, degree)
                   for slot, pos in bd.layers[:-1] + [bd.decoder]]
         return BatchGraph(
             n_nodes=len(keys),
@@ -362,7 +374,7 @@ class SubgraphBuilder:
         )
 
     def _merge(self, slot: np.ndarray, pos: np.ndarray, rows: np.ndarray,
-               node_entity: np.ndarray) -> LayerTriples:
+               degree: np.ndarray) -> LayerTriples:
         """One layer's (slot, pos) triples as node rows, grouped by tail row;
         a stable sort keeps each group in (slot, pos) order."""
         index = self.index
@@ -380,6 +392,6 @@ class SubgraphBuilder:
             rel=index.rel[pos].astype(np.int64),
             seg_ptr=np.append(start, len(tail)),
             targets=targets,
-            denom=index.out_degree[node_entity[targets]].astype(np.float32),
+            denom=degree[targets],
             triple_query=slot,
         )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -393,6 +394,49 @@ def test_batch_bfs_dies_before_horizon(queries):
         assert sizes[3:] == [0, 0]
         # the batch holds layers 1..4, the kernel's layer 5 is not merged
         assert [len(slot_triples(bg, lt, s)) for lt in bg.layers] == sizes[:-1]
+
+
+def batch_fields(bg) -> dict:
+    """Every field of a batch by name, the fields of each layer included."""
+    out = {f.name: getattr(bg, f.name) for f in dataclasses.fields(bg)
+           if f.name not in ("layers", "decoder")}
+    named = [(f"layer {l}", lt) for l, lt in enumerate(bg.layers, 1)]
+    for name, lt in named + [("decoder", bg.decoder)]:
+        out.update({f"{name}.{f.name}": getattr(lt, f.name) for f in dataclasses.fields(lt)})
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 4))
+def test_masking_equals_deletion(seed, L):
+    # a train query masks its own base triple and the reverse twin: its
+    # batch must be, field by field with the float denominators included,
+    # the unmasked batch on the graph without that triple
+    rng = np.random.default_rng(seed)
+    kg = random_kg(rng)
+    idx = build_index(augment(kg))
+    i = int(rng.integers(0, len(kg.triples)))
+    h, r, t = kg.triples[i].tolist()
+    fwd, rev = idx.find_edges(h, t), idx.find_edges(t, h)
+    removed = np.concatenate([fwd[idx.rel[fwd] == r],
+                              rev[idx.rel[rev] == r + kg.n_base_relations]])
+    assert len(removed) == 2
+    kept = make_graph(np.delete(kg.triples, i, axis=0), kg.entities, kg.relations)
+    n_e = len(kg.entities)
+    queries = [h, t, *rng.integers(0, n_e, size=2).tolist()]
+    rels = rng.integers(0, idx.identity_rel + 1, size=len(queries)).tolist()
+    answers = rng.integers(-1, n_e, size=len(queries)).tolist()
+    masked = SubgraphBuilder(idx).build_batch(
+        [QuerySpec(q, rel, a, removed) for q, rel, a in zip(queries, rels, answers)], L)
+    deleted = SubgraphBuilder(build_index(augment(kept))).build_batch(
+        [QuerySpec(q, rel, a) for q, rel, a in zip(queries, rels, answers)], L)
+    masked.check()
+    want = batch_fields(deleted)
+    got = batch_fields(masked)
+    assert got.keys() == want.keys()
+    for name, value in got.items():
+        assert np.asarray(value).dtype == np.asarray(want[name]).dtype, name
+        assert np.array_equal(value, want[name]), name
 
 
 def batch_int_digest(seeds=range(6)) -> str:

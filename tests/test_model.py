@@ -1,5 +1,7 @@
 """Model forward/gradient behavior on small constructed graphs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -264,11 +266,23 @@ class TestPercolationStructure:
         for lw, lo in zip(with_edge.layers, without.layers):
             np.testing.assert_array_equal(lw.head_node, lo.head_node)
             np.testing.assert_array_equal(lw.rel, lo.rel)
+            np.testing.assert_array_equal(lw.seg_ptr, lo.seg_ptr)
+            np.testing.assert_array_equal(lw.targets, lo.targets)
+        # the mask does hide the triple from B's visible in-degree; with the
+        # denominators of the unmasked batch the encoder output is the same,
+        # so the triple reaches the encoder through no other field (a
+        # one-sided mask has no deletion twin: see test_masking_equals_deletion)
+        row_b = int(np.flatnonzero(without.node_entity == 1)[0])
+        for lw, lo in zip(with_edge.layers, without.layers):
+            gap = lw.denom - lo.denom
+            np.testing.assert_array_equal(gap, np.where(lw.targets == row_b, 1, 0))
+        swapped = replace(without, layers=[replace(lo, denom=lw.denom)
+                                           for lw, lo in zip(with_edge.layers, without.layers)])
         cfg = small_config()
         params = init_params(cfg, seed=8)
         np.testing.assert_array_equal(
             encode(params, cfg, with_edge).data,
-            encode(params, cfg, without).data,
+            encode(params, cfg, swapped).data,
         )
         # the decoder does see it: one extra triple, different refined rows
         assert with_edge.decoder.num_triples == without.decoder.num_triples + 1

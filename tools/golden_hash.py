@@ -52,6 +52,12 @@ KNOWN = {
         "eval": "c30492290b984d40cd8ded57e378f40bd7c0aeaa729febaa418155424d02484c",
         "analysis": "0992bc98d8e435422e1945ac557a0f30047f6ac2a0ecc8a6e618e6ca445839e6",
     },
+    # train denominators count only the triples a query's mask leaves visible
+    "28a1a7e475ab2914c4db1d6f66e21cfc3b998e7cb6a5dd2de55f2d68c6a0d069": {
+        "train": "58471aa2f0b0b7baa39d372834a2d1cb152888a559a1d5cbb625898b8cab93ed",
+        "eval": "c30492290b984d40cd8ded57e378f40bd7c0aeaa729febaa418155424d02484c",
+        "analysis": "0992bc98d8e435422e1945ac557a0f30047f6ac2a0ecc8a6e618e6ca445839e6",
+    },
 }
 
 
