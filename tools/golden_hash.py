@@ -3,9 +3,10 @@
 For each of the bench workloads train, eval and analysis and each seed, it
 runs the first batches of the workload's loop and hashes what the library
 returned: every BatchGraph field, the logits (train steps run backward and
-Adam, so later logits cover the gradients too), the per-query count_query
-dicts, and the PrincipleReport tallies.  A refactor that claims to keep the
-outputs unchanged must print the same hash before and after.
+Adam, so later logits cover the gradients too; eval never trains, so it runs
+with seeded nonzero biases), the per-query count_query dicts, and the
+PrincipleReport tallies.  A refactor that claims to keep the outputs
+unchanged must print the same hash before and after.
 
     python tools/golden_hash.py [--root CHECKOUT] [--expect HEX]
 
@@ -56,6 +57,12 @@ KNOWN = {
     "28a1a7e475ab2914c4db1d6f66e21cfc3b998e7cb6a5dd2de55f2d68c6a0d069": {
         "train": "58471aa2f0b0b7baa39d372834a2d1cb152888a559a1d5cbb625898b8cab93ed",
         "eval": "c30492290b984d40cd8ded57e378f40bd7c0aeaa729febaa418155424d02484c",
+        "analysis": "0992bc98d8e435422e1945ac557a0f30047f6ac2a0ecc8a6e618e6ca445839e6",
+    },
+    # eval runs with seeded nonzero biases
+    "b1f74ba7e4a06b5da3198ac1685e56618bac96bb02c432bc19a9bfcd558736d7": {
+        "train": "58471aa2f0b0b7baa39d372834a2d1cb152888a559a1d5cbb625898b8cab93ed",
+        "eval": "4724e801b216870bd28cd7ead3ba09ac9b9bf4a02659828d5b98b15db456b842",
         "analysis": "0992bc98d8e435422e1945ac557a0f30047f6ac2a0ecc8a6e618e6ca445839e6",
     },
 }
@@ -109,7 +116,15 @@ def main() -> None:
             kg = _graph(split, wl)
             config = ModelConfig(n_base_relations=split.n_relations, horizon=wl.horizon)
             tr = NullTracer()
-            loop = LOOPS[name](split, wl, set_up(kg, config, seed, tr), seed)
+            s = set_up(kg, config, seed, tr)
+            if name == "eval":
+                # init_params zeroes every bias, and eval never trains, so
+                # seeded biases make the digest cover the bias terms
+                rng = np.random.default_rng([seed, 3])
+                for k, p in s.params.items():
+                    if k.endswith("_b"):
+                        p.data[...] = 0.1 * rng.standard_normal(p.data.shape)
+            loop = LOOPS[name](split, wl, s, seed)
             for _ in range(BATCHES):
                 queries = loop.next_batch()
                 out = loop.step(queries, tr)
