@@ -10,6 +10,11 @@ decode    one message pass over the whole L-hop neighborhood (uphill
           triples included) in dimension d_l with its own relation table.
 score     two-layer MLP on [entity : query-relation], raw logit out.
 
+The batch holds exactly the passes read here: percolation layers 1..L-1
+and the decoder.  The mean and std aggregators divide by each target's
+visible in-degree, so a triple a query masks counts nowhere, its degree
+included.
+
 Relation embeddings are query-conditioned as table[r] + table[r_q] @ mix,
 which keeps the relation parameter budget linear in |R| (a per-relation
 matrix would be quadratic in d and is deliberately avoided).
