@@ -220,8 +220,9 @@ class LayerTriples:
     contiguous; seg_ptr[i]:seg_ptr[i+1] delimits the messages of
     targets[i].  ``denom`` carries each target's visible in-degree for
     mean/std normalization: its in-triples in the graph, less those its
-    query slot masks, whether or not the layer selects them.  ``triple_query`` maps each triple to its
-    query slot for query-conditioned relation embeddings.
+    query slot masks, whether or not the layer selects them.
+    ``triple_query`` maps each triple to its query slot for
+    query-conditioned relation embeddings.
     """
 
     head_node: np.ndarray    # (m,) batch node rows

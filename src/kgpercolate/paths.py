@@ -1,4 +1,4 @@
-"""Relational paths, their classification, and the percolation principle checks.
+"""Relational paths, their classification and the percolation principle checks.
 
 A relational path is a head-to-tail chain of augmented triples; walks may
 revisit entities and triples.  Classification is relative to one query
@@ -16,8 +16,8 @@ the same reason: a triple whose head is its tail is a sideways step, and a
 shortest path ending in one is valid and shares every triple with that path.
 
 One climbing DFS from the query (``shortest_path_map``) gives the
-shortest-path set of every in-horizon entity; ``verify_percolation_principles``
-reads it.  Both DFS passes read one per-query adjacency, ``_Horizon``: the
+shortest-path set of every in-horizon entity, and the principle checks
+read it.  Both DFS passes read one per-query adjacency, ``_Horizon``: the
 relative distance of every in-horizon entity in one dict, and each entity's
 out-triples read from the CSR once.  ``verify_percolation_principles``
 builds it once per query and shares it between its checks.

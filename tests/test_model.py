@@ -263,19 +263,17 @@ class TestPercolationStructure:
             [QuerySpec(query=0, rel=0, answer=2,
                        removed=np.array(pos, dtype=np.int64))], horizon=3
         )
-        for lw, lo in zip(with_edge.layers, without.layers):
-            np.testing.assert_array_equal(lw.head_node, lo.head_node)
-            np.testing.assert_array_equal(lw.rel, lo.rel)
-            np.testing.assert_array_equal(lw.seg_ptr, lo.seg_ptr)
-            np.testing.assert_array_equal(lw.targets, lo.targets)
         # the mask does hide the triple from B's visible in-degree; with the
         # denominators of the unmasked batch the encoder output is the same,
         # so the triple reaches the encoder through no other field (a
         # one-sided mask has no deletion twin: see test_masking_equals_deletion)
         row_b = int(np.flatnonzero(without.node_entity == 1)[0])
         for lw, lo in zip(with_edge.layers, without.layers):
-            gap = lw.denom - lo.denom
-            np.testing.assert_array_equal(gap, np.where(lw.targets == row_b, 1, 0))
+            np.testing.assert_array_equal(lw.head_node, lo.head_node)
+            np.testing.assert_array_equal(lw.rel, lo.rel)
+            np.testing.assert_array_equal(lw.seg_ptr, lo.seg_ptr)
+            np.testing.assert_array_equal(lw.targets, lo.targets)
+            np.testing.assert_array_equal(lw.denom - lo.denom, lw.targets == row_b)
         swapped = replace(without, layers=[replace(lo, denom=lw.denom)
                                            for lw, lo in zip(with_edge.layers, without.layers)])
         cfg = small_config()
