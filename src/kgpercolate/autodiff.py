@@ -1,18 +1,17 @@
 """Tape-based reverse-mode automatic differentiation on numpy arrays.
 
 Covers exactly the operations the percolation model needs: dense linear
-algebra, elementwise activations, row gather/scatter, contiguous-segment
-reductions with caller-supplied denominators (``segment_sum``,
-``segment_mean``, and ``segment_mean_std``, PNA's mean and std from one
-reduction), paired 2-D rotations, and a stable logsumexp.  Records happen
-only inside a ``with Tape() as tape`` block; outside a tape every op is a
-plain numpy computation, which is what evaluation uses.
+algebra, ReLU, row gather/scatter, ``segment_mean_std`` (PNA's mean and std
+over contiguous segments with caller-supplied denominators, from one
+reduction), and a stable logsumexp.  Records happen only inside a
+``with Tape() as tape`` block; outside a tape every op is a plain numpy
+computation, which is what evaluation uses.
 
-Row gathers go through ``np.take``, and every segment sum (the segment ops
-and ``index_add``) goes through one kernel, ``_segment_sums``.  Both give
-the bytes of numpy's own ``x[idx]`` and ``np.add.reduceat``; the kernel
-reproduces reduceat's summation order, which is numpy's, and a bytes test
-pins it to the installed numpy.
+Row gathers go through ``np.take``, and every segment sum
+(``segment_mean_std`` and ``index_add``) goes through one kernel,
+``_segment_sums``.  Both give the bytes of numpy's own ``x[idx]`` and
+``np.add.reduceat``; the kernel reproduces reduceat's summation order,
+which is numpy's, and a bytes test pins it to the installed numpy.
 
 A tape runs backward once.  ``Tape.backward`` pops each entry once its VJP
 has run and drops that entry's output gradient, so the forward
@@ -320,11 +319,6 @@ def relu(a: Tensor) -> Tensor:
     return _out(np.where(mask, a.data, 0), (a,), lambda g: (g * mask,))
 
 
-def tanh(a: Tensor) -> Tensor:
-    data = np.tanh(a.data)
-    return _out(data, (a,), lambda g: (g * (1 - data * data),))
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     return _out(
         a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),)
@@ -424,31 +418,6 @@ def _segment_sum_data(x: np.ndarray, seg_ptr: np.ndarray) -> np.ndarray:
     return out
 
 
-def segment_sum(a: Tensor, seg_ptr: np.ndarray) -> Tensor:
-    seg_ptr = np.asarray(seg_ptr)
-    _check_segments(seg_ptr, a.data.shape[0])
-    sizes = np.diff(seg_ptr)
-
-    def vjp(g):
-        return (np.repeat(g, sizes, axis=0),)
-
-    return _out(_segment_sum_data(a.data, seg_ptr), (a,), vjp)
-
-
-def segment_mean(a: Tensor, seg_ptr: np.ndarray, denom: np.ndarray) -> Tensor:
-    """Segment sums divided by caller-given denominators (not segment sizes)."""
-    seg_ptr = np.asarray(seg_ptr)
-    _check_segments(seg_ptr, a.data.shape[0])
-    denom = np.asarray(denom, dtype=a.data.dtype)
-    sizes = np.diff(seg_ptr)
-    inv = (1.0 / denom)[:, None]
-
-    def vjp(g):
-        return (np.repeat(g * inv, sizes, axis=0),)
-
-    return _out(_segment_sum_data(a.data, seg_ptr) * inv, (a,), vjp)
-
-
 def segment_mean_std(a: Tensor, seg_ptr: np.ndarray, denom: np.ndarray) -> Tensor:
     """[mean : std] per segment, denominator-weighted, from one reduction.
 
@@ -474,45 +443,6 @@ def segment_mean_std(a: Tensor, seg_ptr: np.ndarray, denom: np.ndarray) -> Tenso
         return (dx + np.repeat(g[:, :d] * inv, sizes, axis=0),)
 
     return _out(np.concatenate([m1, std], axis=1), (a,), vjp)
-
-
-# --------------------------------------------------------- paired rotation
-
-def rotate_pairs(e: Tensor, r: Tensor) -> Tensor:
-    """Rotate consecutive coordinate pairs of e by angles encoded in r.
-
-    r's pairs are projected to the unit circle first, so arbitrary real
-    vectors parameterize pure rotations; gradients flow through the
-    normalization.  Both arguments are (n, d) with d even.
-    """
-    n, d = e.data.shape
-    if d % 2:
-        raise ValueError("rotate_pairs needs an even feature dimension")
-    if r.data.shape != e.data.shape:
-        raise ValueError("entity and relation blocks must match in shape")
-    ep = e.data.reshape(n, d // 2, 2)
-    rp = r.data.reshape(n, d // 2, 2)
-    norm = np.sqrt((rp * rp).sum(axis=2, keepdims=True) + 1e-12)
-    c = rp[..., 0:1] / norm
-    s = rp[..., 1:2] / norm
-    x, y = ep[..., 0:1], ep[..., 1:2]
-    out = np.concatenate([x * c - y * s, x * s + y * c], axis=2)
-
-    def vjp(g):
-        gp = g.reshape(n, d // 2, 2)
-        gu, gv = gp[..., 0:1], gp[..., 1:2]
-        de = np.concatenate([gu * c + gv * s, -gu * s + gv * c], axis=2)
-        # through the normalization: d(c,s)/d(rc,rs) via the projection
-        dc = gu * x + gv * y
-        ds = -gu * y + gv * x
-        rc, rs = rp[..., 0:1], rp[..., 1:2]
-        n3 = norm**3
-        drc = dc * (rs * rs + 1e-12) / n3 - ds * rc * rs / n3
-        drs = -dc * rc * rs / n3 + ds * (rc * rc + 1e-12) / n3
-        dr = np.concatenate([drc, drs], axis=2)
-        return de.reshape(n, d), dr.reshape(n, d)
-
-    return _out(out.reshape(n, d), (e, r), vjp)
 
 
 # ----------------------------------------------------------------- optimizer

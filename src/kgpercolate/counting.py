@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kg import AdjacencyIndex
-from .layering import DistanceMap, batch_distances
+from .layering import batch_distances
 
 
 @dataclass
@@ -93,12 +93,6 @@ def _hop_counts(index: AdjacencyIndex, dist: np.ndarray, slot: np.ndarray,
     at = slot * width + hi
     at = np.concatenate([at[hi - lo <= 1], at[hi == lo] + 1])
     return np.bincount(at, minlength=n_slots * width).reshape(n_slots, width)[:, 1 : horizon + 1]
-
-
-def hop_triple_counts(index: AdjacencyIndex, dm: DistanceMap) -> list[int]:
-    """n_l = triples with both endpoints inside hops {l-1, l}, l = 1..horizon."""
-    slot = np.zeros(len(dm.decoder), dtype=np.int64)
-    return _hop_counts(index, dm.dist, slot, dm.decoder, 1, dm.horizon)[0].tolist()
 
 
 def _query_counts(index: AdjacencyIndex, queries, horizon: int,

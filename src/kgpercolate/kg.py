@@ -236,11 +236,6 @@ class AdjacencyIndex:
     def identity_rel(self) -> int:
         return 2 * self.n_base_relations
 
-    def triples_of(self, e: int) -> np.ndarray:
-        """(k, 3) view-copy of the out-going triples of entity e."""
-        lo, hi = self.indptr[e], self.indptr[e + 1]
-        return np.stack([self.head[lo:hi], self.rel[lo:hi], self.tail[lo:hi]], axis=1)
-
     def out_positions(self, ents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positions of the out-going triples of each entity of ``ents``, as
         one run per entity in that order, and the length of each run."""
@@ -253,7 +248,14 @@ class AdjacencyIndex:
         return pos, counts
 
     def find_edges(self, h: int, t: int) -> np.ndarray:
-        """Positions (sorted-order triple ids) of all edges h -> t."""
+        """Positions (sorted-order triple ids) of all edges h -> t.
+
+        Raises ValueError naming ``h`` or ``t`` when it is outside [0, |E|).
+        """
+        n_e = len(self.indptr) - 1
+        for name, e in (("h", h), ("t", t)):
+            if not 0 <= e < n_e:
+                raise ValueError(f"find_edges: {name} = {e} outside [0, {n_e})")
         lo, hi = self.indptr[h], self.indptr[h + 1]
         return (lo + np.flatnonzero(self.tail[lo:hi] == t)).astype(np.int64)
 

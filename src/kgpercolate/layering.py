@@ -45,12 +45,6 @@ class DistanceMap:
     layers: list[np.ndarray]  # percolation layers 1..horizon
     decoder: np.ndarray
 
-    def layer(self, l: int) -> np.ndarray:
-        """Entity ids at exactly distance l (ascending)."""
-        if l < 0 or l > self.horizon:
-            raise ValueError(f"layer {l} outside [0, {self.horizon}]")
-        return np.flatnonzero(self.dist == l).astype(np.int64)
-
     def within(self) -> np.ndarray:
         """All entity ids reachable within the horizon (ascending)."""
         return np.flatnonzero(self.dist >= 0)

@@ -11,9 +11,15 @@ decode    one message pass over the whole L-hop neighborhood (uphill
 score     two-layer MLP on [entity : query-relation], raw logit out.
 
 The batch holds exactly the passes read here: percolation layers 1..L-1
-and the decoder.  The mean and std aggregators divide by each target's
-visible in-degree, so a triple a query masks counts nowhere, its degree
-included.
+and the decoder.
+
+Every message pass is the same: the message is DistMult's head * relation,
+the aggregate is PNA's [mean : std] (2004.05718), and the update is
+ReLU(agg @ w + b); the compress and score MLPs use ReLU too.  The paper's
+GraPE is one lightweight model, not a family of variants, and this is the
+best setting of NBFNet's ablation (2106.06935).  The mean and std divide by
+each target's visible in-degree, so a triple a query masks counts nowhere,
+its degree included.
 
 Relation embeddings are query-conditioned as table[r] + table[r_q] @ mix,
 which keeps the relation parameter budget linear in |R| (a per-relation
@@ -35,18 +41,10 @@ from .autodiff import (
     matmul,
     relu,
     reshape,
-    rotate_pairs,
     scatter_rows_add,
-    segment_mean,
     segment_mean_std,
-    segment_sum,
-    tanh,
 )
 from .layering import BatchGraph, LayerTriples
-
-TRANSFORMS = ("distmult", "transe", "rotate")
-AGGREGATES = ("sum", "mean", "pna")
-ACTIVATIONS = ("relu", "tanh")
 
 
 @dataclass
@@ -55,31 +53,20 @@ class ModelConfig:
     horizon: int = 5
     dim: int = 32
     dim_low: int = 8
-    transform: str = "distmult"
-    aggregate: str = "pna"
-    activation: str = "relu"
 
     @property
     def num_augmented_relations(self) -> int:
         return 2 * self.n_base_relations + 1
-
-    @property
-    def agg_width(self) -> int:
-        return 2 if self.aggregate == "pna" else 1
 
     def validate(self) -> None:
         if self.n_base_relations < 1:
             raise ValueError("need at least one base relation")
         if self.horizon < 2:
             raise ValueError("horizon must be at least 2")
-        if self.transform not in TRANSFORMS:
-            raise ValueError(f"transform must be one of {TRANSFORMS}")
-        if self.aggregate not in AGGREGATES:
-            raise ValueError(f"aggregate must be one of {AGGREGATES}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}")
-        if self.transform == "rotate" and (self.dim % 2 or self.dim_low % 2):
-            raise ValueError("rotate transform needs even dim and dim_low")
+        if self.dim < 1:
+            raise ValueError(f"dim must be at least 1, not {self.dim}")
+        if self.dim_low < 1:
+            raise ValueError(f"dim_low must be at least 1, not {self.dim_low}")
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -91,7 +78,6 @@ def init_params(config: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
     rng = np.random.default_rng(seed)
     d, dl = config.dim, config.dim_low
     n_rel = config.num_augmented_relations
-    w = config.agg_width
     params: dict[str, Tensor] = {}
 
     def table(name, rows, cols):
@@ -113,12 +99,12 @@ def init_params(config: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
     for l in range(1, config.horizon):
         table(f"enc_rel_{l}", n_rel, d)
         table(f"enc_mix_{l}", d, d)
-    linear("enc", w * d, d)
+    linear("enc", 2 * d, d)  # the aggregate is [mean : std]
     linear("comp1", 2 * d, d)
     linear("comp2", d, dl)
     table("dec_rel", n_rel, dl)
     table("dec_mix", dl, dl)
-    linear("dec", w * dl, dl)
+    linear("dec", 2 * dl, dl)
     linear("score1", 2 * dl, dl)
     linear("score2", dl, 1)
     return params
@@ -126,31 +112,6 @@ def init_params(config: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
 
 def param_count(params: dict[str, Tensor]) -> int:
     return sum(int(np.prod(p.data.shape)) for p in params.values())
-
-
-def apply_transform(name: str, h: Tensor, r: Tensor) -> Tensor:
-    if name == "distmult":
-        return hadamard(h, r)
-    if name == "transe":
-        return add(h, r)
-    if name == "rotate":
-        return rotate_pairs(h, r)
-    raise ValueError(f"transform must be one of {TRANSFORMS}")
-
-
-def apply_aggregate(
-    name: str, msg: Tensor, seg_ptr: np.ndarray, denom: np.ndarray
-) -> Tensor:
-    if name == "sum":
-        return segment_sum(msg, seg_ptr)
-    if name == "mean":
-        return segment_mean(msg, seg_ptr, denom)
-    if name == "pna":
-        return segment_mean_std(msg, seg_ptr, denom)
-    raise ValueError(f"aggregate must be one of {AGGREGATES}")
-
-
-_ACT = {"relu": relu, "tanh": tanh}
 
 
 def _message_pass(
@@ -161,78 +122,27 @@ def _message_pass(
     w: Tensor,
     b: Tensor,
     query_rels: np.ndarray,
-    config: ModelConfig,
 ) -> Tensor:
     if layer.num_triples == 0:
         return h
-    act = _ACT[config.activation]
     heads = gather(h, layer.head_node)
     q_emb = matmul(gather(rel_table, query_rels), mix)  # one row per query
     rel = add(gather(rel_table, layer.rel), gather(q_emb, layer.triple_query))
-    msg = apply_transform(config.transform, heads, rel)
-    agg = apply_aggregate(config.aggregate, msg, layer.seg_ptr, layer.denom)
-    upd = act(add(matmul(agg, w), b))
+    agg = segment_mean_std(hadamard(heads, rel), layer.seg_ptr, layer.denom)
+    upd = relu(add(matmul(agg, w), b))
     # residual: only nodes that received messages change
     return scatter_rows_add(h, layer.targets, upd)
 
 
 def encode(params: dict[str, Tensor], config: ModelConfig, bg: BatchGraph) -> Tensor:
-    """Percolation layers 1..L-1; returns (n_nodes, d) embeddings."""
-    init = np.zeros((bg.n_nodes, config.dim), dtype=np.float32)
-    init[bg.query_nodes] = 1.0
-    h = Tensor(init)
-    for l in range(1, config.horizon):
-        h = _message_pass(
-            h, bg.layers[l - 1],
-            params[f"enc_rel_{l}"], params[f"enc_mix_{l}"],
-            params["enc_w"], params["enc_b"],
-            bg.query_rels, config,
-        )
-    return h
-
-
-def compress(params: dict[str, Tensor], config: ModelConfig,
-             bg: BatchGraph, h: Tensor) -> Tensor:
-    act = _ACT[config.activation]
-    q_rel = gather(params["enc_rel_1"], bg.query_rels)
-    node_rel = gather(q_rel, bg.node_query)
-    z = act(add(matmul(concat([h, node_rel], axis=1), params["comp1_w"]),
-                params["comp1_b"]))
-    return act(add(matmul(z, params["comp2_w"]), params["comp2_b"]))
-
-
-def decode(params: dict[str, Tensor], config: ModelConfig,
-           bg: BatchGraph, compressed: Tensor) -> Tensor:
-    """One pass over every in-neighborhood triple, uphill ones included."""
-    return _message_pass(
-        compressed, bg.decoder,
-        params["dec_rel"], params["dec_mix"],
-        params["dec_w"], params["dec_b"],
-        bg.query_rels, config,
-    )
-
-
-def score(params: dict[str, Tensor], config: ModelConfig,
-          bg: BatchGraph, refined: Tensor) -> Tensor:
-    """Raw logits, one per batch node row."""
-    act = _ACT[config.activation]
-    q_rel = gather(params["dec_rel"], bg.query_rels)
-    node_rel = gather(q_rel, bg.node_query)
-    s1 = act(add(matmul(concat([refined, node_rel], axis=1), params["score1_w"]),
-                 params["score1_b"]))
-    s = add(matmul(s1, params["score2_w"]), params["score2_b"])
-    return reshape(s, (bg.n_nodes,))
-
-
-def forward_batch(params: dict[str, Tensor], config: ModelConfig,
-                  bg: BatchGraph) -> Tensor:
-    """Full pipeline: logits for every node row of the batch.
+    """Percolation layers 1..L-1; returns (n_nodes, d) embeddings.
 
     Raises ValueError when the batch was built with another horizon, or when
     a relation id of its queries, layers or decoder is at or above
     ``config.num_augmented_relations`` (a config with fewer relations than
     the graph).  A config with more relations than the graph cannot be
-    detected from a batch: its ids all fit the larger tables.
+    detected from a batch: its ids all fit the larger tables.  ``compress``,
+    ``decode`` and ``score`` read no relation id that this has not checked.
     """
     if bg.horizon != config.horizon:
         raise ValueError(
@@ -245,6 +155,54 @@ def forward_batch(params: dict[str, Tensor], config: ModelConfig,
         raise ValueError(
             f"batch has relation id {top}, model has {n_rel} augmented relations"
         )
+    init = np.zeros((bg.n_nodes, config.dim), dtype=np.float32)
+    init[bg.query_nodes] = 1.0
+    h = Tensor(init)
+    for l in range(1, config.horizon):
+        h = _message_pass(
+            h, bg.layers[l - 1],
+            params[f"enc_rel_{l}"], params[f"enc_mix_{l}"],
+            params["enc_w"], params["enc_b"],
+            bg.query_rels,
+        )
+    return h
+
+
+def compress(params: dict[str, Tensor], config: ModelConfig,
+             bg: BatchGraph, h: Tensor) -> Tensor:
+    q_rel = gather(params["enc_rel_1"], bg.query_rels)
+    node_rel = gather(q_rel, bg.node_query)
+    z = relu(add(matmul(concat([h, node_rel], axis=1), params["comp1_w"]),
+                 params["comp1_b"]))
+    return relu(add(matmul(z, params["comp2_w"]), params["comp2_b"]))
+
+
+def decode(params: dict[str, Tensor], config: ModelConfig,
+           bg: BatchGraph, compressed: Tensor) -> Tensor:
+    """One pass over every in-neighborhood triple, uphill ones included."""
+    return _message_pass(
+        compressed, bg.decoder,
+        params["dec_rel"], params["dec_mix"],
+        params["dec_w"], params["dec_b"],
+        bg.query_rels,
+    )
+
+
+def score(params: dict[str, Tensor], config: ModelConfig,
+          bg: BatchGraph, refined: Tensor) -> Tensor:
+    """Raw logits, one per batch node row."""
+    q_rel = gather(params["dec_rel"], bg.query_rels)
+    node_rel = gather(q_rel, bg.node_query)
+    s1 = relu(add(matmul(concat([refined, node_rel], axis=1), params["score1_w"]),
+                  params["score1_b"]))
+    s = add(matmul(s1, params["score2_w"]), params["score2_b"])
+    return reshape(s, (bg.n_nodes,))
+
+
+def forward_batch(params: dict[str, Tensor], config: ModelConfig,
+                  bg: BatchGraph) -> Tensor:
+    """Full pipeline: logits for every node row of the batch; ``encode``
+    checks the batch against the config."""
     h = encode(params, config, bg)
     compressed = compress(params, config, bg, h)
     refined = decode(params, config, bg, compressed)

@@ -22,15 +22,11 @@ from kgpercolate.autodiff import (
     matmul,
     relu,
     reshape,
-    rotate_pairs,
     save_params,
     scatter_rows_add,
-    segment_mean,
     segment_mean_std,
-    segment_sum,
     sub,
     sum_all,
-    tanh,
 )
 
 
@@ -100,7 +96,7 @@ class TestGradients64:
         w = Tensor(rng.standard_normal((5, 3)))
         check_grads(
             lambda: sum_all(
-                hadamard(tanh(hadamard(relu(hadamard(a, b)), Tensor(np.full((5, 3), 0.7)))), w)
+                hadamard(hadamard(relu(hadamard(a, b)), Tensor(np.full((5, 3), 0.7))), w)
             ),
             [a, b],
         )
@@ -155,34 +151,25 @@ class TestGradients64:
             expect[i] += upd.data[k]
         np.testing.assert_allclose(out.data, expect)
 
-    @pytest.mark.parametrize("op", ["sum", "mean", "mean_std"])
+    @pytest.mark.parametrize("op", [segment_mean_std], ids=["mean_std"])
     def test_segment_ops(self, float64, op):
         rng = np.random.default_rng(7)
         x = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
         seg_ptr = np.array([0, 2, 2, 5])  # middle segment empty
         denom = np.array([2.0, 1.0, 4.0])
-        fn = {
-            "sum": lambda: segment_sum(x, seg_ptr),
-            "mean": lambda: segment_mean(x, seg_ptr, denom),
-            "mean_std": lambda: segment_mean_std(x, seg_ptr, denom),
-        }[op]
-        w = Tensor(rng.standard_normal(fn().data.shape))
-        check_grads(lambda: sum_all(hadamard(fn(), w)), [x])
+        w = Tensor(rng.standard_normal((3, 6)))
+        check_grads(lambda: sum_all(hadamard(op(x, seg_ptr, denom), w)), [x])
 
     def test_segment_forward_loop_oracle(self, float64):
         rng = np.random.default_rng(8)
         x = Tensor(rng.standard_normal((6, 2)))
         seg_ptr = np.array([0, 3, 3, 4, 6])
         denom = np.array([3.0, 2.0, 1.0, 5.0])
-        sums = segment_sum(x, seg_ptr).data
-        means = segment_mean(x, seg_ptr, denom).data
         mean_std = segment_mean_std(x, seg_ptr, denom).data
-        np.testing.assert_array_equal(mean_std[:, :2], means)
-        stds = mean_std[:, 2:]
+        means, stds = mean_std[:, :2], mean_std[:, 2:]
         for i in range(4):
             rows = x.data[seg_ptr[i]:seg_ptr[i + 1]]
             s = rows.sum(axis=0) if len(rows) else np.zeros(2)
-            np.testing.assert_allclose(sums[i], s, atol=1e-12)
             np.testing.assert_allclose(means[i], s / denom[i], atol=1e-12)
             m2 = (rows**2).sum(axis=0) / denom[i] if len(rows) else np.zeros(2)
             var = np.maximum(m2 - (s / denom[i]) ** 2, 0)
@@ -201,24 +188,6 @@ class TestGradients64:
         big = Tensor(np.array([1000.0, 1000.0]))
         assert float(logsumexp(big).data) == pytest.approx(1000.0 + np.log(2))
 
-    def test_rotate_pairs_grads(self, float64):
-        rng = np.random.default_rng(10)
-        e = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
-        r = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
-        w = Tensor(rng.standard_normal((3, 6)))
-        check_grads(lambda: sum_all(hadamard(rotate_pairs(e, r), w)), [e, r])
-
-    def test_rotate_pairs_norm_preserving_and_scale_invariant(self, float64):
-        rng = np.random.default_rng(11)
-        e = Tensor(rng.standard_normal((4, 8)))
-        r = Tensor(rng.standard_normal((4, 8)))
-        out = rotate_pairs(e, r).data
-        pn_in = np.square(e.data.reshape(4, 4, 2)).sum(axis=2)
-        pn_out = np.square(out.reshape(4, 4, 2)).sum(axis=2)
-        np.testing.assert_allclose(pn_out, pn_in, rtol=1e-9)
-        out2 = rotate_pairs(e, Tensor(r.data * 2.5)).data
-        np.testing.assert_allclose(out2, out, rtol=1e-9)
-
     def test_reused_tensor_accumulates(self, float64):
         rng = np.random.default_rng(12)
         a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
@@ -231,6 +200,19 @@ class TestGradients64:
         a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         w = Tensor(rng.standard_normal(4))
         check_grads(lambda: sum_all(hadamard(sum_all(a, axis=0), w)), [a])
+
+
+def segment_mean_reference(a, seg_ptr, denom):
+    """The separate mean op ``segment_mean_std`` replaced, kept as its reference."""
+    seg_ptr = np.asarray(seg_ptr)
+    denom = np.asarray(denom, dtype=a.data.dtype)
+    sizes = np.diff(seg_ptr)
+    inv = (1.0 / denom)[:, None]
+
+    def vjp(g):
+        return (np.repeat(g * inv, sizes, axis=0),)
+
+    return ad._out(ad._segment_sum_data(a.data, seg_ptr) * inv, (a,), vjp)
 
 
 def segment_std_reference(a, seg_ptr, denom):
@@ -268,7 +250,7 @@ def test_segment_mean_std_bytes_match_separate_ops(width):
             if name == "fused":
                 out = segment_mean_std(x, seg_ptr, denom)
             else:
-                out = concat([segment_mean(x, seg_ptr, denom),
+                out = concat([segment_mean_reference(x, seg_ptr, denom),
                               segment_std_reference(x, seg_ptr, denom)], axis=1)
             loss = sum_all(hadamard(out, w))
         tape.backward(loss)
@@ -306,7 +288,7 @@ class TestTapeMechanics:
     def test_backward_requires_scalar(self):
         a = Tensor(np.ones(3), requires_grad=True)
         with Tape() as tape:
-            out = tanh(a)
+            out = relu(a)
         with pytest.raises(ValueError, match="scalar"):
             tape.backward(out)
 
@@ -321,7 +303,7 @@ class TestTapeMechanics:
             rng = np.random.default_rng(31)
             p = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
             with Tape() as tape:
-                loss = sum_all(tanh(matmul(p, p)))
+                loss = logsumexp(matmul(p, p))
             tape.backward(loss)
             return loss.data.copy(), p.grad.copy()
 
@@ -357,15 +339,9 @@ class TestTapeMechanics:
     def test_segment_ptr_validation(self):
         x = Tensor(np.ones((4, 2)))
         with pytest.raises(ValueError, match="seg_ptr"):
-            segment_sum(x, np.array([0, 2, 3]))
+            segment_mean_std(x, np.array([0, 2, 3]), np.ones(2))
         with pytest.raises(ValueError, match="nondecreasing"):
-            segment_sum(x, np.array([0, 3, 2, 4]))
-
-    def test_rotate_pairs_shape_validation(self):
-        with pytest.raises(ValueError, match="even"):
-            rotate_pairs(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
-        with pytest.raises(ValueError, match="match"):
-            rotate_pairs(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))))
+            segment_mean_std(x, np.array([0, 3, 2, 4]), np.ones(3))
 
 
 def test_index_add_matches_np_add_at():
@@ -527,14 +503,14 @@ class TestSingleUseTape:
         p = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
         x = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
         with Tape() as tape:
-            h = tanh(matmul(p, x))
+            h = relu(matmul(p, x))
             loss = sum_all(h)
         assert len(tape._entries) == 3
         tape.backward(loss)
         assert tape._entries == []
         assert h.grad is None and loss.grad is None
-        # leaves keep theirs: d sum(tanh(px)) = (1 - tanh^2) chained
-        dh = 1 - np.tanh(p.data @ x.data) ** 2
+        # leaves keep theirs: d sum(relu(px)) = [px > 0] chained
+        dh = (p.data @ x.data > 0).astype(p.data.dtype)
         np.testing.assert_allclose(p.grad, dh @ x.data.T, rtol=1e-6)
         np.testing.assert_allclose(x.grad, p.data.T @ dh, rtol=1e-6)
 
@@ -561,7 +537,7 @@ class TestSingleUseTape:
 
         with Tape() as tape:
             first = probe(p)  # its VJP runs last
-            big = tanh(first)
+            big = relu(first)
             ref = weakref.ref(big.data)
             loss = sum_all(big)
         del big
@@ -596,7 +572,7 @@ def fake_libc(monkeypatch):
 def small_step():
     p = Tensor(np.ones((2, 2)), requires_grad=True)
     with Tape() as tape:
-        loss = sum_all(tanh(matmul(p, p)))
+        loss = sum_all(relu(matmul(p, p)))
     return tape, loss, p
 
 

@@ -117,7 +117,10 @@ def test_reverse_rel_mapping():
 def test_index_outgoing_set_of_A(toy_index, toy_aug):
     ids = toy_aug.entities
     rels = toy_aug.relations
-    rows = {tuple(r) for r in toy_index.triples_of(ids.id("A")).tolist()}
+    a = ids.id("A")
+    out = slice(toy_index.indptr[a], toy_index.indptr[a + 1])
+    rows = set(zip(toy_index.head[out].tolist(), toy_index.rel[out].tolist(),
+                   toy_index.tail[out].tolist()))
     expected = {
         (ids.id("A"), rels.id("r1"), ids.id("B")),
         (ids.id("A"), rels.id("r2"), ids.id("D")),
@@ -133,9 +136,11 @@ def test_index_completeness_and_degrees(toy_index, toy_aug):
     # every augmented triple appears exactly once in its head bucket
     seen = set()
     for e in range(toy_index.num_entities):
-        for row in toy_index.triples_of(e).tolist():
+        out = slice(toy_index.indptr[e], toy_index.indptr[e + 1])
+        for row in zip(toy_index.head[out].tolist(), toy_index.rel[out].tolist(),
+                       toy_index.tail[out].tolist()):
             assert row[0] == e
-            seen.add(tuple(row))
+            seen.add(row)
     assert len(seen) == 17
     assert seen == {tuple(r) for r in toy_aug.augmented.tolist()}
 
@@ -171,6 +176,16 @@ def test_find_edges(toy_index, toy_aug):
     pos = toy_index.find_edges(ids.id("A"), ids.id("B"))
     assert len(pos) == 1
     assert toy_index.tail[pos[0]] == ids.id("B")
+
+
+@pytest.mark.parametrize("h, t, named", [(-1, 0, "h = -1"), (0, -1, "t = -1"),
+                                          (5, 0, "h = 5"), (0, 5, "t = 5")],
+                         ids=["h_low", "t_low", "h_high", "t_high"])
+def test_find_edges_rejects_out_of_range_ids(toy_index, h, t, named):
+    # a negative h would read indptr[-1]:indptr[0] and find nothing, and
+    # h = |E| would fail in numpy indexing
+    with pytest.raises(ValueError, match=rf"find_edges: {named} outside \[0, 5\)"):
+        toy_index.find_edges(h, t)
 
 
 def test_roundtrip_augmented_tsv(tmp_path, toy_aug):

@@ -28,13 +28,9 @@ def test_toy_distances(toy_index, toy_aug):
 def test_toy_layers(toy_index, toy_aug):
     ids = toy_aug.entities
     dm = relative_distances(toy_index, ids.id("A"), 3)
-    assert set(dm.layer(1)) == {ids.id("B"), ids.id("D")}
-    assert set(dm.layer(2)) == {ids.id("C")}
-    assert set(dm.layer(3)) == {ids.id("E")}
-    with pytest.raises(ValueError):
-        dm.layer(4)
-    with pytest.raises(ValueError):
-        dm.layer(-1)
+    assert set(np.flatnonzero(dm.dist == 1)) == {ids.id("B"), ids.id("D")}
+    assert set(np.flatnonzero(dm.dist == 2)) == {ids.id("C")}
+    assert set(np.flatnonzero(dm.dist == 3)) == {ids.id("E")}
 
 
 def test_horizon_truncation(toy_index, toy_aug):
@@ -42,7 +38,7 @@ def test_horizon_truncation(toy_index, toy_aug):
     dm = relative_distances(toy_index, ids.id("A"), 1)
     assert dm.dist[ids.id("C")] == -1
     assert dm.dist[ids.id("E")] == -1
-    assert set(dm.layer(1)) == {ids.id("B"), ids.id("D")}
+    assert set(np.flatnonzero(dm.dist == 1)) == {ids.id("B"), ids.id("D")}
 
 
 def test_isolated_query_has_empty_layers():
@@ -54,7 +50,7 @@ def test_isolated_query_has_empty_layers():
     idx = build_index(augment(kg))
     dm = relative_distances(idx, 0, 3)
     assert dm.dist[0] == 0 and dm.dist[1] == -1
-    assert len(dm.layer(1)) == 0
+    assert not np.any(dm.dist == 1)
 
 
 def test_bad_arguments(toy_index):
