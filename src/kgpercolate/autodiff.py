@@ -40,13 +40,18 @@ mapped and faulted in afresh.
 
 Default precision is float32.  ``set_default_dtype("float64")`` switches
 new tensors to double, which the gradient-check tests rely on.
+
+A checkpoint (``save_params``, ``load_params``) is one ``.npz`` archive:
+one array per parameter, in order, each in the default dtype, and the meta
+as one JSON string.  Its bytes depend only on the parameters and the meta.
 """
 
 from __future__ import annotations
 
 import ctypes
 import json
-from pathlib import Path
+import math
+import zipfile
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,6 +61,8 @@ _DEBUG_FINITE = False
 _ACTIVE_TAPE: "Tape | None" = None
 
 STD_EPS = 1e-6  # inside the sqrt of segment_mean_std
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+_CKPT_META = "__meta__"  # the checkpoint entry holding meta as JSON
 
 # glibc's mallopt parameters (malloc.h) and the values backward sets
 _M_TRIM_THRESHOLD = -1
@@ -207,7 +214,7 @@ _KERNEL_MIN_CALLS = 4096
 def _segment_sums(x: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     """Row sums of the segments x[ptr[i]:ptr[i + 1]], byte for byte those of
     ``np.add.reduceat(x, ptr[:-1], axis=0)``; ptr rises strictly from 0 to
-    len(x).
+    len(x), which may be 0.
 
     reduceat calls its inner loop once per segment and column.  For a
     segment of m <= 8 rows that loop gives
@@ -220,7 +227,7 @@ def _segment_sums(x: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     the short segments would cost reduceat few calls, it runs on everything.
     """
     starts = ptr[:-1]
-    width = x.size // x.shape[0]
+    width = math.prod(x.shape[1:])
     # the segment count bounds the short ones: few segments skip the counting
     if len(starts) * width < _KERNEL_MIN_CALLS:
         return np.add.reduceat(x, starts, axis=0)
@@ -325,13 +332,8 @@ def reshape(a: Tensor, shape) -> Tensor:
     )
 
 
-def sum_all(a: Tensor, axis=None) -> Tensor:
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy(),)
-
-    return _out(a.data.sum(axis=axis), (a,), vjp)
+def sum_all(a: Tensor) -> Tensor:
+    return _out(a.data.sum(), (a,), lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
@@ -403,19 +405,8 @@ def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:
 def _check_segments(seg_ptr: np.ndarray, n_rows: int) -> None:
     if seg_ptr[0] != 0 or seg_ptr[-1] != n_rows:
         raise ValueError("seg_ptr must start at 0 and end at the row count")
-    if np.any(np.diff(seg_ptr) < 0):
-        raise ValueError("seg_ptr must be nondecreasing")
-
-
-def _segment_sum_data(x: np.ndarray, seg_ptr: np.ndarray) -> np.ndarray:
-    n_seg = len(seg_ptr) - 1
-    out = np.zeros((n_seg,) + x.shape[1:], dtype=x.dtype)
-    nonempty = seg_ptr[1:] > seg_ptr[:-1]
-    if x.shape[0]:
-        # the bounds of the nonempty segments: each one ends where the next
-        # nonempty one starts, as empty segments in between hold no rows
-        out[nonempty] = _segment_sums(x, seg_ptr[np.r_[True, nonempty]])
-    return out
+    if np.any(np.diff(seg_ptr) <= 0):
+        raise ValueError("seg_ptr must be strictly increasing: every segment holds a row")
 
 
 def segment_mean_std(a: Tensor, seg_ptr: np.ndarray, denom: np.ndarray) -> Tensor:
@@ -424,7 +415,8 @@ def segment_mean_std(a: Tensor, seg_ptr: np.ndarray, denom: np.ndarray) -> Tenso
     mean = sum(x) / denom and std = sqrt(relu(E[x^2] - E[x]^2) + eps),
     with E[.] = sum(.) / denom.  One segment sum over [x : x*x] gives both
     sums; it sums each column on its own, so they equal two separate
-    reductions byte for byte.
+    reductions byte for byte.  Every segment holds a row (``seg_ptr`` rises
+    strictly, as in a ``BatchGraph`` layer); no rows give a (0, 2d) result.
     """
     seg_ptr = np.asarray(seg_ptr)
     _check_segments(seg_ptr, a.data.shape[0])
@@ -432,7 +424,7 @@ def segment_mean_std(a: Tensor, seg_ptr: np.ndarray, denom: np.ndarray) -> Tenso
     sizes = np.diff(seg_ptr)
     inv = (1.0 / denom)[:, None]
     d = a.data.shape[1]
-    sums = _segment_sum_data(np.concatenate([a.data, a.data * a.data], axis=1), seg_ptr)
+    sums = _segment_sums(np.concatenate([a.data, a.data * a.data], axis=1), seg_ptr)
     m1 = sums[:, :d] * inv
     w = sums[:, d:] * inv - m1 * m1
     std = np.sqrt(np.maximum(w, 0) + STD_EPS)
@@ -450,32 +442,28 @@ def segment_mean_std(a: Tensor, seg_ptr: np.ndarray, denom: np.ndarray) -> Tenso
 class Adam:
     """Adam with bias correction, over a name -> Tensor parameter dict."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self) -> None:
         self.t += 1
-        b1c = 1 - self.beta1**self.t
-        b2c = 1 - self.beta2**self.t
+        b1c = 1 - ADAM_BETA1**self.t
+        b2c = 1 - ADAM_BETA2**self.t
         for k, p in self.params.items():
             if p.grad is None:
                 continue
             g = p.grad
             m = self._m[k]
             v = self._v[k]
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * g * g
+            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -485,69 +473,52 @@ class Adam:
 # ---------------------------------------------------------------- checkpoints
 
 def save_params(path, params: dict[str, Tensor], meta: dict | None = None) -> None:
-    """Write parameters as one flat binary blob plus a JSON manifest.
+    """Write parameters and ``meta`` as one ``.npz`` archive at ``path``.
 
-    The manifest (path + '.json') records tensor order, shapes and byte
-    offsets; the blob is raw array bytes in manifest order.  The manifest
-    records one dtype, the active default, so a tensor of another dtype is
-    refused rather than written under the wrong label.
+    The archive holds one array per parameter, in ``params`` order, and
+    ``meta`` as one JSON string under ``_CKPT_META``.  Every tensor must be
+    in the active default dtype, which ``load_params`` also requires.  The
+    file is opened here, so it is exactly ``path`` (``np.savez`` appends
+    ``.npz`` to a str path).
     """
-    path = Path(path)
-    blob = bytearray()
-    entries = []
+    arrays = {}
     for name, t in params.items():
-        arr = np.ascontiguousarray(t.data)
-        if arr.dtype != np.dtype(_DTYPE):
-            raise ValueError(f"tensor {name!r} has dtype {arr.dtype}, not the active "
+        if t.data.dtype != np.dtype(_DTYPE):
+            raise ValueError(f"tensor {name!r} has dtype {t.data.dtype}, not the active "
                              f"default dtype {get_default_dtype()}")
-        entries.append(
-            {"name": name, "shape": list(arr.shape), "offset": len(blob)}
-        )
-        blob += arr.tobytes()
-    manifest = {
-        "format": "kgpercolate-checkpoint-v1",
-        "dtype": get_default_dtype(),
-        "tensors": entries,
-        "meta": meta or {},
-    }
-    path.write_bytes(bytes(blob))
-    path.with_name(path.name + ".json").write_text(
-        json.dumps(manifest, indent=2, default=_json_default)
-    )
+        arrays[name] = t.data
+    arrays[_CKPT_META] = np.array(json.dumps(meta or {}, default=_json_default))
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
 
 
 def load_params(path) -> tuple[dict[str, Tensor], dict]:
-    """Read a checkpoint written by ``save_params``.
+    """Read a checkpoint written by ``save_params``: (params in order, meta).
 
-    The checkpoint's dtype must be the active default dtype: tensors take
-    the default dtype, so loading it under another would silently convert
-    every parameter.
+    Every array must be in the active default dtype: tensors take the
+    default dtype, so loading one of another would silently convert it.
     """
-    path = Path(path)
-    manifest = json.loads(path.with_name(path.name + ".json").read_text())
-    if manifest.get("format") != "kgpercolate-checkpoint-v1":
-        raise ValueError(f"{path}: not a recognized checkpoint")
-    dt = np.dtype(manifest["dtype"])
-    if dt.name != get_default_dtype():
-        raise ValueError(f"{path}: checkpoint dtype {dt.name} differs from the active "
-                         f"default dtype {get_default_dtype()}; call "
-                         f"set_default_dtype({dt.name!r}) before loading")
-    blob = path.read_bytes()
-    params: dict[str, Tensor] = {}
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(
-            blob, dtype=dt, count=count, offset=entry["offset"]
-        ).reshape(shape)
-        params[entry["name"]] = Tensor(arr.copy(), requires_grad=True,
-                                       name=entry["name"])
-    return params, manifest.get("meta", {})
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (EOFError, ValueError, zipfile.BadZipFile) as e:
+        raise ValueError(f"{path}: not a recognized checkpoint ({e})") from None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: not a recognized checkpoint (not an .npz archive)")
+    with archive:
+        arrays = {name: archive[name] for name in archive.files}
+    if _CKPT_META not in arrays:
+        raise ValueError(f"{path}: not a recognized checkpoint (no {_CKPT_META} entry)")
+    meta = json.loads(str(arrays.pop(_CKPT_META)))
+    for name, arr in arrays.items():
+        if arr.dtype.name != get_default_dtype():
+            raise ValueError(f"{path}: tensor {name!r} has dtype {arr.dtype.name}, which "
+                             f"differs from the active default dtype {get_default_dtype()}; "
+                             f"call set_default_dtype({arr.dtype.name!r}) before loading")
+    return {name: Tensor(arr, requires_grad=True, name=name)
+            for name, arr in arrays.items()}, meta
 
 
 def _json_default(o):
-    if isinstance(o, (np.integer,)):
-        return int(o)
-    if isinstance(o, (np.floating,)):
-        return float(o)
+    if isinstance(o, (np.integer, np.floating)):
+        return o.item()
     raise TypeError(f"not JSON serializable: {type(o)}")

@@ -9,7 +9,7 @@ and model code operates on the augmented triple set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -212,12 +212,12 @@ class AdjacencyIndex:
     hold the augmented triples sorted stably by head: within a bucket the
     triples keep their order in ``KnowledgeGraph.augmented``.  ``build_index``
     makes that order with one sort of the int64 keys ``head*|T+| + row``, so
-    it needs |E|*|T+| < 2**63.  The out-going
-    triples of entity e occupy positions indptr[e]:indptr[e+1] (int64).
-    ``out_degree`` (int64) counts augmented out-going triples per entity
-    (identity loop included), which in an augmented graph equals the
-    in-degree; less a query's masked in-triples it is the aggregation
-    denominator.
+    it needs |E|*|T+| < 2**63.  The out-going triples of entity e occupy
+    positions indptr[e]:indptr[e+1] (int64), so ``num_entities`` is
+    len(indptr) - 1.  ``out_degree`` (int64) counts augmented out-going
+    triples per entity (identity loop included), which in an augmented graph
+    equals the in-degree; less a query's masked in-triples it is the
+    aggregation denominator.
     """
 
     indptr: np.ndarray
@@ -226,7 +226,10 @@ class AdjacencyIndex:
     tail: np.ndarray
     out_degree: np.ndarray
     n_base_relations: int
-    num_entities: int = field(default=0)
+
+    @property
+    def num_entities(self) -> int:
+        return len(self.indptr) - 1
 
     @property
     def num_triples(self) -> int:
@@ -252,7 +255,7 @@ class AdjacencyIndex:
 
         Raises ValueError naming ``h`` or ``t`` when it is outside [0, |E|).
         """
-        n_e = len(self.indptr) - 1
+        n_e = self.num_entities
         for name, e in (("h", h), ("t", t)):
             if not 0 <= e < n_e:
                 raise ValueError(f"find_edges: {name} = {e} outside [0, {n_e})")
@@ -294,5 +297,4 @@ def build_index(kg: KnowledgeGraph) -> AdjacencyIndex:
         tail=np.take(aug[:, 2], order),
         out_degree=counts.astype(np.int64),
         n_base_relations=kg.n_base_relations,
-        num_entities=n_e,
     )

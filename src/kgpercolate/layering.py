@@ -212,9 +212,9 @@ class LayerTriples:
 
     Rows are sorted so that all triples sharing a target node are
     contiguous; seg_ptr[i]:seg_ptr[i+1] delimits the messages of
-    targets[i].  ``denom`` carries each target's visible in-degree for
-    mean/std normalization: its in-triples in the graph, less those its
-    query slot masks, whether or not the layer selects them.
+    targets[i], one or more.  ``denom`` carries each target's visible
+    in-degree for mean/std normalization: its in-triples in the graph, less
+    those its query slot masks, whether or not the layer selects them.
     ``triple_query`` maps each triple to its query slot for
     query-conditioned relation embeddings.
     """
@@ -261,11 +261,11 @@ class BatchGraph:
         The slots' spans tile the node rows in slot order and agree with
         ``node_query``; each slot's query and answer node (unless -1) lie in
         its own span; there are ``horizon - 1`` layers; in every layer and
-        the decoder, ``seg_ptr`` runs from 0 to the triple count without
-        decreasing, ``targets`` strictly increase, no target has fewer
-        ``denom`` than messages (it cannot receive more than its visible
-        in-triples), and each triple's head and target rows lie in the span
-        of its ``triple_query``.
+        the decoder, ``seg_ptr`` rises strictly from 0 to the triple count
+        (every target receives a message), ``targets`` strictly increase, no
+        target has fewer ``denom`` than messages (it cannot receive more than
+        its visible in-triples), and each triple's head and target rows lie
+        in the span of its ``triple_query``.
         """
         n_q = self.num_queries
         spans = self.spans
@@ -291,9 +291,9 @@ class BatchGraph:
         for name, lt in named + [("decoder", self.decoder)]:
             ptr, m = lt.seg_ptr, lt.num_triples
             if len(ptr) != len(lt.targets) + 1 or ptr[0] != 0 or ptr[-1] != m \
-                    or (np.diff(ptr) < 0).any():
-                raise ValueError(f"{name}: seg_ptr is not a monotone 0..{m} pointer "
-                                 f"over {len(lt.targets)} targets")
+                    or (np.diff(ptr) <= 0).any():
+                raise ValueError(f"{name}: seg_ptr is not a strictly increasing 0..{m} "
+                                 f"pointer over {len(lt.targets)} targets")
             if (np.diff(lt.targets) <= 0).any():
                 raise ValueError(f"{name}: targets are not strictly increasing")
             short = np.flatnonzero(lt.denom < np.diff(ptr))

@@ -486,6 +486,7 @@ def _swap_first_two(a):
         (lambda bg: bg.layers[1].seg_ptr.__setitem__(0, 1), "seg_ptr"),
         (lambda bg: bg.decoder.seg_ptr.__setitem__(-1, bg.decoder.num_triples - 1), "seg_ptr"),
         (lambda bg: _swap_first_two(bg.decoder.seg_ptr[1:]), "seg_ptr"),
+        (lambda bg: bg.decoder.seg_ptr.__setitem__(1, 0), "seg_ptr is not a strictly increasing"),
         (lambda bg: _swap_first_two(bg.decoder.targets), "targets"),
         (lambda bg: bg.decoder.head_node.__setitem__(0, bg.spans[1, 0]), "head row"),
         (lambda bg: bg.decoder.triple_query.__setitem__(0, 1), "row"),
@@ -497,8 +498,8 @@ def _swap_first_two(a):
         (lambda bg: bg.layers.append(bg.decoder), "3 layers at horizon 3"),
         (lambda bg: bg.layers[0].denom.__setitem__(0, bg.layers[0].seg_ptr[1] - 1), "denom"),
     ],
-    ids=["seg_ptr-start", "seg_ptr-end", "seg_ptr-decreasing", "targets-order",
-         "head-crosses-span", "target-crosses-span", "slot-out-of-range",
+    ids=["seg_ptr-start", "seg_ptr-end", "seg_ptr-decreasing", "seg_ptr-empty-segment",
+         "targets-order", "head-crosses-span", "target-crosses-span", "slot-out-of-range",
          "query-node", "answer-node", "node_query", "spans-gap", "layer-count",
          "denom-below-messages"],
 )

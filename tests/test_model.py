@@ -341,27 +341,31 @@ class TestFullModelGradients:
         numeric = fd_param_grads(build_loss, params, h)
         return params, numeric
 
-    def test_float32_relu_global_relative_error(self):
+    @pytest.fixture(scope="class")
+    def float32_grads(self):
+        """The float32 grads and their float64 reference, computed once for
+        both float32 checks (the reference takes ~0.5 s)."""
+        return self.compute_grads(small_config(dim=6, dim_low=4), seed=11, h=1e-6)
+
+    def test_float32_relu_global_relative_error(self, float32_grads):
         # the whole-gradient relative error is the tighter check: the float32
         # analytic gradient is off its float64 reference by ~4e-8, while a
         # 0.1% error in segment_mean_std's std backward shows as ~1e-5, well
         # inside test_float32_per_entry's rtol
-        cfg = small_config(dim=6, dim_low=4)
-        params, numeric = self.compute_grads(cfg, seed=11, h=1e-6)
+        params, numeric = float32_grads
         analytic = np.concatenate([p.grad.ravel() for p in params.values()])
         assert analytic.dtype == np.float32
         fd = np.concatenate([numeric[k].ravel() for k in params])
         rel = np.linalg.norm(analytic - fd) / np.linalg.norm(fd)
         assert rel < 1e-6, rel
 
-    def test_float32_per_entry(self):
+    def test_float32_per_entry(self, float32_grads):
         """Every float32 partial of the model against its float64 reference.
 
         A ReLU kink within h of a pre-activation would spoil that entry's
         difference; at this seed and step every entry passes.
         """
-        cfg = small_config(dim=6, dim_low=4)
-        params, numeric = self.compute_grads(cfg, seed=11, h=1e-6)
+        params, numeric = float32_grads
         for name, p in params.items():
             assert p.grad is not None, name
             assert p.grad.dtype == np.float32, name
