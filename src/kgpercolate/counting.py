@@ -91,7 +91,7 @@ def _hop_counts(index: AdjacencyIndex, dist: np.ndarray, slot: np.ndarray,
     lo, hi = np.minimum(hd, td), np.maximum(hd, td)
     width = horizon + 2
     at = slot * width + hi
-    at = np.concatenate([at[hi - lo <= 1], at[hi == lo] + 1])
+    at = np.concatenate([at.compress(hi - lo <= 1), at.compress(hi == lo) + 1])
     return np.bincount(at, minlength=n_slots * width).reshape(n_slots, width)[:, 1 : horizon + 1]
 
 

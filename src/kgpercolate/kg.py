@@ -47,10 +47,7 @@ class Vocab:
         return self._names[i]
 
     def copy(self) -> "Vocab":
-        v = Vocab()
-        v._names = list(self._names)
-        v._ids = dict(self._ids)
-        return v
+        return Vocab(self._names)
 
     def __len__(self) -> int:
         return len(self._names)
@@ -154,13 +151,8 @@ def make_graph(triples: np.ndarray, entities: Vocab, relations: Vocab) -> Knowle
         f = int(np.argmax(bad[i]))
         raise ValueError(f"triple row {i}: {('head', 'relation', 'tail')[f]} id "
                          f"{ids[i, f]} outside [0, {hi[f]})")
-    triples = ids.astype(np.int32)
-    return KnowledgeGraph(
-        entities=entities,
-        relations=relations,
-        triples=triples,
-        n_base_relations=len(relations),
-    )
+    return KnowledgeGraph(entities=entities, relations=relations,
+                          triples=ids.astype(np.int32), n_base_relations=len(relations))
 
 
 def augment(kg: KnowledgeGraph) -> KnowledgeGraph:

@@ -342,6 +342,14 @@ class TestTapeMechanics:
         # no rows, no segments
         assert segment_mean_std(Tensor(np.ones((0, 2))), np.array([0]), np.ones(0)).shape == (0, 4)
 
+    @pytest.mark.parametrize("denom", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], 2.0])
+    def test_segment_denom_one_per_segment(self, denom):
+        # a single denominator would broadcast to every segment
+        x = Tensor(np.arange(8.0).reshape(4, 2))
+        with pytest.raises(ValueError, match=r"denom of shape .* for 2 segments"):
+            segment_mean_std(x, np.array([0, 2, 4]), np.array(denom))
+        assert segment_mean_std(x, np.array([0, 2, 4]), np.array([1.0, 2.0])).shape == (2, 4)
+
 
 def test_index_add_matches_np_add_at():
     rng = np.random.default_rng(40)
@@ -463,6 +471,41 @@ def test_segment_sums_bytes_match_reduceat(dtype, width):
                 sorted_index_add(want_t, i, vals)
                 index_add(got_t, i, vals)
                 assert got_t.tobytes() == want_t.tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_relu_bytes_match_where(dtype):
+    # relu's forward is branch-free (fmax, then += 0.0 for the sign of
+    # zero); its bytes must be those of np.where(x > 0, x, 0) on every
+    # special value, and its backward must still mask by x > 0
+    fi = np.finfo(dtype)
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, fi.smallest_subnormal,
+               -fi.smallest_subnormal, fi.tiny, -fi.tiny, fi.max, -fi.max]
+    rng = np.random.default_rng(44)
+    x = np.concatenate([np.array(special, dtype=dtype),
+                        rng.standard_normal(36).astype(dtype)]).reshape(6, 8)
+    assert np.signbit(x.reshape(-1)[[1, 3]]).all()  # -0.0 and -nan keep their sign
+    w = rng.standard_normal(x.shape).astype(dtype)
+    ad.set_default_dtype(dtype)
+    try:
+        a = Tensor(x, requires_grad=True)
+        with np.errstate(over="ignore", invalid="ignore"), Tape() as tape:
+            out = relu(a)
+            loss = sum_all(hadamard(out, Tensor(w)))  # inf and nan: only the bytes count
+        want = np.where(x > 0, x, 0)
+        assert out.data.dtype == want.dtype == dtype
+        assert out.data.tobytes() == want.tobytes()
+        # fmax's loops differ by length and alignment (float64 keeps a
+        # -0.0 that leads a short array), so try every window
+        flat, flat_want = x.reshape(-1), want.reshape(-1)
+        for lo in range(len(flat)):
+            for hi in range(lo + 1, len(flat) + 1):
+                got = relu(Tensor(flat[lo:hi])).data
+                assert got.tobytes() == flat_want[lo:hi].tobytes(), (lo, hi)
+        tape.backward(loss)
+        assert a.grad.tobytes() == (w * (x > 0)).tobytes()
+    finally:
+        ad.set_default_dtype("float32")
 
 
 @pytest.mark.parametrize("index", [np.array([True, False, True]), np.array([0.0, 2.0, 1.0])])

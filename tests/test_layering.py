@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgpercolate.kg import Vocab, augment, build_index, make_graph
-from kgpercolate.layering import QuerySpec, SubgraphBuilder, relative_distances
+from kgpercolate.layering import QuerySpec, SubgraphBuilder, batch_distances, relative_distances
 
 from conftest import bfs_oracle, build_toy, random_kg, random_mask
 
@@ -390,6 +390,38 @@ def test_batch_bfs_dies_before_horizon(queries):
         assert sizes[3:] == [0, 0]
         # the batch holds layers 1..4, the kernel's layer 5 is not merged
         assert [len(slot_triples(bg, lt, s)) for lt in bg.layers] == sizes[:-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 4))
+def test_batch_layers_are_kernel_layers_grouped_by_tail(seed, n_slots, L):
+    # the builder groups the decoder once and takes each layer as a
+    # subsequence of it; that must equal the kernel's layer put through a
+    # stable sort by tail row, the summation order the model's sums see
+    rng = np.random.default_rng(seed)
+    idx = build_index(augment(random_kg(rng)))
+    n_e = idx.num_entities
+    specs = [QuerySpec(int(rng.integers(0, n_e)), 0, -1,
+                       random_mask(rng, idx, rng.uniform(0.0, 0.5))[0] if rng.random() < 0.5
+                       else None)
+             for _ in range(n_slots)]
+    bg = SubgraphBuilder(idx).build_batch(specs, L)
+    bd = batch_distances(idx, [qs.query for qs in specs], L, [qs.removed for qs in specs])
+    row = {key: r for r, key in enumerate(zip(bg.node_query.tolist(), bg.node_entity.tolist()))}
+    assert len(bg.layers) == L - 1
+    for lt, (slot, pos) in zip(bg.layers + [bg.decoder], bd.layers[:-1] + [bd.decoder]):
+        triples = [(row[s, t], row[s, h], r, s) for s, h, r, t in zip(
+            slot.tolist(), idx.head[pos].tolist(), idx.rel[pos].tolist(), idx.tail[pos].tolist())]
+        grouped = sorted(triples, key=lambda x: x[0])  # sorted() is stable
+        tail = [x[0] for x in grouped]
+        targets = sorted(set(tail))
+        assert lt.targets.tolist() == targets
+        assert lt.seg_ptr.tolist() == [tail.index(t) for t in targets] + [len(tail)]
+        assert lt.head_node.tolist() == [x[1] for x in grouped]
+        assert lt.rel.tolist() == [x[2] for x in grouped]
+        assert lt.triple_query.tolist() == [x[3] for x in grouped]
+        for a in (lt.head_node, lt.rel, lt.seg_ptr, lt.targets, lt.triple_query):
+            assert a.dtype == np.int64
 
 
 def batch_fields(bg) -> dict:
