@@ -100,7 +100,9 @@ def _query_counts(index: AdjacencyIndex, queries, horizon: int,
     """All per-method figures for each query, from one kernel call."""
     bd = batch_distances(index, queries, horizon, removed)
     n = len(bd.queries)
-    perc = np.stack([np.bincount(slot, minlength=n) for slot, _ in bd.layers], axis=1)
+    width = horizon + 2  # layer ids 0..horizon+1
+    perc = np.bincount(bd.decoder[0] * width + bd.layer, minlength=n * width)
+    perc = perc.reshape(n, width)[:, 1 : horizon + 1]
     hops = _hop_counts(index, bd.dist, *bd.decoder, n, horizon)
     decoder = np.bincount(bd.decoder[0], minlength=n)
     out = []

@@ -76,7 +76,8 @@ def _step_matrix(family: str, dim: int, rng: np.random.Generator) -> np.ndarray 
     if family == "scaling":
         return rng.uniform(0.5, 1.5, size=dim)
     if family == "rotation":
-        q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+        a = rng.standard_normal((dim, dim))
+        q, r = np.linalg.qr(a)
         return q * np.sign(np.diag(r))  # uniform orthogonal
     raise ValueError(f"unknown step family {family!r}; choose from {FAMILIES}")
 
@@ -108,13 +109,17 @@ def simulate_hop_variance(
     res = HopVarianceResult(
         family=family, dim=dim, hops=hops, sigma2=sigma2,
         samples=samples, seed=seed,
-        theory=([k * sigma2 for k in range(1, hops + 1)]
-                if family in ("translation", "rotation") else None),
+        theory=(
+            [k * sigma2 for k in range(1, hops + 1)]
+            if family in ("translation", "rotation")
+            else None
+        ),
     )
     sigma = float(np.sqrt(sigma2))
     for _k in range(1, hops + 1):
         if family == "rotation":
-            delta = delta @ _step_matrix("rotation", dim, rng).T
+            a = _step_matrix("rotation", dim, rng)
+            delta = delta @ a.T
         elif family == "scaling":
             delta = delta * scale_diag
         delta = delta + rng.standard_normal((samples, dim)) * sigma
@@ -182,12 +187,17 @@ def simulate_aggregation(
     before = path_err.mean(axis=1)
     after = (path_err.sum(axis=1) + redundant_err) / (m + 1)
 
-    b_b, b_a = (np.square(x).reshape(batches, -1).mean(axis=1) for x in (before, after))
+    def batch_var(x):
+        per = np.square(x).reshape(batches, -1).mean(axis=1)
+        return per
+
+    b_b = batch_var(before)
+    b_a = batch_var(after)
     diff = b_a - b_b
     before_exact, after_exact, inc_exact = exact_aggregation_variance(
         m, path_len, alpha, overlap, sigma2
     )
-    return AggregationResult(
+    res = AggregationResult(
         m=m, path_len=path_len, alpha=alpha, overlap=overlap,
         sigma2=sigma2, samples=samples, seed=seed,
         before_estimate=float(b_b.mean()),
@@ -203,6 +213,7 @@ def simulate_aggregation(
         pairwise_covariance_exact=m * (m - 1) * overlap * sigma2,
         shared_covariance_uniform=True,
     )
+    return res
 
 
 def run_entropy_suite(

@@ -47,7 +47,10 @@ class Vocab:
         return self._names[i]
 
     def copy(self) -> "Vocab":
-        return Vocab(self._names)
+        v = Vocab()
+        v._names = list(self._names)
+        v._ids = dict(self._ids)
+        return v
 
     def __len__(self) -> int:
         return len(self._names)
@@ -151,8 +154,13 @@ def make_graph(triples: np.ndarray, entities: Vocab, relations: Vocab) -> Knowle
         f = int(np.argmax(bad[i]))
         raise ValueError(f"triple row {i}: {('head', 'relation', 'tail')[f]} id "
                          f"{ids[i, f]} outside [0, {hi[f]})")
-    return KnowledgeGraph(entities=entities, relations=relations,
-                          triples=ids.astype(np.int32), n_base_relations=len(relations))
+    triples = ids.astype(np.int32)
+    return KnowledgeGraph(
+        entities=entities,
+        relations=relations,
+        triples=triples,
+        n_base_relations=len(relations),
+    )
 
 
 def augment(kg: KnowledgeGraph) -> KnowledgeGraph:
@@ -235,7 +243,7 @@ class AdjacencyIndex:
         """Positions of the out-going triples of each entity of ``ents``, as
         one run per entity in that order, and the length of each run."""
         starts = self.indptr[ents]
-        counts = self.indptr[ents + 1] - starts
+        counts = self.out_degree[ents]
         ends = np.cumsum(counts)
         total = int(ends[-1]) if len(ends) else 0
         # position k of run i is starts[i] + k - (ends[i] - counts[i])

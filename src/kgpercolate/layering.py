@@ -15,15 +15,16 @@ interact, so a slot's result does not depend on the others in its batch;
 the same entity may fill several slots.  ``relative_distances`` is its
 one-slot form.  The batch builder, the triple counts and the principle
 checks all read the kernel.  The builder merges the slots into one node
-table so the model can process them in a single set of tensor ops.  It
-groups the decoder by tail row with one sort; each encoder layer is the
-subsequence of the grouped decoder with heads at l-1 and tails no
-shallower, the order a stable sort of that layer alone would give.
+table so the model can process them in a single set of tensor ops.  The
+kernel gives each decoder triple its layer id, so a layer is a subsequence
+of the decoder; the builder groups the decoder by tail row with one sort,
+and each encoder layer is a subsequence of that, in the order a stable sort
+of the layer alone would give.
 
-Selections are branch-free: ``ndarray.compress``, not ``a[mask]`` (20k
-int64, unpredictable mask: 31-44 against 145-195 us, numpy 2.4.6, 2-vCPU
-VM), and the builder splits keys with ``//`` and a multiply-subtract, not
-``np.divmod`` (33-44 against 91 us); the kernel's few frontier keys keep it.
+Batch-sized selections are branch-free: ``ndarray.compress``, not
+``a[mask]`` (20k int64, unpredictable mask: 31-44 against 145-195 us, numpy
+2.4.6, 2-vCPU VM), and the builder splits keys with ``//`` and a
+multiply-subtract, not ``np.divmod`` (33-44 against 91 us).
 """
 
 from __future__ import annotations
@@ -64,16 +65,18 @@ class BatchDistanceMap:
 
     Slot s keys entity e as ``s*|E| + e``.  ``dist`` is indexed by that key;
     ``within`` lists the keys at distance >= 0, ascending, i.e. by slot and
-    then by entity.  ``layers[l-1]`` and ``decoder`` are (slot, pos) pairs
-    of arrays, ascending by slot and then by triple position.
+    then by entity.  ``decoder`` is a (slot, pos) pair of arrays, ascending
+    by slot and then by triple position.  ``layer`` gives each decoder triple
+    its head's distance plus one when its tail is no shallower, else 0, so
+    percolation layer l is the decoder's subsequence where ``layer == l``.
     """
 
     queries: np.ndarray  # (B,) int64 query entity per slot
     horizon: int
     dist: np.ndarray  # (B*|E|,) int16, -1 for unreachable within horizon
     within: np.ndarray  # (n,) int64 entity keys
-    layers: list[tuple[np.ndarray, np.ndarray]]  # percolation layers 1..horizon
     decoder: tuple[np.ndarray, np.ndarray]
+    layer: np.ndarray  # (m,) int16 layer of each decoder triple, 0..horizon+1
     masked: np.ndarray | None  # sorted keys slot*|T+| + pos of masked triples
 
 
@@ -174,23 +177,27 @@ def batch_distances(
     dist = np.full(len(queries) * n_e, -1, dtype=np.int16)
     frontier = np.arange(len(queries), dtype=np.int64) * n_e + queries
     dist[frontier] = 0
-    layers = []
+    reached = [frontier]
     for l in range(1, horizon + 1):
         # the frontier holds every key at distance l-1, ascending
         slot, pos = _out_triples(index, frontier, masked)
         tails = slot * n_e + index.tail[pos]
         fresh = tails.compress(dist[tails] == -1)
         dist[fresh] = l
+        reached.append(fresh)
         if l < horizon:  # the last layer's frontier is never expanded
             frontier = _sorted_unique(fresh)
-        # no tail is deeper than l, so layer l keeps the tails at l-1 or l
-        sel = dist[tails] >= l - 1
-        layers.append((slot.compress(sel), pos.compress(sel)))
-    within = np.flatnonzero(dist >= 0)
+    # every reached key once, without a scan of the (B*|E|,) table
+    within = _sorted_unique(np.concatenate(reached))
     slot, pos = _out_triples(index, within, masked)
-    sel = dist[slot * n_e + index.tail[pos]] >= 0
-    return BatchDistanceMap(queries, horizon, dist, within, layers,
-                            (slot.compress(sel), pos.compress(sel)), masked)
+    td = dist[slot * n_e + index.tail[pos]]
+    sel = td >= 0
+    slot, pos, td = slot.compress(sel), pos.compress(sel), td.compress(sel)
+    # no tail is deeper than its head plus one, so layer l holds the triples
+    # with head at l-1 and tail at l-1 or l
+    hd = dist[slot * n_e + index.head[pos]]
+    return BatchDistanceMap(queries, horizon, dist, within, (slot, pos),
+                            (hd + 1) * (td >= hd), masked)
 
 
 def relative_distances(
@@ -201,7 +208,9 @@ def relative_distances(
 ) -> DistanceMap:
     """``batch_distances`` for the single query q: its slot 0."""
     bd = batch_distances(index, [q], horizon, [removed])
-    return DistanceMap(q, horizon, bd.dist, [pos for _, pos in bd.layers], bd.decoder[1])
+    pos = bd.decoder[1]
+    return DistanceMap(q, horizon, bd.dist, [pos[bd.layer == l] for l in range(1, horizon + 1)],
+                       pos)
 
 
 @dataclass
@@ -334,8 +343,8 @@ class SubgraphBuilder:
         self.index = index
 
     def build_batch(self, queries: list[QuerySpec], horizon: int) -> BatchGraph:
-        """The queries' subgraphs from one kernel call, as one batch: the decoder
-        is grouped by tail row once and each layer is a subsequence of it."""
+        """The queries' subgraphs from one kernel call, as one batch; each layer
+        is a subsequence of the decoder, grouped by tail row once."""
         index = self.index
         n_q, n_e = len(queries), index.num_entities
         # the kernel checks the horizon, the query entities and the masks
@@ -368,16 +377,13 @@ class SubgraphBuilder:
         # group the decoder by tail row once: the keys row*m + i are unique,
         # so sorting them is a stable sort of the rows without a sort index
         slot, pos = bd.decoder
-        head, tail = slot * n_e + index.head[pos], slot * n_e + index.tail[pos]
         m = len(pos)
-        grouped = np.sort(rows[tail] * np.int64(m) + np.arange(m))
+        grouped = np.sort(rows[slot * n_e + index.tail[pos]] * np.int64(m) + np.arange(m))
         tail_row = grouped // m
         order = grouped - tail_row * m
-        # layer l holds the triples with head at l-1 and tail no shallower
-        hd, td = bd.dist[head], bd.dist[tail]
-        layer = ((hd + 1) * (td >= hd)).take(order)
-        decoder = (tail_row, rows[head.take(order)].astype(np.int64),
-                   index.rel[pos.take(order)].astype(np.int64), slot.take(order))
+        slot, pos, layer = slot.take(order), pos.take(order), bd.layer.take(order)
+        decoder = (tail_row, rows[slot * n_e + index.head[pos]].astype(np.int64),
+                   index.rel[pos].astype(np.int64), slot)
         return BatchGraph(
             n_nodes=len(keys),
             node_entity=node_entity,

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgpercolate.kg import Vocab, augment, build_index, make_graph
-from kgpercolate.layering import QuerySpec, SubgraphBuilder, batch_distances, relative_distances
+from kgpercolate.layering import QuerySpec, SubgraphBuilder, relative_distances
 
 from conftest import bfs_oracle, build_toy, random_kg, random_mask
 
@@ -394,10 +394,11 @@ def test_batch_bfs_dies_before_horizon(queries):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 4))
-def test_batch_layers_are_kernel_layers_grouped_by_tail(seed, n_slots, L):
+def test_batch_layers_are_bfs_layers_grouped_by_tail(seed, n_slots, L):
     # the builder groups the decoder once and takes each layer as a
-    # subsequence of it; that must equal the kernel's layer put through a
-    # stable sort by tail row, the summation order the model's sums see
+    # subsequence of it; that must equal each slot's layer, read off a plain
+    # BFS in ascending triple position, put through a stable sort by tail
+    # row: the summation order the model's sums see
     rng = np.random.default_rng(seed)
     idx = build_index(augment(random_kg(rng)))
     n_e = idx.num_entities
@@ -406,13 +407,25 @@ def test_batch_layers_are_kernel_layers_grouped_by_tail(seed, n_slots, L):
                        else None)
              for _ in range(n_slots)]
     bg = SubgraphBuilder(idx).build_batch(specs, L)
-    bd = batch_distances(idx, [qs.query for qs in specs], L, [qs.removed for qs in specs])
+    triples = np.stack([idx.head, idx.rel, idx.tail], axis=1)
     row = {key: r for r, key in enumerate(zip(bg.node_query.tolist(), bg.node_entity.tolist()))}
+    # (slot, pos) of every unmasked triple in each slot's layer l, or decoder at l=0
+    wanted = {l: [] for l in range(L)}
+    for s, qs in enumerate(specs):
+        removed = set() if qs.removed is None else set(qs.removed.tolist())
+        kept = [p for p in range(idx.num_triples) if p not in removed]
+        d = bfs_oracle(triples[kept], n_e, qs.query, L).tolist()
+        for p in kept:
+            h, t = int(idx.head[p]), int(idx.tail[p])
+            if d[h] >= 0 and d[t] >= 0:
+                wanted[0].append((s, p))
+            if 1 <= d[h] + 1 < L and d[t] >= d[h]:
+                wanted[d[h] + 1].append((s, p))
     assert len(bg.layers) == L - 1
-    for lt, (slot, pos) in zip(bg.layers + [bg.decoder], bd.layers[:-1] + [bd.decoder]):
-        triples = [(row[s, t], row[s, h], r, s) for s, h, r, t in zip(
-            slot.tolist(), idx.head[pos].tolist(), idx.rel[pos].tolist(), idx.tail[pos].tolist())]
-        grouped = sorted(triples, key=lambda x: x[0])  # sorted() is stable
+    for lt, pairs in zip(bg.layers + [bg.decoder], [wanted[l] for l in range(1, L)] + [wanted[0]]):
+        rows = [(row[s, int(idx.tail[p])], row[s, int(idx.head[p])], int(idx.rel[p]), s)
+                for s, p in pairs]
+        grouped = sorted(rows, key=lambda x: x[0])  # sorted() is stable
         tail = [x[0] for x in grouped]
         targets = sorted(set(tail))
         assert lt.targets.tolist() == targets

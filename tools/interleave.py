@@ -12,11 +12,11 @@ CHANGED / BASE; a ratio below 1 means CHANGED is faster.
 
 CALL is one of ``relative_distances`` and ``verify_percolation_principles``
 (once per query of the batch), ``count_queries`` and ``build_batch`` (once
-per batch).  CHANGED defaults to this checkout.  The default set-up is the
-eval workload's: the sparse test graph at horizon 3, batches of 64 held-out
-queries asked in either direction, no masks; ``--graph train --horizon 4``
-picks the train graph.  The host's speed drifts by up to 1.5x between
-separate runs, so a small difference is visible only in pairs this close.
+per batch).  CHANGED defaults to this checkout.  The set-up is the eval
+workload's: the sparse test graph at horizon 3, batches of 64 held-out
+queries asked in either direction, no masks.  The host's speed drifts by up
+to 1.5x between separate runs, so a small difference is visible only in
+pairs this close.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import numpy as np
 
 HERE = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 CALLS = ("relative_distances", "verify_percolation_principles", "count_queries", "build_batch")
+HORIZON = 3
 
 
 def load(root: str, name: str):
@@ -45,7 +46,7 @@ def load(root: str, name: str):
     return module
 
 
-def side(pkg, triples: np.ndarray, n_e: int, n_rel: int, call: str, horizon: int):
+def side(pkg, triples: np.ndarray, n_e: int, n_rel: int, call: str):
     """The call of the package ``pkg`` on its own index, as a function of a batch."""
     kg, layering, counting, paths = (importlib.import_module(f"{pkg.__name__}.{sub}")
                                      for sub in ("kg", "layering", "counting", "paths"))
@@ -55,12 +56,12 @@ def side(pkg, triples: np.ndarray, n_e: int, n_rel: int, call: str, horizon: int
     if call == "build_batch":
         builder = layering.SubgraphBuilder(index)
         return lambda rows: builder.build_batch(
-            [layering.QuerySpec(int(h), int(r), int(t)) for h, r, t in rows], horizon)
+            [layering.QuerySpec(int(h), int(r), int(t)) for h, r, t in rows], HORIZON)
     if call == "count_queries":
-        return lambda rows: counting.count_queries(index, rows[:, 0], horizon)
+        return lambda rows: counting.count_queries(index, rows[:, 0], HORIZON)
     fn = (paths.verify_percolation_principles if call == "verify_percolation_principles"
           else layering.relative_distances)
-    return lambda rows: [fn(index, int(q), horizon) for q in rows[:, 0]]
+    return lambda rows: [fn(index, int(q), HORIZON) for q in rows[:, 0]]
 
 
 def run_ms(fn, rows) -> float:
@@ -78,25 +79,19 @@ def main() -> None:
     ap.add_argument("--pairs", type=int, default=60)
     ap.add_argument("--reps", type=int, default=3)
     ap.add_argument("--batch", type=int, default=64)
-    ap.add_argument("--graph", choices=("test", "train"), default="test")
-    ap.add_argument("--horizon", type=int, default=3)
     args = ap.parse_args()
 
     sys.path.insert(0, os.path.join(HERE, "bench"))
     from synth import make_split
 
     split = make_split(args.seed)
-    if args.graph == "train":
-        triples, pool, n_e = split.train, split.train, split.n_train_entities
-    else:
-        triples, pool, n_e = split.test_facts, split.test_queries, split.n_test_entities
-    pool = pool.astype(np.int64)
+    pool = split.test_queries.astype(np.int64)
     pool = np.concatenate([pool, np.stack([pool[:, 2], pool[:, 1] + split.n_relations,
                                            pool[:, 0]], axis=1)])
     rng = np.random.default_rng([args.seed, 1])
     batches = [pool[rng.integers(0, len(pool), args.batch)] for _ in range(args.pairs)]
-    fns = [side(load(root, name), triples, n_e, split.n_relations,
-                args.call, args.horizon)
+    fns = [side(load(root, name), split.test_facts, split.n_test_entities, split.n_relations,
+                args.call)
            for root, name in ((args.base, "kgp_base"), (args.changed, "kgp_changed"))]
     for fn in fns:  # warm both sides up
         fn(batches[0])
@@ -109,7 +104,7 @@ def main() -> None:
     ratio = times[:, 1] / times[:, 0]
     q1, med, q3 = np.percentile(ratio, [25, 50, 75])
     print(f"call      {args.call} (seed {args.seed}, {args.pairs} pairs of "
-          f"{args.batch}-query batches, {args.graph} graph, horizon {args.horizon})")
+          f"{args.batch}-query batches, test graph, horizon {HORIZON})")
     print(f"base      {np.median(times[:, 0]):.3f} ms median  {os.path.abspath(args.base)}")
     print(f"changed   {np.median(times[:, 1]):.3f} ms median  {os.path.abspath(args.changed)}")
     print(f"ratio     {med:.3f} changed/base [q1 {q1:.3f}, q3 {q3:.3f}], "
