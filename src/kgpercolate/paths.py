@@ -15,17 +15,21 @@ vacuous.  Principle (2) drops base-relation self-loops from its walks for
 the same reason: a triple whose head is its tail is a sideways step, and a
 shortest path ending in one is valid and shares every triple with that path.
 
-One climbing DFS from the query (``shortest_path_map``) gives the
-shortest-path set of every in-horizon entity, and the principle checks
-read it.  Both DFS passes read one per-query adjacency, ``_Horizon``: the
-relative distance of every in-horizon entity in one dict, and each entity's
-out-triples read from the CSR once.  ``verify_percolation_principles``
-builds it once per query and shares it between its checks.
+One climbing DFS from the query gives the shortest-path set of every
+in-horizon entity, each path a tuple of triples; ``shortest_path_map`` wraps
+them as ``RelationalPath``s.  The climb also tracks validity as it goes, as
+the walk DFS of principle (2) does, and marks each path that is not
+percolation-valid or leaves the horizon, so principle (1) re-derives the
+potential differences of the marked paths only.  Both DFS passes read one
+per-query adjacency, ``_Horizon``: the relative distance of every in-horizon
+entity in one dict, and each entity's out-triples read from the CSR once.
+``verify_percolation_principles`` builds it once per query and shares it
+between its checks.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +78,7 @@ def enumerate_paths(
     out: list[RelationalPath] = []
     prefix: list[Triple] = []
     budget = [max_expansions]
+    short_sets: dict[int, list[set[Triple]]] = {}
 
     def walk(node: int, depth: int):
         budget[0] -= 1
@@ -114,7 +119,9 @@ def shortest_path_map(
     without a key has no shortest path.  One budget unit is one climbing
     prefix visited.
     """
-    return _climb(_Horizon(index, dm), dm.query, max_expansions)
+    q = dm.query
+    short, _ = _climb(_Horizon(index, dm), q, max_expansions)
+    return {t: [RelationalPath(q, t, p) for p in paths] for t, paths in short.items()}
 
 
 class _Horizon(dict):
@@ -149,30 +156,40 @@ class _Horizon(dict):
 
 def _climb(
     adj: _Horizon, query: int, max_expansions: int,
-) -> dict[int, list[RelationalPath]]:
-    """``shortest_path_map`` on a built adjacency."""
+) -> tuple[dict[int, list[tuple[Triple, ...]]], dict[int, list[tuple[Triple, ...]]]]:
+    """``shortest_path_map`` on a built adjacency, each path a tuple of
+    triples, and per target the paths among them, in DFS order, whose
+    potential differences are not all positive or that leave the horizon."""
     dist = adj.dist
-    out: dict[int, list[RelationalPath]] = {}
+    short: dict[int, list[tuple[Triple, ...]]] = {}
+    invalid: dict[int, list[tuple[Triple, ...]]] = {}
     prefix: list[Triple] = []
     budget = [max_expansions]
 
-    def climb(node: int, depth: int):
+    def climb(node: int, depth: int, gh: int, climbed: bool, inside: bool):
+        # gh, climbed and inside as in the walk DFS of principle (2)
         budget[0] -= 1
         if budget[0] < 0:
             raise ValueError(
                 f"shortest-path enumeration exceeded {max_expansions} expansions"
             )
-        if dist.get(node) == depth:
-            out.setdefault(node, []).append(RelationalPath(query, node, tuple(prefix)))
+        gt = dist.get(node, -1)
+        if gt == depth:
+            path = tuple(prefix)
+            short.setdefault(node, []).append(path)
+            if depth and not (inside and climbed and gt >= gh):
+                invalid.setdefault(node, []).append(path)
+        climbed = climbed and (depth == 0 or gt > gh)
+        inside = inside and gt >= 0
         for r, t in adj[node]:
             if dist.get(t) != depth + 1:
                 continue
             prefix.append((node, r, t))
-            climb(t, depth + 1)
+            climb(t, depth + 1, gt, climbed, inside)
             prefix.pop()
 
-    climb(query, 0)
-    return out
+    climb(query, 0, 0, True, True)
+    return short, invalid
 
 
 def potential_deltas(path: RelationalPath, dm: DistanceMap) -> list[int]:
@@ -225,10 +242,14 @@ def classify_redundant(
         raise ValueError(f"target {path.target} unreachable within horizon")
     if path.length <= gamma:
         return False
-    tset = set(path.triples)
-    if gamma == 0:
-        return True
-    return any(len(tset & set(s.triples)) >= gamma for s in shortest)
+    return _shares_shortest(set(path.triples), gamma, (set(s.triples) for s in shortest))
+
+
+def _shares_shortest(tset: set[Triple], gamma: int, shortest: Iterable[set[Triple]]) -> bool:
+    """The redundancy rule for a walk longer than gamma, given its distinct
+    triples and those of each shortest path: it shares at least gamma of
+    them with one shortest path; at gamma 0 every such walk is redundant."""
+    return gamma == 0 or any(len(tset & s) >= gamma for s in shortest)
 
 
 @dataclass
@@ -272,18 +293,23 @@ def verify_percolation_principles(
 
     The query's adjacency (``_Horizon``: one distance dict, each entity's
     out-triples read from the CSR once) is built once and read by every
-    check.  (1) reads one ``shortest_path_map`` climb over it and applies
-    the ``potential_deltas`` rule to each path with distances from the dict.
-    (2) is one walk DFS that tracks validity as it goes (every step but the
-    last climbs strictly, the last does not descend: exactly
-    ``potential_deltas > 0``) and builds a ``RelationalPath`` only for a
-    valid walk longer than its target's distance, the only kind that can be
-    redundant.  (3) takes its wanted triples from the CSR ranges of the
-    heads at distance <= horizon-1, in ascending position as a scan of all
-    triples would, and never from the map's decoder or layers, so that it
-    does not lean on the kernel it checks.  ``max_expansions`` bounds each
-    DFS pass apart, raising ValueError past it: the climb's prefixes over
-    all targets together, and the walk DFS's prefixes.
+    check.  (1) reads one climb over it, which records each shortest path as
+    a tuple of triples and marks the paths whose potential differences would
+    not all be positive, tracking validity as (2) does.  (1) applies the
+    ``potential_deltas`` rule to the marked paths only, targets in ascending
+    entity order and paths in DFS order, so its counterexamples and the
+    error for a path entity outside the horizon are those of a check of
+    every path.  (2) is one walk DFS that tracks validity as it goes (every
+    step but the last climbs strictly, the last does not descend: exactly
+    ``potential_deltas > 0``) and tests a valid walk longer than its
+    target's distance, the only kind that can be redundant, against that
+    target's shortest-path triple sets, built once per target.  (3) takes
+    its wanted triples from the CSR ranges of the heads at distance <=
+    horizon-1, in ascending position as a scan of all triples would, and
+    never from the map's decoder or layers, so that it does not lean on the
+    kernel it checks.  ``max_expansions`` bounds each DFS pass apart,
+    raising ValueError past it: the climb's prefixes over all targets
+    together, and the walk DFS's prefixes.
     """
     dm = relative_distances(index, q, horizon)
     rep = PrincipleReport(
@@ -292,18 +318,18 @@ def verify_percolation_principles(
     )
     adj = _Horizon(index, dm)
     dist = adj.dist
-    short = _climb(adj, q, max_expansions)
-    for t in dist:
-        paths = short.get(t, [])
-        rep.n_shortest += len(paths)
-        for p in paths:
-            if not all(d > 0 for d in _deltas(p.triples, dist, horizon)):
+    short, invalid = _climb(adj, q, max_expansions)
+    rep.n_shortest = sum(map(len, short.values()))
+    for t in sorted(invalid):
+        for p in invalid[t]:
+            if not all(d > 0 for d in _deltas(p, dist, horizon)):
                 rep.shortest_all_valid = False
-                rep.counterexamples.append(f"shortest-not-valid: {p.triples}")
+                rep.counterexamples.append(f"shortest-not-valid: {p}")
 
     # (2): enumerate every walk from q up to the horizon, self-loops excluded
     prefix: list[Triple] = []
     budget = [max_expansions]
+    short_sets: dict[int, list[set[Triple]]] = {}
 
     def walk(node: int, depth: int, gh: int, climbed: bool, inside: bool):
         # gh: distance of the previous entity; climbed: every step before
@@ -323,11 +349,12 @@ def verify_percolation_principles(
                 rep.n_valid += 1
                 # only a walk longer than its target's distance can be redundant
                 if depth > gt:
-                    p = RelationalPath(q, node, tuple(prefix))
-                    if classify_redundant(p, dm, short.get(node, [])):
+                    if node not in short_sets:
+                        short_sets[node] = [set(p) for p in short.get(node, ())]
+                    if _shares_shortest(set(prefix), gt, short_sets[node]):
                         rep.n_redundant += 1
                         rep.no_valid_redundant = False
-                        rep.counterexamples.append(f"valid-and-redundant: {p.triples}")
+                        rep.counterexamples.append(f"valid-and-redundant: {tuple(prefix)}")
         if depth == horizon:
             return
         climbed = climbed and (depth == 0 or gt > gh)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from dataclasses import replace
 
@@ -455,20 +456,34 @@ def leave_horizon(dm, e):
     return replace(dm, dist=dist)
 
 
+def query_deeper(dm):
+    # the query below its neighbours: a length-1 shortest path whose only
+    # step descends, and longer climbs whose first step descends
+    dist = dm.dist.copy()
+    dist[dm.query] = 2
+    return replace(dm, dist=dist)
+
+
+def corrupted_maps(true):
+    """Each corrupted map of a true one, in a fixed order."""
+    return [corrupt_query_distance(true), corrupt_neighbour_distance(true),
+            corrupt_layers(true), repeat_layers_reversed(true),
+            leave_horizon(true, true.query), query_deeper(true)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 4))
 def test_verify_matches_reference(seed, L):
     # reports equal field for field, counterexamples as ordered lists, on the
-    # true map, each corrupted map and one entity left outside the horizon,
-    # under the default budget and under budgets that may run out
+    # true map, each corrupted map and one other entity left outside the
+    # horizon, under the default budget and under budgets that may run out
     import kgpercolate.paths
 
     rng = np.random.default_rng(seed)
     idx = build_index(augment(loopy_kg(rng)))
     for q in rng.choice(idx.num_entities, size=3).tolist():
         true = relative_distances(idx, q, L)
-        maps = [true, corrupt_query_distance(true), corrupt_neighbour_distance(true),
-                corrupt_layers(true), repeat_layers_reversed(true)]
+        maps = [true, *corrupted_maps(true)]
         inside = [e for e in true.within().tolist() if e != q]
         if inside:
             maps.append(leave_horizon(true, int(rng.choice(inside))))
@@ -483,6 +498,29 @@ def test_verify_matches_reference(seed, L):
                 for budget in (n, n + 1, int(rng.integers(1, 120))):
                     want = outcome(reference_verify, idx, dm, budget)
                     assert outcome(verify_percolation_principles, idx, q, L, budget) == want
+
+
+# sha256 of verify's outcome, report or raised message, on every query of
+# two seeded loopy graphs at horizons 1-4, on the true map, each corrupted
+# map and every other entity left outside the horizon
+GOLDEN_REPORT_DIGEST = "6f27d73afe66ad9b026b9a45959555eb39dbe56d0edbc33e1111a3911d155814"
+
+
+def test_report_digest(monkeypatch):
+    # every PrincipleReport field, counterexamples in order, byte for byte
+    import kgpercolate.paths
+
+    h = hashlib.sha256()
+    for seed in (3, 7):
+        idx = build_index(augment(loopy_kg(np.random.default_rng(seed))))
+        for L in (1, 2, 3, 4):
+            for q in range(idx.num_entities):
+                true = relative_distances(idx, q, L)
+                others = [leave_horizon(true, e) for e in true.within().tolist() if e != q]
+                for dm in [true, *corrupted_maps(true), *others]:
+                    monkeypatch.setattr(kgpercolate.paths, "relative_distances", lambda *a: dm)
+                    h.update(repr(outcome(verify_percolation_principles, idx, q, L)).encode())
+    assert h.hexdigest() == GOLDEN_REPORT_DIGEST
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 3, 4])

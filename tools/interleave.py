@@ -17,11 +17,17 @@ workload's: the sparse test graph at horizon 3, batches of 64 held-out
 queries asked in either direction, no masks.  The host's speed drifts by up
 to 1.5x between separate runs, so a small difference is visible only in
 pairs this close.
+
+Before timing, both sides run the first batch and their results are compared
+field by field (dataclass fields, array dtypes and values, dict keys and
+values); when they differ the script names the call and exits 1, so an A/B
+never times two programs that compute different things.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -64,6 +70,23 @@ def side(pkg, triples: np.ndarray, n_e: int, n_rel: int, call: str):
     return lambda rows: [fn(index, int(q), HORIZON) for q in rows[:, 0]]
 
 
+def same(a, b) -> bool:
+    """Equal results, compared by value across the two packages' types."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and a.dtype == b.dtype and np.array_equal(a, b))
+    if dataclasses.is_dataclass(a):
+        names = [f.name for f in dataclasses.fields(a)]
+        return (dataclasses.is_dataclass(b) and type(a).__name__ == type(b).__name__
+                and names == [f.name for f in dataclasses.fields(b)]
+                and all(same(getattr(a, n), getattr(b, n)) for n in names))
+    if isinstance(a, dict):
+        return isinstance(b, dict) and list(a) == list(b) and all(same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    return type(a) is type(b) and a == b
+
+
 def run_ms(fn, rows) -> float:
     t0 = perf_counter()
     fn(rows)
@@ -93,8 +116,10 @@ def main() -> None:
     fns = [side(load(root, name), split.test_facts, split.n_test_entities, split.n_relations,
                 args.call)
            for root, name in ((args.base, "kgp_base"), (args.changed, "kgp_changed"))]
-    for fn in fns:  # warm both sides up
-        fn(batches[0])
+    base, changed = (fn(batches[0]) for fn in fns)  # also warms both sides up
+    if not same(base, changed):
+        sys.exit(f"error: {args.call} returns different results on the two sides; "
+                 "not timing it")
 
     times = np.full((args.pairs, 2), np.inf)
     for i, rows in enumerate(batches):
