@@ -78,7 +78,6 @@ def enumerate_paths(
     out: list[RelationalPath] = []
     prefix: list[Triple] = []
     budget = [max_expansions]
-    short_sets: dict[int, list[set[Triple]]] = {}
 
     def walk(node: int, depth: int):
         budget[0] -= 1
