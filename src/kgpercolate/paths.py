@@ -7,29 +7,26 @@ distance, *percolation-valid* when every potential difference along it is
 positive (``potential_deltas``, ``is_percolation_valid``), and *redundant*
 when it is longer than the relative distance yet still shares at least that
 many distinct triples with a single shortest path (``classify_redundant``).
-``enumerate_paths`` lists every walk by brute force, a reference for the
-one-pass checks.  Identity self-loops are excluded from enumeration by
-default; a shortest path extended by an identity step would otherwise count
-as both valid and redundant and the structural checks below would be
-vacuous.  Principle (2) drops base-relation self-loops from its walks for
-the same reason: a triple whose head is its tail is a sideways step, and a
-shortest path ending in one is valid and shares every triple with that path.
+``enumerate_paths`` lists every walk by brute force, and
+``shortest_path_map`` lists every shortest path by one climbing DFS.
+Identity self-loops are excluded from enumeration by default; a shortest
+path extended by an identity step would otherwise count as both valid and
+redundant and the structural checks below would be vacuous.  Principle (2)
+drops base-relation self-loops from its walks for the same reason: a triple
+whose head is its tail is a sideways step, and a shortest path ending in one
+is valid and shares every triple with that path.
 
-One climbing DFS from the query gives the shortest-path set of every
-in-horizon entity, each path a tuple of triples; ``shortest_path_map`` wraps
-them as ``RelationalPath``s.  The climb also tracks validity as it goes, as
-the walk DFS of principle (2) does, and marks each path that is not
-percolation-valid or leaves the horizon, so principle (1) re-derives the
-potential differences of the marked paths only.  Both DFS passes read one
-per-query adjacency, ``_Horizon``: the relative distance of every in-horizon
-entity in one dict, and each entity's out-triples read from the CSR once.
-``verify_percolation_principles`` builds it once per query and shares it
-between its checks.
+``verify_percolation_principles`` lists no path.  It checks a premise on the
+query's distance map (the query alone at distance 0, and every triple out
+of a head at distance k <= horizon-1 landing at a distance in [0, k+1]),
+under which principles (1) and (2) hold by a lemma and the path counts have
+closed forms over the map.  It refuses a map that breaks the premise, which
+only a faulty distance kernel makes.  Check (3) is array work over the same
+triples.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,76 +116,29 @@ def shortest_path_map(
     prefix visited.
     """
     q = dm.query
-    short, _ = _climb(_Horizon(index, dm), q, max_expansions)
-    return {t: [RelationalPath(q, t, p) for p in paths] for t, paths in short.items()}
-
-
-class _Horizon(dict):
-    """One query's adjacency as the DFS passes read it.
-
-    ``dist`` maps every entity within the horizon to its relative distance,
-    in ascending entity order.  ``self[e]`` lists e's out-triples as
-    ``(rel, tail)`` pairs in index order.  Those of the in-horizon entities
-    are read in one CSR gather; any other entity's are read the first time
-    it is asked for, since a walk over a corrupted map can leave the horizon.
-    """
-
-    def __init__(self, index: AdjacencyIndex, dm: DistanceMap):
-        super().__init__()
-        within = dm.within()
-        ents = within.tolist()
-        self.dist: dict[int, int] = dict(zip(ents, dm.dist[within].tolist()))
-        self.index = index
-        pos, counts = index.out_positions(within)
-        pairs = list(zip(index.rel[pos].tolist(), index.tail[pos].tolist()))
-        start = 0
-        for e, end in zip(ents, np.cumsum(counts).tolist()):
-            self[e] = pairs[start:end]
-            start = end
-
-    def __missing__(self, e: int) -> list[tuple[int, int]]:
-        ix = self.index
-        lo, hi = ix.indptr[e : e + 2].tolist()
-        out = self[e] = list(zip(ix.rel[lo:hi].tolist(), ix.tail[lo:hi].tolist()))
-        return out
-
-
-def _climb(
-    adj: _Horizon, query: int, max_expansions: int,
-) -> tuple[dict[int, list[tuple[Triple, ...]]], dict[int, list[tuple[Triple, ...]]]]:
-    """``shortest_path_map`` on a built adjacency, each path a tuple of
-    triples, and per target the paths among them, in DFS order, whose
-    potential differences are not all positive or that leave the horizon."""
-    dist = adj.dist
-    short: dict[int, list[tuple[Triple, ...]]] = {}
-    invalid: dict[int, list[tuple[Triple, ...]]] = {}
+    within = dm.within()
+    dist = dict(zip(within.tolist(), dm.dist[within].tolist()))
+    short: dict[int, list[RelationalPath]] = {}
     prefix: list[Triple] = []
     budget = [max_expansions]
 
-    def climb(node: int, depth: int, gh: int, climbed: bool, inside: bool):
-        # gh, climbed and inside as in the walk DFS of principle (2)
+    def climb(node: int, depth: int):
         budget[0] -= 1
         if budget[0] < 0:
             raise ValueError(
                 f"shortest-path enumeration exceeded {max_expansions} expansions"
             )
-        gt = dist.get(node, -1)
-        if gt == depth:
-            path = tuple(prefix)
-            short.setdefault(node, []).append(path)
-            if depth and not (inside and climbed and gt >= gh):
-                invalid.setdefault(node, []).append(path)
-        climbed = climbed and (depth == 0 or gt > gh)
-        inside = inside and gt >= 0
-        for r, t in adj[node]:
-            if dist.get(t) != depth + 1:
-                continue
-            prefix.append((node, r, t))
-            climb(t, depth + 1, gt, climbed, inside)
-            prefix.pop()
+        if dist.get(node) == depth:
+            short.setdefault(node, []).append(RelationalPath(q, node, tuple(prefix)))
+        lo, hi = index.indptr[node : node + 2].tolist()
+        for r, t in zip(index.rel[lo:hi].tolist(), index.tail[lo:hi].tolist()):
+            if dist.get(t) == depth + 1:
+                prefix.append((node, r, t))
+                climb(t, depth + 1)
+                prefix.pop()
 
-    climb(query, 0, 0, True, True)
-    return short, invalid
+    climb(q, 0)
+    return short
 
 
 def potential_deltas(path: RelationalPath, dm: DistanceMap) -> list[int]:
@@ -199,20 +149,13 @@ def potential_deltas(path: RelationalPath, dm: DistanceMap) -> list[int]:
     still counts as progress.  Every entity on the path must be within the
     horizon.
     """
-    ents = [e for h, _, t in path.triples for e in (h, t)]
-    return _deltas(path.triples, dict(zip(ents, dm.dist[ents].tolist())), dm.horizon)
-
-
-def _deltas(triples: Sequence[Triple], dist: dict[int, int], horizon: int) -> list[int]:
-    """``potential_deltas`` of a chain of triples; ``dist`` gives each
-    entity's distance, and an entity it lacks is outside the horizon."""
+    dist = dm.dist[[e for h, _, t in path.triples for e in (h, t)]].tolist()
     out: list[int] = []
-    last = len(triples) - 1
-    for i, (h, _, t) in enumerate(triples):
-        gh, gt = dist.get(h, -1), dist.get(t, -1)
+    last = path.length - 1
+    for i, (gh, gt) in enumerate(zip(dist[::2], dist[1::2])):
         if gh < 0 or gt < 0:
             raise ValueError(
-                f"path entity outside horizon {horizon}: triple {i} has "
+                f"path entity outside horizon {dm.horizon}: triple {i} has "
                 f"distances ({gh}, {gt})"
             )
         out.append(max(gt - gh, 0) if i < last else min(gt - gh + 1, 1))
@@ -234,21 +177,16 @@ def classify_redundant(
 
     ``shortest`` must be the complete shortest-path set for (query, target).
     The intersection is triple-set based (multiplicity agnostic) and taken
-    per shortest path, not against the union across all of them.
+    per shortest path, not against the union across all of them.  At gamma
+    0 every longer walk is redundant.
     """
     gamma = int(dm.dist[path.target])
     if gamma < 0:
         raise ValueError(f"target {path.target} unreachable within horizon")
     if path.length <= gamma:
         return False
-    return _shares_shortest(set(path.triples), gamma, (set(s.triples) for s in shortest))
-
-
-def _shares_shortest(tset: set[Triple], gamma: int, shortest: Iterable[set[Triple]]) -> bool:
-    """The redundancy rule for a walk longer than gamma, given its distinct
-    triples and those of each shortest path: it shares at least gamma of
-    them with one shortest path; at gamma 0 every such walk is redundant."""
-    return gamma == 0 or any(len(tset & s) >= gamma for s in shortest)
+    tset = set(path.triples)
+    return gamma == 0 or any(len(tset & set(s.triples)) >= gamma for s in shortest)
 
 
 @dataclass
@@ -275,9 +213,8 @@ def verify_percolation_principles(
     index: AdjacencyIndex,
     q: int,
     horizon: int,
-    max_expansions: int = 2_000_000,
 ) -> PrincipleReport:
-    """Check the three layering guarantees for one query by enumeration.
+    """Check the three layering guarantees for one query, by a lemma.
 
     (1) every shortest path to an in-horizon entity is percolation-valid;
     (2) no percolation-valid walk of length <= horizon is redundant.  The
@@ -290,99 +227,97 @@ def verify_percolation_principles(
         exactly the horizon have no layer to appear in; the combined
         full-neighborhood pass covers them instead.
 
-    The query's adjacency (``_Horizon``: one distance dict, each entity's
-    out-triples read from the CSR once) is built once and read by every
-    check.  (1) reads one climb over it, which records each shortest path as
-    a tuple of triples and marks the paths whose potential differences would
-    not all be positive, tracking validity as (2) does.  (1) applies the
-    ``potential_deltas`` rule to the marked paths only, targets in ascending
-    entity order and paths in DFS order, so its counterexamples and the
-    error for a path entity outside the horizon are those of a check of
-    every path.  (2) is one walk DFS that tracks validity as it goes (every
-    step but the last climbs strictly, the last does not descend: exactly
-    ``potential_deltas > 0``) and tests a valid walk longer than its
-    target's distance, the only kind that can be redundant, against that
-    target's shortest-path triple sets, built once per target.  (3) takes
-    its wanted triples from the CSR ranges of the heads at distance <=
-    horizon-1, in ascending position as a scan of all triples would, and
-    never from the map's decoder or layers, so that it does not lean on the
-    kernel it checks.  ``max_expansions`` bounds each DFS pass apart,
-    raising ValueError past it: the climb's prefixes over all targets
-    together, and the walk DFS's prefixes.
+    *Premise*, checked on the map d of q from the CSR ranges of the heads
+    at distance <= H-1 (H the horizon), never from the map's layers or
+    decoder: (a) q is the only entity at distance 0; (b) every triple out
+    of a head at distance k <= H-1 has its tail at a distance in [0, k+1].
+    The true distance map satisfies it.  A map that breaks it raises
+    ValueError naming q, the other entity at distance 0, or the first
+    triple that breaks (b) by position, with its head and tail distances.
+
+    *Lemma*: under the premise (1) and (2) hold.  By (b), the i-th entity of
+    a walk from q sits at distance <= i, so no walk of <= H steps leaves the
+    horizon.  (1): a shortest path climbs from 0 to d(t) in d(t) steps of at
+    most +1, so every step climbs by exactly one and every delta is 1.
+    (2): every step of a valid walk but the last climbs strictly, so by (b)
+    by exactly one, and its last step, which is no self-loop, does not
+    descend.  So a valid walk of k steps is a shortest path to some u, with
+    d(u) = k-1, then a step to t with d(t) >= k-1.  It is longer than
+    gamma = d(t) only if d(t) = k-1.  At gamma 0, t = u = q by (a), a
+    self-loop.  At gamma >= 1 the walk visits k+1 distinct entities, so its
+    triples are distinct; a shortest path to t has no triple with a head at
+    distance k-1, so it could share its gamma = k-1 triples only with the
+    walk's first k-1, which end at u, not t.  No valid walk is redundant.
+
+    *Closed forms*, exact ints: sigma(q) = 1 and sigma(t) sums sigma(h)
+    over the triples with d(t) = d(h)+1, so sigma(t) counts the shortest
+    paths to t and ``n_shortest`` is its sum over the in-horizon entities,
+    the empty path included.  ``n_walks`` counts the walks of 1..H steps
+    from q over the triples that are not self-loops, one step at a time.
+    ``n_valid`` sums sigma(u) times u's out-triples that are not self-loops
+    and whose tail is no shallower than u, over u with d(u) <= H-1.
+    ``n_redundant`` is 0, and (1) and (2) have no counterexamples.
+
+    (3) reads the same CSR ranges: its counterexamples are every repeat of
+    a layered triple in layer order, then every wanted triple that no layer
+    holds, by ascending position.
     """
     dm = relative_distances(index, q, horizon)
-    rep = PrincipleReport(
-        query=q, horizon=horizon,
-        shortest_all_valid=True, no_valid_redundant=True, coverage_complete=True,
-    )
-    adj = _Horizon(index, dm)
-    dist = adj.dist
-    short, invalid = _climb(adj, q, max_expansions)
-    rep.n_shortest = sum(map(len, short.values()))
-    for t in sorted(invalid):
-        for p in invalid[t]:
-            if not all(d > 0 for d in _deltas(p, dist, horizon)):
-                rep.shortest_all_valid = False
-                rep.counterexamples.append(f"shortest-not-valid: {p}")
+    dist = dm.dist
+    within = dm.within()
+    wd = dist[within]
 
-    # (2): enumerate every walk from q up to the horizon, self-loops excluded
-    prefix: list[Triple] = []
-    budget = [max_expansions]
-    short_sets: dict[int, list[set[Triple]]] = {}
+    def refuse(why: str):
+        raise ValueError(f"percolation premise fails for query {q}: {why}")
 
-    def walk(node: int, depth: int, gh: int, climbed: bool, inside: bool):
-        # gh: distance of the previous entity; climbed: every step before
-        # the last one climbs strictly; inside: no entity outside the horizon
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise ValueError(
-                f"principle check exceeded {max_expansions} expansions; "
-                "reduce the horizon or the graph size"
-            )
-        gt = dist.get(node, -1)
-        if depth > 0 and gt >= 0:
-            rep.n_walks += 1
-            if not inside:  # raises, naming the triple that leaves the horizon
-                potential_deltas(RelationalPath(q, node, tuple(prefix)), dm)
-            if climbed and gt >= gh:
-                rep.n_valid += 1
-                # only a walk longer than its target's distance can be redundant
-                if depth > gt:
-                    if node not in short_sets:
-                        short_sets[node] = [set(p) for p in short.get(node, ())]
-                    if _shares_shortest(set(prefix), gt, short_sets[node]):
-                        rep.n_redundant += 1
-                        rep.no_valid_redundant = False
-                        rep.counterexamples.append(f"valid-and-redundant: {tuple(prefix)}")
-        if depth == horizon:
-            return
-        climbed = climbed and (depth == 0 or gt > gh)
-        inside = inside and gt >= 0
-        for r, t in adj[node]:
-            if t == node:
-                continue
-            prefix.append((node, r, t))
-            walk(t, depth + 1, gt, climbed, inside)
-            prefix.pop()
+    if dist[q] != 0:
+        refuse(f"it sits at distance {dist[q]}, not 0")
+    zero = within[wd == 0]
+    if len(zero) > 1:
+        refuse(f"entity {zero[zero != q][0]} also sits at distance 0")
+    deep = wd < horizon
+    pos, counts = index.out_positions(within[deep])
+    hd = np.repeat(wd[deep], counts)
+    tail = index.tail[pos]
+    td = dist[tail]
+    bad = ((td < 0) | (td > hd + 1)).nonzero()[0]
+    if len(bad):
+        k = bad[0]
+        refuse(f"triple pos {pos[k]} has head distance {hd[k]} and tail distance {td[k]}")
 
-    walk(q, 0, 0, True, True)
+    # the closed forms, over the entities' ranks in ``within``
+    hl = np.repeat(deep.nonzero()[0], counts)
+    tl = np.searchsorted(within, tail)
+    step = hl != tl
+    start = [0] * len(within)
+    start[int(np.searchsorted(within, q))] = 1
+    sigma = start.copy()
+    climbs = (td == hd + 1).nonzero()[0]
+    climbs = climbs[np.argsort(hd[climbs], kind="stable")]  # shallow heads first
+    for h, t in zip(hl[climbs].tolist(), tl[climbs].tolist()):
+        sigma[t] += sigma[h]
+    n_valid = sum(sigma[h] for h in hl[step & (td >= hd)].tolist())
+    walks, n_walks = start, 0
+    moves = list(zip(hl[step].tolist(), tl[step].tolist()))
+    for _ in range(horizon):
+        nxt = [0] * len(within)
+        for h, t in moves:
+            nxt[t] += walks[h]
+        walks = nxt
+        n_walks += sum(walks)
 
-    # (3): every repeat of a layered triple, then every wanted triple missed.
-    # The wanted triples leave the heads at distance <= horizon-1, so they
-    # are read from those heads' CSR ranges, ascending as positions are.
+    # (3): every repeat of a layered triple, then every wanted triple missed
     layered: set[int] = set()
-    for pos in np.concatenate(dm.layers).tolist():
-        if pos in layered:
-            rep.coverage_complete = False
-            rep.counterexamples.append(f"triple in two layers: pos {pos}")
-        layered.add(pos)
-    heads = [h for h, d in dist.items() if d < horizon]
-    for h, lo in zip(heads, index.indptr[heads].tolist()):
-        dh = dist[h]
-        for k, (_, t) in enumerate(adj[h]):
-            if dist.get(t, -1) >= dh and lo + k not in layered:
-                rep.coverage_complete = False
-                rep.counterexamples.append(
-                    f"non-uphill triple missing from all layers: pos {lo + k}"
-                )
-    return rep
+    cex = []
+    for p in np.concatenate(dm.layers).tolist():
+        if p in layered:
+            cex.append(f"triple in two layers: pos {p}")
+        layered.add(p)
+    cex += [f"non-uphill triple missing from all layers: pos {p}"
+            for p in pos[td >= hd].tolist() if p not in layered]
+    return PrincipleReport(
+        query=q, horizon=horizon,
+        shortest_all_valid=True, no_valid_redundant=True, coverage_complete=not cex,
+        n_shortest=sum(sigma), n_walks=n_walks, n_valid=n_valid, n_redundant=0,
+        counterexamples=cex,
+    )

@@ -148,6 +148,20 @@ def test_classify_shortest_never_redundant(toy_aug, toy_index, toy_dm):
         assert not classify_redundant(p, toy_dm, shortest)
 
 
+def test_classify_redundant_by_any_shortest_path(toy_aug, toy_dm):
+    # the walk shares both triples of ADC but only one of ABC: redundant
+    # whichever place ADC takes in the list, and not against ABC alone
+    abc = path_from_names(toy_aug, [("A", "r1", "B"), ("B", "r1", "C")])
+    adc = path_from_names(toy_aug, [("A", "r2", "D"), ("D", "r2", "C")])
+    p = path_from_names(
+        toy_aug,
+        [("A", "r1", "B"), ("B", "r1_inv", "A"), ("A", "r2", "D"), ("D", "r2", "C")],
+    )
+    assert classify_redundant(p, toy_dm, [abc, adc])
+    assert classify_redundant(p, toy_dm, [adc, abc])
+    assert not classify_redundant(p, toy_dm, [abc])
+
+
 def test_any_return_to_query_is_redundant(toy_aug, toy_index, toy_dm):
     ids = toy_aug.entities
     p = path_from_names(toy_aug, [("A", "r1", "B"), ("B", "r1_inv", "A")])
@@ -170,6 +184,23 @@ def test_principles_single_triple_graph():
     idx = build_index(kg)
     rep = verify_percolation_principles(idx, 0, 2)
     assert rep.all_ok
+
+
+def test_premise_needs_query_alone_at_distance_0(monkeypatch):
+    # a -> b with b moved to distance 0: every triple out of a head at k
+    # lands in [0, k+1], yet the one-step walk to b is valid and redundant,
+    # so the premise also asks that the query sit alone at distance 0
+    import kgpercolate.paths
+
+    ents = Vocab(["a", "b"])
+    kg = augment(make_graph(np.array([[0, 0, 1]], dtype=np.int32), ents, Vocab(["r"])))
+    idx = build_index(kg)
+    dm = corrupt_neighbour_distance(relative_distances(idx, 0, 2))
+    assert not reference_verify(idx, dm).no_valid_redundant
+    assert not premise_holds(idx, dm)
+    monkeypatch.setattr(kgpercolate.paths, "relative_distances", lambda *a: dm)
+    with pytest.raises(ValueError, match="^percolation premise fails for query 0: entity 1 "):
+        verify_percolation_principles(idx, 0, 2)
 
 
 @settings(max_examples=25, deadline=None)
@@ -306,34 +337,51 @@ def corrupt_layers(dm):
     (corrupt_layers, "coverage_complete"),
 ])
 def test_principle_failures_match_definitions(monkeypatch, toy_index, toy_aug, corrupt, flag):
+    # the definitions find each failure; verify reports the failure of (3),
+    # and refuses the two maps whose distances break the premise
     import kgpercolate.paths
 
-    q = toy_aug.entities.id("A")
+    ids = toy_aug.entities
+    q = ids.id("A")
     dm = corrupt(relative_distances(toy_index, q, 3))
     monkeypatch.setattr(kgpercolate.paths, "relative_distances", lambda *a: dm)
-    rep = verify_percolation_principles(toy_index, q, 3)
-    assert not getattr(rep, flag) and not rep.all_ok
-    assert report_fields(rep) == oracle_report(toy_index, dm)
+    want = oracle_report(toy_index, dm)
+    assert not want[flag]
+    refusal = {
+        corrupt_query_distance: f"query {q}: it sits at distance 1, not 0",
+        corrupt_neighbour_distance: f"query {q}: entity {ids.id('B')} also sits at distance 0",
+    }.get(corrupt)
+    assert premise_holds(toy_index, dm) == (refusal is None)
+    if refusal is None:
+        rep = verify_percolation_principles(toy_index, q, 3)
+        assert not getattr(rep, flag) and not rep.all_ok
+        assert report_fields(rep) == want
+    else:
+        with pytest.raises(ValueError, match=f"^percolation premise fails for {refusal}$"):
+            verify_percolation_principles(toy_index, q, 3)
 
 
 def test_principle_entity_outside_horizon_raises(monkeypatch, toy_index, toy_aug):
     # B left outside the horizon: the walks through it to C and D fall
-    # outside the definitions, and the check refuses them as the oracle does
+    # outside the definitions; the oracle refuses them, and verify refuses
+    # the map at the first triple into B
     import kgpercolate.paths
 
-    q = toy_aug.entities.id("A")
-    dm = relative_distances(toy_index, q, 3)
-    dist = dm.dist.copy()
-    dist[toy_aug.entities.id("B")] = -1
-    dm = replace(dm, dist=dist)
+    ids = toy_aug.entities
+    q = ids.id("A")
+    dm = leave_horizon(relative_distances(toy_index, q, 3), ids.id("B"))
     monkeypatch.setattr(kgpercolate.paths, "relative_distances", lambda *a: dm)
     with pytest.raises(ValueError, match="path entity outside horizon 3"):
         oracle_report(toy_index, dm)
-    with pytest.raises(ValueError, match="path entity outside horizon 3"):
+    pos = int(toy_index.find_edges(q, ids.id("B"))[0])
+    with pytest.raises(ValueError, match=(
+        f"^percolation premise fails for query {q}: triple pos {pos} has head "
+        "distance 0 and tail distance -1$"
+    )):
         verify_percolation_principles(toy_index, q, 3)
 
 
-def reference_verify(index, dm, max_expansions=2_000_000):
+def reference_verify(index, dm):
     """The principle checks written straight against the index and the
     map: numpy lookups of ``dm.dist`` per triple, the CSR sliced at every
     visit, and check (3) as a scan of every triple.  Nothing here reads the
@@ -359,12 +407,9 @@ def reference_verify(index, dm, max_expansions=2_000_000):
             out.append(max(gt - gh, 0) if i < path.length - 1 else min(gt - gh + 1, 1))
         return out
 
-    short, prefix, budget = {}, [], [max_expansions]
+    short, prefix = {}, []
 
     def climb(node, depth):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise ValueError(f"shortest-path enumeration exceeded {max_expansions} expansions")
         if dist.get(node) == depth:
             short.setdefault(node, []).append(RelationalPath(q, node, tuple(prefix)))
         lo, hi = index.indptr[node : node + 2].tolist()
@@ -383,15 +428,7 @@ def reference_verify(index, dm, max_expansions=2_000_000):
                 rep.shortest_all_valid = False
                 rep.counterexamples.append(f"shortest-not-valid: {p.triples}")
 
-    budget = [max_expansions]
-
     def walk(node, depth, gh, climbed, inside):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise ValueError(
-                f"principle check exceeded {max_expansions} expansions; "
-                "reduce the horizon or the graph size"
-            )
         gt = dist.get(node, -1)
         if depth > 0 and gt >= 0:
             rep.n_walks += 1
@@ -464,6 +501,14 @@ def query_deeper(dm):
     return replace(dm, dist=dist)
 
 
+def neighbours_deeper(dm):
+    # the query's neighbours two levels below it: each step out of the
+    # query skips a level
+    dist = dm.dist.copy()
+    dist[dist == 1] = 2
+    return replace(dm, dist=dist)
+
+
 def corrupted_maps(true):
     """Each corrupted map of a true one, in a fixed order."""
     return [corrupt_query_distance(true), corrupt_neighbour_distance(true),
@@ -471,46 +516,65 @@ def corrupted_maps(true):
             leave_horizon(true, true.query), query_deeper(true)]
 
 
+def premise_holds(index, dm) -> bool:
+    """The percolation premise from its definition, by a scan of every
+    triple: the query is the only entity at distance 0, and every triple
+    whose head sits at a distance d in [0, horizon-1] has its tail at a
+    distance in [0, d+1]."""
+    dist = dm.dist
+    if dist[dm.query] != 0 or int((dist == 0).sum()) != 1:
+        return False
+    for h, t in zip(index.head.tolist(), index.tail.tolist()):
+        dh, dt = int(dist[h]), int(dist[t])
+        if 0 <= dh <= dm.horizon - 1 and not 0 <= dt <= dh + 1:
+            return False
+    return True
+
+
+def refuses(got) -> bool:
+    """True when ``outcome`` gave the premise error rather than a report."""
+    return isinstance(got, str) and got.startswith("ValueError: percolation premise fails")
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 4))
+@given(st.integers(0, 10_000), st.integers(1, 5))
 def test_verify_matches_reference(seed, L):
-    # reports equal field for field, counterexamples as ordered lists, on the
-    # true map, each corrupted map and one other entity left outside the
-    # horizon, under the default budget and under budgets that may run out
+    # the lemma: on a map that satisfies the premise, the closed forms give
+    # the brute-force report field for field and (1) and (2) hold; any other
+    # map is refused.  Maps: the true one, each corrupted one, the query's
+    # neighbours a level too deep and every in-horizon entity left outside
+    # the horizon
     import kgpercolate.paths
 
     rng = np.random.default_rng(seed)
     idx = build_index(augment(loopy_kg(rng)))
     for q in rng.choice(idx.num_entities, size=3).tolist():
         true = relative_distances(idx, q, L)
-        maps = [true, *corrupted_maps(true)]
-        inside = [e for e in true.within().tolist() if e != q]
-        if inside:
-            maps.append(leave_horizon(true, int(rng.choice(inside))))
-        for dm in maps:
+        others = [leave_horizon(true, e) for e in true.within().tolist() if e != q]
+        for dm in [true, *corrupted_maps(true), neighbours_deeper(true), *others]:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(kgpercolate.paths, "relative_distances", lambda *a: dm)
-                full = outcome(reference_verify, idx, dm)
-                assert outcome(verify_percolation_principles, idx, q, L) == full
-                # a climb visits n_shortest prefixes, plus one per prefix
-                # ending off its distance: budgets at that edge pin the unit
-                n = full.n_shortest if isinstance(full, PrincipleReport) else 1
-                for budget in (n, n + 1, int(rng.integers(1, 120))):
-                    want = outcome(reference_verify, idx, dm, budget)
-                    assert outcome(verify_percolation_principles, idx, q, L, budget) == want
+                got = outcome(verify_percolation_principles, idx, q, L)
+            if premise_holds(idx, dm):
+                want = reference_verify(idx, dm)
+                assert got == want
+                assert want.shortest_all_valid and want.no_valid_redundant
+            else:
+                assert refuses(got), got
 
 
-# sha256 of verify's outcome, report or raised message, on every query of
-# two seeded loopy graphs at horizons 1-4, on the true map, each corrupted
-# map and every other entity left outside the horizon
-GOLDEN_REPORT_DIGEST = "6f27d73afe66ad9b026b9a45959555eb39dbe56d0edbc33e1111a3911d155814"
+# sha256 of verify's report on every query of two seeded loopy graphs at
+# horizons 1-4, over the maps of the loop below that satisfy the premise
+GOLDEN_REPORT_DIGEST = "b10b1ebab9b1de32ed7dcdce965a2d166562bc61c13d3db55ee59b918375c042"
 
 
 def test_report_digest(monkeypatch):
-    # every PrincipleReport field, counterexamples in order, byte for byte
+    # every PrincipleReport field, counterexamples in order, byte for byte;
+    # every map that breaks the premise is refused
     import kgpercolate.paths
 
     h = hashlib.sha256()
+    refused = []
     for seed in (3, 7):
         idx = build_index(augment(loopy_kg(np.random.default_rng(seed))))
         for L in (1, 2, 3, 4):
@@ -519,8 +583,13 @@ def test_report_digest(monkeypatch):
                 others = [leave_horizon(true, e) for e in true.within().tolist() if e != q]
                 for dm in [true, *corrupted_maps(true), *others]:
                     monkeypatch.setattr(kgpercolate.paths, "relative_distances", lambda *a: dm)
-                    h.update(repr(outcome(verify_percolation_principles, idx, q, L)).encode())
+                    got = outcome(verify_percolation_principles, idx, q, L)
+                    if premise_holds(idx, dm):
+                        h.update(repr(got).encode())
+                    else:
+                        refused.append(got)
     assert h.hexdigest() == GOLDEN_REPORT_DIGEST
+    assert refused and all(refuses(r) for r in refused)
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 3, 4])
@@ -546,13 +615,9 @@ def test_verify_ignores_decoder(monkeypatch, horizon):
 
 def test_principle_budget_guards(toy_index, toy_aug):
     # from A at horizon 3 the climb visits 7 prefixes: A, AB, ABC, ABCE, AD,
-    # ADC, ADCE; the walk DFS visits many more
+    # ADC, ADCE
     q = toy_aug.entities.id("A")
     dm = relative_distances(toy_index, q, 3)
     assert sum(map(len, shortest_path_map(toy_index, dm, 7).values())) == 7
     with pytest.raises(ValueError, match="shortest-path enumeration exceeded 6 expansions"):
         shortest_path_map(toy_index, dm, 6)
-    with pytest.raises(ValueError, match="shortest-path enumeration exceeded 6 expansions"):
-        verify_percolation_principles(toy_index, q, 3, max_expansions=6)
-    with pytest.raises(ValueError, match="principle check exceeded 7 expansions"):
-        verify_percolation_principles(toy_index, q, 3, max_expansions=7)
