@@ -12,14 +12,14 @@ queries at once: a single multi-source BFS over flat keys ``slot*|E| +
 entity`` returns every slot's distances, the triples of every layer and the
 decoder's triples, each slot with its own anti-leakage mask.  Slots never
 interact, so a slot's result does not depend on the others in its batch;
-the same entity may fill several slots.  ``relative_distances`` is its
-one-slot form.  The batch builder, the triple counts and the principle
-checks all read the kernel.  The builder merges the slots into one node
-table so the model can process them in a single set of tensor ops.  The
-kernel gives each decoder triple its layer id, so a layer is a subsequence
-of the decoder; the builder groups the decoder by tail row with one sort,
-and each encoder layer is a subsequence of that, in the order a stable sort
-of the layer alone would give.
+the same entity may fill several slots, and a one-slot map is a single
+query's.  The batch builder, the triple counts, the principle checks and
+the path classifiers all read the kernel.  The builder merges the slots
+into one node table so the model can process them in a single set of
+tensor ops.  The kernel gives each decoder triple its layer id, so a layer
+is a subsequence of the decoder; the builder groups the decoder by tail row
+with one sort, and each encoder layer is a subsequence of that, in the
+order a stable sort of the layer alone would give.
 
 Batch-sized selections are branch-free: ``ndarray.compress``, not
 ``a[mask]`` (20k int64, unpredictable mask: 31-44 against 145-195 us, numpy
@@ -41,37 +41,17 @@ from .kg import AdjacencyIndex
 
 
 @dataclass
-class DistanceMap:
-    """Relative distances from one query entity, capped at the horizon, and
-    the triples of each percolation layer and of the decoder pass.
-
-    ``layers[l-1]`` holds the triple positions of percolation layer l (head
-    at distance l-1, tail at l-1 or l) and ``decoder`` those of every triple
-    with both endpoints within the horizon; both are ascending positions into
-    the index's sorted order, with masked triples left out.
-    """
-
-    query: int
-    horizon: int
-    dist: np.ndarray  # (|E|,) int16, -1 for unreachable within horizon
-    layers: list[np.ndarray]  # percolation layers 1..horizon
-    decoder: np.ndarray
-
-    def within(self) -> np.ndarray:
-        """All entity ids reachable within the horizon (ascending)."""
-        return np.flatnonzero(self.dist >= 0)
-
-
-@dataclass
 class BatchDistanceMap:
-    """``DistanceMap``s of B query slots, keyed flat.
+    """Relative distances from B query entities, capped at the horizon, and
+    the triples of each slot's percolation layers and decoder pass.
 
-    Slot s keys entity e as ``s*|E| + e``.  ``dist`` is indexed by that key;
-    ``within`` lists the keys at distance >= 0, ascending, i.e. by slot and
-    then by entity.  ``decoder`` is a (slot, pos) pair of arrays, ascending
-    by slot and then by triple position.  ``layer`` gives each decoder triple
-    its head's distance plus one when its tail is no shallower, else 0, so
-    percolation layer l is the decoder's subsequence where ``layer == l``.
+    Slot s keys entity e as ``s*|E| + e``, so a one-slot map keys it as e.
+    ``dist`` is indexed by that key; ``within`` lists the keys at distance
+    >= 0, ascending, i.e. by slot and then by entity.  ``decoder`` is a
+    (slot, pos) pair of arrays, ascending by slot and then by triple
+    position.  ``layer`` gives each decoder triple its head's distance plus
+    one when its tail is no shallower, else 0, so percolation layer l is the
+    decoder's subsequence where ``layer == l``.
     """
 
     queries: np.ndarray  # (B,) int64 query entity per slot
@@ -201,19 +181,6 @@ def batch_distances(
     hd = dist[slot * n_e + index.head[pos]]
     return BatchDistanceMap(queries, horizon, dist, within, (slot, pos),
                             (hd + 1) * (td >= hd), masked)
-
-
-def relative_distances(
-    index: AdjacencyIndex,
-    q: int,
-    horizon: int,
-    removed: np.ndarray | None = None,
-) -> DistanceMap:
-    """``batch_distances`` for the single query q: its slot 0."""
-    bd = batch_distances(index, [q], horizon, [removed])
-    pos = bd.decoder[1]
-    return DistanceMap(q, horizon, bd.dist, [pos[bd.layer == l] for l in range(1, horizon + 1)],
-                       pos)
 
 
 @dataclass

@@ -8,7 +8,9 @@ positive (``potential_deltas``, ``is_percolation_valid``), and *redundant*
 when it is longer than the relative distance yet still shares at least that
 many distinct triples with a single shortest path (``classify_redundant``).
 ``enumerate_paths`` lists every walk by brute force, and
-``shortest_path_map`` lists every shortest path by one climbing DFS.
+``shortest_path_map`` lists every shortest path by one climbing DFS.  The
+classifiers read the query's one-slot ``BatchDistanceMap`` from
+``batch_distances(index, [q], horizon)``, and refuse a map of more slots.
 Identity self-loops are excluded from enumeration by default; a shortest
 path extended by an identity step would otherwise count as both valid and
 redundant and the structural checks below would be vacuous.  Principle (2)
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kg import AdjacencyIndex, Triple
-from .layering import DistanceMap, relative_distances
+from .layering import BatchDistanceMap, batch_distances
 
 
 @dataclass(frozen=True)
@@ -101,9 +103,17 @@ def enumerate_paths(
     return out
 
 
+def _one_slot(bd: BatchDistanceMap) -> int:
+    """The query entity of a one-slot map; ValueError for any other map."""
+    if len(bd.queries) != 1:
+        raise ValueError(f"path classifiers read a one-slot distance map, "
+                         f"not one of {len(bd.queries)} slots")
+    return int(bd.queries[0])
+
+
 def shortest_path_map(
     index: AdjacencyIndex,
-    dm: DistanceMap,
+    bd: BatchDistanceMap,
     max_expansions: int = 2_000_000,
 ) -> dict[int, list[RelationalPath]]:
     """The complete shortest-path set of every entity, from one climbing DFS.
@@ -115,9 +125,8 @@ def shortest_path_map(
     without a key has no shortest path.  One budget unit is one climbing
     prefix visited.
     """
-    q = dm.query
-    within = dm.within()
-    dist = dict(zip(within.tolist(), dm.dist[within].tolist()))
+    q = _one_slot(bd)
+    dist = dict(zip(bd.within.tolist(), bd.dist[bd.within].tolist()))
     short: dict[int, list[RelationalPath]] = {}
     prefix: list[Triple] = []
     budget = [max_expansions]
@@ -141,7 +150,7 @@ def shortest_path_map(
     return short
 
 
-def potential_deltas(path: RelationalPath, dm: DistanceMap) -> list[int]:
+def potential_deltas(path: RelationalPath, bd: BatchDistanceMap) -> list[int]:
     """Per-triple potential differences along the path.
 
     Non-final triples use max(gamma_tail - gamma_head, 0); the final triple
@@ -149,27 +158,28 @@ def potential_deltas(path: RelationalPath, dm: DistanceMap) -> list[int]:
     still counts as progress.  Every entity on the path must be within the
     horizon.
     """
-    dist = dm.dist[[e for h, _, t in path.triples for e in (h, t)]].tolist()
+    _one_slot(bd)
+    dist = bd.dist[[e for h, _, t in path.triples for e in (h, t)]].tolist()
     out: list[int] = []
     last = path.length - 1
     for i, (gh, gt) in enumerate(zip(dist[::2], dist[1::2])):
         if gh < 0 or gt < 0:
             raise ValueError(
-                f"path entity outside horizon {dm.horizon}: triple {i} has "
+                f"path entity outside horizon {bd.horizon}: triple {i} has "
                 f"distances ({gh}, {gt})"
             )
         out.append(max(gt - gh, 0) if i < last else min(gt - gh + 1, 1))
     return out
 
 
-def is_percolation_valid(path: RelationalPath, dm: DistanceMap) -> bool:
+def is_percolation_valid(path: RelationalPath, bd: BatchDistanceMap) -> bool:
     """True when every potential difference is positive (empty path: True)."""
-    return all(d > 0 for d in potential_deltas(path, dm))
+    return all(d > 0 for d in potential_deltas(path, bd))
 
 
 def classify_redundant(
     path: RelationalPath,
-    dm: DistanceMap,
+    bd: BatchDistanceMap,
     shortest: list[RelationalPath],
 ) -> bool:
     """Definition check: longer than gamma and sharing >= gamma distinct
@@ -180,7 +190,8 @@ def classify_redundant(
     per shortest path, not against the union across all of them.  At gamma
     0 every longer walk is redundant.
     """
-    gamma = int(dm.dist[path.target])
+    _one_slot(bd)
+    gamma = int(bd.dist[path.target])
     if gamma < 0:
         raise ValueError(f"target {path.target} unreachable within horizon")
     if path.length <= gamma:
@@ -227,10 +238,11 @@ def verify_percolation_principles(
         exactly the horizon have no layer to appear in; the combined
         full-neighborhood pass covers them instead.
 
-    *Premise*, checked on the map d of q from the CSR ranges of the heads
-    at distance <= H-1 (H the horizon), never from the map's layers or
-    decoder: (a) q is the only entity at distance 0; (b) every triple out
-    of a head at distance k <= H-1 has its tail at a distance in [0, k+1].
+    *Premise*, checked on the distances d of q's one-slot kernel map from
+    the CSR ranges of the heads at distance <= H-1 (H the horizon), never
+    from the map's ``within``, decoder or layer ids: (a) q is the only
+    entity at distance 0; (b) every triple out of a head at distance
+    k <= H-1 has its tail at a distance in [0, k+1].
     The true distance map satisfies it.  A map that breaks it raises
     ValueError naming q, the other entity at distance 0, or the first
     triple that breaks (b) by position, with its head and tail distances.
@@ -259,12 +271,13 @@ def verify_percolation_principles(
     ``n_redundant`` is 0, and (1) and (2) have no counterexamples.
 
     (3) reads the same CSR ranges: its counterexamples are every repeat of
-    a layered triple in layer order, then every wanted triple that no layer
-    holds, by ascending position.
+    a layered triple in the map's decoder order, then every wanted triple
+    that no layer holds, by ascending position.  The layered triples are
+    the decoder's with a layer id in 1..H.
     """
-    dm = relative_distances(index, q, horizon)
-    dist = dm.dist
-    within = dm.within()
+    bd = batch_distances(index, [q], horizon)
+    dist = bd.dist
+    within = np.flatnonzero(dist >= 0)
     wd = dist[within]
 
     def refuse(why: str):
@@ -309,7 +322,8 @@ def verify_percolation_principles(
     # (3): every repeat of a layered triple, then every wanted triple missed
     layered: set[int] = set()
     cex = []
-    for p in np.concatenate(dm.layers).tolist():
+    layer = bd.layer
+    for p in bd.decoder[1].compress((layer >= 1) & (layer <= horizon)).tolist():
         if p in layered:
             cex.append(f"triple in two layers: pos {p}")
         layered.add(p)

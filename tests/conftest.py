@@ -94,6 +94,13 @@ def bfs_oracle(aug_triples: np.ndarray, n_entities: int, q: int, horizon: int) -
     return dist
 
 
+def layer_positions(bd) -> list[np.ndarray]:
+    """Triple positions of percolation layers 1..horizon of a one-slot
+    ``batch_distances`` map, each ascending."""
+    pos = bd.decoder[1]
+    return [pos[bd.layer == l] for l in range(1, bd.horizon + 1)]
+
+
 def random_mask(rng: np.random.Generator, index, frac: float) -> tuple[np.ndarray, np.ndarray]:
     """A random set of masked triple positions and the (h, r, t) rows, in
     index order, of the triples it leaves unmasked."""

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kgpercolate.kg import augment, build_index
 from kgpercolate.counting import count_query, count_queries
-from kgpercolate.layering import relative_distances
+from kgpercolate.layering import batch_distances
 
 from conftest import random_kg, random_mask
 
@@ -54,9 +54,9 @@ def test_count_query_rejects_out_of_range_removed(toy_index, removed, match):
 
 def test_hop_counts_match_naive_oracle(toy_index, toy_aug):
     q = toy_aug.entities.id("A")
-    dm = relative_distances(toy_index, q, 3)
+    bd = batch_distances(toy_index, [q], 3)
     got = count_query(toy_index, q, 3).hop_triple_counts
-    assert got == naive_hop_counts(toy_aug.augmented, dm.dist.tolist(), 3)
+    assert got == naive_hop_counts(toy_aug.augmented, bd.dist.tolist(), 3)
 
 
 @settings(max_examples=30, deadline=None)
@@ -66,9 +66,9 @@ def test_hop_counts_random(seed, L, frac):
     idx = build_index(kg)
     q = int(np.random.default_rng(seed + 5).integers(0, len(kg.entities)))
     removed, kept = random_mask(np.random.default_rng(seed + 6), idx, frac)
-    dm = relative_distances(idx, q, L, removed=removed)
+    bd = batch_distances(idx, [q], L, [removed])
     got = count_query(idx, q, L, removed=removed).hop_triple_counts
-    assert got == naive_hop_counts(kept, dm.dist.tolist(), L)
+    assert got == naive_hop_counts(kept, bd.dist.tolist(), L)
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,36 +9,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgpercolate.kg import Vocab, augment, build_index, make_graph
-from kgpercolate.layering import QuerySpec, SubgraphBuilder, relative_distances
+from kgpercolate.layering import QuerySpec, SubgraphBuilder, batch_distances
 
-from conftest import bfs_oracle, build_toy, random_kg, random_mask
-
-
-def dist_of(toy_index, name_to_id, L=3):
-    return relative_distances(toy_index, name_to_id("A"), L)
+from conftest import bfs_oracle, build_toy, layer_positions, random_kg, random_mask
 
 
 def test_toy_distances(toy_index, toy_aug):
     ids = toy_aug.entities
-    dm = relative_distances(toy_index, ids.id("A"), 3)
-    got = {toy_aug.entities.name(i): int(d) for i, d in enumerate(dm.dist)}
+    bd = batch_distances(toy_index, [ids.id("A")], 3)
+    got = {toy_aug.entities.name(i): int(d) for i, d in enumerate(bd.dist)}
     assert got == {"A": 0, "B": 1, "C": 2, "D": 1, "E": 3}
 
 
 def test_toy_layers(toy_index, toy_aug):
     ids = toy_aug.entities
-    dm = relative_distances(toy_index, ids.id("A"), 3)
-    assert set(np.flatnonzero(dm.dist == 1)) == {ids.id("B"), ids.id("D")}
-    assert set(np.flatnonzero(dm.dist == 2)) == {ids.id("C")}
-    assert set(np.flatnonzero(dm.dist == 3)) == {ids.id("E")}
+    bd = batch_distances(toy_index, [ids.id("A")], 3)
+    assert set(np.flatnonzero(bd.dist == 1)) == {ids.id("B"), ids.id("D")}
+    assert set(np.flatnonzero(bd.dist == 2)) == {ids.id("C")}
+    assert set(np.flatnonzero(bd.dist == 3)) == {ids.id("E")}
 
 
 def test_horizon_truncation(toy_index, toy_aug):
     ids = toy_aug.entities
-    dm = relative_distances(toy_index, ids.id("A"), 1)
-    assert dm.dist[ids.id("C")] == -1
-    assert dm.dist[ids.id("E")] == -1
-    assert set(np.flatnonzero(dm.dist == 1)) == {ids.id("B"), ids.id("D")}
+    bd = batch_distances(toy_index, [ids.id("A")], 1)
+    assert bd.dist[ids.id("C")] == -1
+    assert bd.dist[ids.id("E")] == -1
+    assert set(np.flatnonzero(bd.dist == 1)) == {ids.id("B"), ids.id("D")}
 
 
 def test_isolated_query_has_empty_layers():
@@ -48,16 +44,16 @@ def test_isolated_query_has_empty_layers():
     # "b r b" would be a self loop; instead use an edgeless "a"
     kg = make_graph(np.empty((0, 3), dtype=np.int32), ents, rels)
     idx = build_index(augment(kg))
-    dm = relative_distances(idx, 0, 3)
-    assert dm.dist[0] == 0 and dm.dist[1] == -1
-    assert not np.any(dm.dist == 1)
+    bd = batch_distances(idx, [0], 3)
+    assert bd.dist[0] == 0 and bd.dist[1] == -1
+    assert not np.any(bd.dist == 1)
 
 
 def test_bad_arguments(toy_index):
     with pytest.raises(ValueError):
-        relative_distances(toy_index, 99, 3)
+        batch_distances(toy_index, [99], 3)
     with pytest.raises(ValueError):
-        relative_distances(toy_index, 0, 0)
+        batch_distances(toy_index, [0], 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -67,15 +63,15 @@ def test_distances_match_bfs_oracle(seed, L, frac):
     idx = build_index(kg)
     q = int(np.random.default_rng(seed + 1).integers(0, len(kg.entities)))
     removed, kept = random_mask(np.random.default_rng(seed + 2), idx, frac)
-    dm = relative_distances(idx, q, L, removed=removed)
+    bd = batch_distances(idx, [q], L, [removed])
     oracle = bfs_oracle(kept, len(kg.entities), q, L)
-    assert np.array_equal(dm.dist.astype(np.int64), oracle)
+    assert np.array_equal(bd.dist.astype(np.int64), oracle)
 
 
 def test_toy_percolation_layer2(toy_index, toy_aug):
     ids, rels = toy_aug.entities, toy_aug.relations
-    dm = relative_distances(toy_index, ids.id("A"), 3)
-    pos = dm.layers[1]
+    bd = batch_distances(toy_index, [ids.id("A")], 3)
+    pos = layer_positions(bd)[1]
     got = {
         (toy_index.head[p], toy_index.rel[p], toy_index.tail[p]) for p in pos
     }
@@ -95,19 +91,19 @@ def test_toy_percolation_layer2(toy_index, toy_aug):
 
 def test_toy_percolation_layer_counts(toy_index, toy_aug):
     ids = toy_aug.entities
-    dm = relative_distances(toy_index, ids.id("A"), 3)
-    sizes = [len(pos) for pos in dm.layers]
+    bd = batch_distances(toy_index, [ids.id("A")], 3)
+    sizes = [len(pos) for pos in layer_positions(bd)]
     assert sizes == [3, 6, 2]
 
 
 def test_layers_disjoint_and_downhill(toy_index, toy_aug):
     ids = toy_aug.entities
-    dm = relative_distances(toy_index, ids.id("A"), 3)
+    bd = batch_distances(toy_index, [ids.id("A")], 3)
     all_pos = []
-    for l, pos in enumerate(dm.layers, 1):
+    for l, pos in enumerate(layer_positions(bd), 1):
         all_pos.extend(pos.tolist())
-        hd = dm.dist[toy_index.head[pos]]
-        td = dm.dist[toy_index.tail[pos]]
+        hd = bd.dist[toy_index.head[pos]]
+        td = bd.dist[toy_index.tail[pos]]
         assert (hd <= td).all()
         assert (hd == l - 1).all()
     assert len(all_pos) == len(set(all_pos))
@@ -120,8 +116,8 @@ def test_percolation_matches_naive_oracle(seed, L, frac):
     idx = build_index(kg)
     q = int(np.random.default_rng(seed + 7).integers(0, len(kg.entities)))
     removed, kept = random_mask(np.random.default_rng(seed + 8), idx, frac)
-    dm = relative_distances(idx, q, L, removed=removed)
-    d = {i: int(v) for i, v in enumerate(dm.dist)}
+    bd = batch_distances(idx, [q], L, [removed])
+    d = {i: int(v) for i, v in enumerate(bd.dist)}
 
     def triples(pos):
         return {(int(idx.head[p]), int(idx.rel[p]), int(idx.tail[p])) for p in pos}
@@ -132,10 +128,10 @@ def test_percolation_matches_naive_oracle(seed, L, frac):
             for h, r, t in kept.tolist()
             if d[h] == l - 1 and d[t] in (l - 1, l)
         }
-        assert triples(dm.layers[l - 1]) == naive
+        assert triples(layer_positions(bd)[l - 1]) == naive
     naive = {(h, r, t) for h, r, t in kept.tolist() if d[h] >= 0 and d[t] >= 0}
-    assert triples(dm.decoder) == naive
-    assert len(dm.decoder) == len(naive)
+    assert triples(bd.decoder[1]) == naive
+    assert len(bd.decoder[1]) == len(naive)
 
 
 @settings(max_examples=30, deadline=None)
@@ -145,9 +141,9 @@ def test_triple_budget(seed, L):
     kg = augment(random_kg(np.random.default_rng(seed)))
     idx = build_index(kg)
     q = int(np.random.default_rng(seed + 3).integers(0, len(kg.entities)))
-    dm = relative_distances(idx, q, L)
-    layered = sum(len(pos) for pos in dm.layers)
-    assert layered <= len(dm.decoder)
+    bd = batch_distances(idx, [q], L)
+    layered = sum(len(pos) for pos in layer_positions(bd))
+    assert layered <= len(bd.decoder[1])
 
 
 def test_removed_edges_affect_distances(toy_index, toy_aug):
@@ -159,8 +155,8 @@ def test_removed_edges_affect_distances(toy_index, toy_aug):
             toy_index.find_edges(ids.id("A"), ids.id("D")),
         ]
     )
-    dm = relative_distances(toy_index, ids.id("A"), 3, removed=removed)
-    assert (dm.dist[[ids.id("B"), ids.id("C"), ids.id("D"), ids.id("E")]] == -1).all()
+    bd = batch_distances(toy_index, [ids.id("A")], 3, [removed])
+    assert (bd.dist[[ids.id("B"), ids.id("C"), ids.id("D"), ids.id("E")]] == -1).all()
 
 
 def test_batch_node_table_duplicates_shared_entities(toy_index, toy_aug):
@@ -341,8 +337,8 @@ def test_batch_slots_match_single_query_and_oracle(seed, n_slots, L):
     assert bg.num_queries == n_slots
     for s, (qs, rows) in enumerate(zip(specs, kept)):
         oracle = bfs_oracle(rows, n_e, qs.query, L)
-        dm = relative_distances(idx, qs.query, L, removed=qs.removed)
-        assert np.array_equal(dm.dist.astype(np.int64), oracle)
+        bd = batch_distances(idx, [qs.query], L, [qs.removed])
+        assert np.array_equal(bd.dist.astype(np.int64), oracle)
         lo, hi = bg.spans[s]
         assert np.array_equal(bg.node_entity[lo:hi], np.flatnonzero(oracle >= 0))
         assert bg.node_entity[bg.query_nodes[s]] == qs.query
@@ -354,14 +350,15 @@ def test_batch_slots_match_single_query_and_oracle(seed, n_slots, L):
             sorted((h, r, t) for h, r, t in rows.tolist() if d[h] == l - 1 and d[t] in (l - 1, l))
             for l in range(1, L + 1)
         ]
-        for pos, want in zip(dm.layers, naive):
+        layers = layer_positions(bd)
+        for pos, want in zip(layers, naive):
             assert sorted(zip(idx.head[pos].tolist(), idx.rel[pos].tolist(),
                               idx.tail[pos].tolist())) == want
         # the batch holds the encoder's layers 1..L-1 and the decoder
         assert len(bg.layers) == L - 1
         dec = sorted((h, r, t) for h, r, t in rows.tolist() if d[h] >= 0 and d[t] >= 0)
         for lt, pos, want in zip(bg.layers + [bg.decoder],
-                                 dm.layers[:-1] + [dm.decoder], naive[:-1] + [dec]):
+                                 layers[:-1] + [bd.decoder[1]], naive[:-1] + [dec]):
             single = sorted(zip(idx.head[pos].tolist(), idx.rel[pos].tolist(),
                                 idx.tail[pos].tolist()))
             assert slot_triples(bg, lt, s) == single == want
@@ -384,9 +381,9 @@ def test_batch_bfs_dies_before_horizon(queries):
         oracle = bfs_oracle(kept, 4, qs.query, 5)
         lo, hi = bg.spans[s]
         assert np.array_equal(bg.node_entity[lo:hi], np.flatnonzero(oracle >= 0))
-        dm = relative_distances(idx, qs.query, 5, removed=qs.removed)
-        assert np.array_equal(dm.dist.astype(np.int64), oracle)
-        sizes = [len(pos) for pos in dm.layers]
+        bd = batch_distances(idx, [qs.query], 5, [qs.removed])
+        assert np.array_equal(bd.dist.astype(np.int64), oracle)
+        sizes = [len(pos) for pos in layer_positions(bd)]
         assert sizes[3:] == [0, 0]
         # the batch holds layers 1..4, the kernel's layer 5 is not merged
         assert [len(slot_triples(bg, lt, s)) for lt in bg.layers] == sizes[:-1]

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgpercolate.kg import Vocab, augment, build_index, make_graph
-from kgpercolate.layering import relative_distances
+from kgpercolate.layering import batch_distances
 from kgpercolate.paths import (
     PrincipleReport,
     RelationalPath,
@@ -22,12 +22,12 @@ from kgpercolate.paths import (
     verify_percolation_principles,
 )
 
-from conftest import random_kg, toy_triple
+from conftest import layer_positions, random_kg, toy_triple
 
 
 @pytest.fixture
 def toy_dm(toy_index, toy_aug):
-    return relative_distances(toy_index, toy_aug.entities.id("A"), 3)
+    return batch_distances(toy_index, [toy_aug.entities.id("A")], 3)
 
 
 def path_from_names(kg, names):
@@ -108,7 +108,7 @@ def test_deltas_final_sideways_step(toy_aug, toy_dm):
 
 
 def test_deltas_outside_horizon_error(toy_aug, toy_index):
-    dm1 = relative_distances(toy_index, toy_aug.entities.id("A"), 1)
+    dm1 = batch_distances(toy_index, [toy_aug.entities.id("A")], 1)
     p = path_from_names(toy_aug, [("A", "r1", "B"), ("B", "r1", "C")])
     with pytest.raises(ValueError, match="outside horizon"):
         potential_deltas(p, dm1)
@@ -170,6 +170,24 @@ def test_any_return_to_query_is_redundant(toy_aug, toy_index, toy_dm):
     )
 
 
+@pytest.mark.parametrize("classify", [
+    lambda index, bd, p: shortest_path_map(index, bd),
+    lambda index, bd, p: potential_deltas(p, bd),
+    lambda index, bd, p: is_percolation_valid(p, bd),
+    lambda index, bd, p: classify_redundant(p, bd, [p]),
+], ids=["shortest_path_map", "potential_deltas", "is_percolation_valid",
+        "classify_redundant"])
+def test_classifiers_refuse_two_slot_maps(toy_index, toy_aug, classify):
+    # slot 0 of a two-slot map keys its entities by id, so reading the map
+    # by entity id would silently answer for slot 0 alone
+    ids = toy_aug.entities
+    bd = batch_distances(toy_index, [ids.id("A"), ids.id("B")], 3)
+    p = path_from_names(toy_aug, [("A", "r1", "B"), ("B", "r1", "C")])
+    with pytest.raises(ValueError, match="^path classifiers read a one-slot distance map, "
+                                         "not one of 2 slots$"):
+        classify(toy_index, bd, p)
+
+
 def test_principles_toy(toy_index, toy_aug):
     rep = verify_percolation_principles(toy_index, toy_aug.entities.id("A"), 3)
     assert rep.all_ok, rep.counterexamples
@@ -195,10 +213,10 @@ def test_premise_needs_query_alone_at_distance_0(monkeypatch):
     ents = Vocab(["a", "b"])
     kg = augment(make_graph(np.array([[0, 0, 1]], dtype=np.int32), ents, Vocab(["r"])))
     idx = build_index(kg)
-    dm = corrupt_neighbour_distance(relative_distances(idx, 0, 2))
+    dm = corrupt_neighbour_distance(batch_distances(idx, [0], 2))
     assert not reference_verify(idx, dm).no_valid_redundant
     assert not premise_holds(idx, dm)
-    monkeypatch.setattr(kgpercolate.paths, "relative_distances", lambda *a: dm)
+    monkeypatch.setattr(kgpercolate.paths, "batch_distances", lambda *a: dm)
     with pytest.raises(ValueError, match="^percolation premise fails for query 0: entity 1 "):
         verify_percolation_principles(idx, 0, 2)
 
@@ -219,7 +237,7 @@ def oracle_shortest(index, dm, t) -> list:
     distance map every walk that long to t qualifies."""
     d = int(dm.dist[t])
     return [
-        p for p in enumerate_paths(index, dm.query, t, d, include_identity=True)
+        p for p in enumerate_paths(index, int(dm.queries[0]), t, d, include_identity=True)
         if p.length == d and all(dm.dist[e] == k for k, (_, _, e) in enumerate(p.triples, 1))
     ]
 
@@ -229,10 +247,10 @@ def oracle_report(index, dm) -> dict:
     walks of length 1..H from ``enumerate_paths`` with no self-loop triple,
     ``oracle_shortest``, ``is_percolation_valid`` and ``classify_redundant``,
     and the layer coverage from a count of every layered position."""
-    q, H = dm.query, dm.horizon
+    q, H = int(dm.queries[0]), dm.horizon
     n = Counter()
     bad = {"shortest": [], "redundant": [], "coverage": []}
-    for t in dm.within().tolist():
+    for t in np.flatnonzero(dm.dist >= 0).tolist():
         short = oracle_shortest(index, dm, t)
         n["shortest"] += len(short)
         bad["shortest"] += [
@@ -247,7 +265,7 @@ def oracle_report(index, dm) -> dict:
                 if classify_redundant(p, dm, short):
                     n["redundant"] += 1
                     bad["redundant"].append(f"valid-and-redundant: {p.triples}")
-    layered = Counter(pos for layer in dm.layers for pos in layer.tolist())
+    layered = Counter(layered_positions(dm).tolist())
     bad["coverage"] += [
         f"triple in two layers: pos {pos}" for pos, k in layered.items() for _ in range(k - 1)
     ]
@@ -297,24 +315,24 @@ def test_principles_match_definitions(seed, L):
     rng = np.random.default_rng(seed)
     idx = build_index(augment(loopy_kg(rng)))
     for q in rng.choice(idx.num_entities, size=3).tolist():
-        dm = relative_distances(idx, q, L)
+        dm = batch_distances(idx, [q], L)
         rep = verify_percolation_principles(idx, q, L)
         assert report_fields(rep) == oracle_report(idx, dm)
         assert rep.all_ok, rep.counterexamples
         # the one-pass map holds exactly the walks as long as each target's distance
         short = shortest_path_map(idx, dm)
-        for t in dm.within().tolist():
+        for t in dm.within.tolist():
             want = [p.triples for p in enumerate_paths(idx, q, t, int(dm.dist[t]))
                     if p.length == dm.dist[t]]
             assert Counter(p.triples for p in short.get(t, [])) == Counter(want)
-        assert set(short) == set(dm.within().tolist())
+        assert set(short) == set(dm.within.tolist())
 
 
 def corrupt_query_distance(dm):
     # the query's neighbours now sit level with it: a climb through them is
     # a shortest path whose first step does not climb
     dist = dm.dist.copy()
-    dist[dm.query] = 1
+    dist[dm.queries[0]] = 1
     return replace(dm, dist=dist)
 
 
@@ -326,9 +344,31 @@ def corrupt_neighbour_distance(dm):
     return replace(dm, dist=dist)
 
 
+def layered_positions(dm) -> np.ndarray:
+    """The positions of the map's decoder entries with a layer id in
+    1..horizon, in decoder order."""
+    return dm.decoder[1][(dm.layer >= 1) & (dm.layer <= dm.horizon)]
+
+
+def relayer(dm, layers):
+    """The map with its layered decoder entries replaced by ``layers``, a
+    list of (layer id, positions) read in that order, and its other decoder
+    entries after them."""
+    rest = (dm.layer < 1) | (dm.layer > dm.horizon)
+    pos = np.concatenate([p for _, p in layers] + [dm.decoder[1][rest]])
+    layer = np.concatenate([np.full(len(p), l, dtype=dm.layer.dtype) for l, p in layers]
+                           + [dm.layer[rest]])
+    return replace(dm, decoder=(np.zeros(len(pos), dtype=np.int64), pos), layer=layer)
+
+
+def numbered_layers(dm):
+    return list(enumerate(layer_positions(dm), 1))
+
+
 def corrupt_layers(dm):
     # layer 1 twice and layer 2 gone: repeats and missing triples
-    return replace(dm, layers=[dm.layers[0], dm.layers[0], *dm.layers[2:]])
+    layers = numbered_layers(dm)
+    return relayer(dm, [layers[0], layers[0], *layers[2:]])
 
 
 @pytest.mark.parametrize("corrupt, flag", [
@@ -343,8 +383,8 @@ def test_principle_failures_match_definitions(monkeypatch, toy_index, toy_aug, c
 
     ids = toy_aug.entities
     q = ids.id("A")
-    dm = corrupt(relative_distances(toy_index, q, 3))
-    monkeypatch.setattr(kgpercolate.paths, "relative_distances", lambda *a: dm)
+    dm = corrupt(batch_distances(toy_index, [q], 3))
+    monkeypatch.setattr(kgpercolate.paths, "batch_distances", lambda *a: dm)
     want = oracle_report(toy_index, dm)
     assert not want[flag]
     refusal = {
@@ -369,8 +409,8 @@ def test_principle_entity_outside_horizon_raises(monkeypatch, toy_index, toy_aug
 
     ids = toy_aug.entities
     q = ids.id("A")
-    dm = leave_horizon(relative_distances(toy_index, q, 3), ids.id("B"))
-    monkeypatch.setattr(kgpercolate.paths, "relative_distances", lambda *a: dm)
+    dm = leave_horizon(batch_distances(toy_index, [q], 3), ids.id("B"))
+    monkeypatch.setattr(kgpercolate.paths, "batch_distances", lambda *a: dm)
     with pytest.raises(ValueError, match="path entity outside horizon 3"):
         oracle_report(toy_index, dm)
     pos = int(toy_index.find_edges(q, ids.id("B"))[0])
@@ -387,12 +427,12 @@ def reference_verify(index, dm):
     visit, and check (3) as a scan of every triple.  Nothing here reads the
     code under test except ``RelationalPath``, ``classify_redundant`` and
     the report type."""
-    q, horizon = dm.query, dm.horizon
+    q, horizon = int(dm.queries[0]), dm.horizon
     rep = PrincipleReport(
         query=q, horizon=horizon,
         shortest_all_valid=True, no_valid_redundant=True, coverage_complete=True,
     )
-    within = dm.within()
+    within = np.flatnonzero(dm.dist >= 0)
     dist = dict(zip(within.tolist(), dm.dist[within].tolist()))
 
     def deltas(path):
@@ -456,7 +496,7 @@ def reference_verify(index, dm):
 
     walk(q, 0, 0, True, True)
 
-    layered = np.concatenate(dm.layers)
+    layered = layered_positions(dm)
     first = np.zeros(len(layered), dtype=bool)
     first[np.unique(layered, return_index=True)[1]] = True
     for pos in layered[~first].tolist():
@@ -483,7 +523,8 @@ def outcome(check, *args):
 
 def repeat_layers_reversed(dm):
     # every layer twice, the second time in reverse: repeats out of order
-    return replace(dm, layers=[*dm.layers, *dm.layers[::-1]])
+    layers = numbered_layers(dm)
+    return relayer(dm, [*layers, *layers[::-1]])
 
 
 def leave_horizon(dm, e):
@@ -497,7 +538,7 @@ def query_deeper(dm):
     # the query below its neighbours: a length-1 shortest path whose only
     # step descends, and longer climbs whose first step descends
     dist = dm.dist.copy()
-    dist[dm.query] = 2
+    dist[dm.queries[0]] = 2
     return replace(dm, dist=dist)
 
 
@@ -513,7 +554,7 @@ def corrupted_maps(true):
     """Each corrupted map of a true one, in a fixed order."""
     return [corrupt_query_distance(true), corrupt_neighbour_distance(true),
             corrupt_layers(true), repeat_layers_reversed(true),
-            leave_horizon(true, true.query), query_deeper(true)]
+            leave_horizon(true, true.queries[0]), query_deeper(true)]
 
 
 def premise_holds(index, dm) -> bool:
@@ -522,7 +563,7 @@ def premise_holds(index, dm) -> bool:
     whose head sits at a distance d in [0, horizon-1] has its tail at a
     distance in [0, d+1]."""
     dist = dm.dist
-    if dist[dm.query] != 0 or int((dist == 0).sum()) != 1:
+    if dist[dm.queries[0]] != 0 or int((dist == 0).sum()) != 1:
         return False
     for h, t in zip(index.head.tolist(), index.tail.tolist()):
         dh, dt = int(dist[h]), int(dist[t])
@@ -549,11 +590,11 @@ def test_verify_matches_reference(seed, L):
     rng = np.random.default_rng(seed)
     idx = build_index(augment(loopy_kg(rng)))
     for q in rng.choice(idx.num_entities, size=3).tolist():
-        true = relative_distances(idx, q, L)
-        others = [leave_horizon(true, e) for e in true.within().tolist() if e != q]
+        true = batch_distances(idx, [q], L)
+        others = [leave_horizon(true, e) for e in true.within.tolist() if e != q]
         for dm in [true, *corrupted_maps(true), neighbours_deeper(true), *others]:
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(kgpercolate.paths, "relative_distances", lambda *a: dm)
+                mp.setattr(kgpercolate.paths, "batch_distances", lambda *a: dm)
                 got = outcome(verify_percolation_principles, idx, q, L)
             if premise_holds(idx, dm):
                 want = reference_verify(idx, dm)
@@ -579,10 +620,10 @@ def test_report_digest(monkeypatch):
         idx = build_index(augment(loopy_kg(np.random.default_rng(seed))))
         for L in (1, 2, 3, 4):
             for q in range(idx.num_entities):
-                true = relative_distances(idx, q, L)
-                others = [leave_horizon(true, e) for e in true.within().tolist() if e != q]
+                true = batch_distances(idx, [q], L)
+                others = [leave_horizon(true, e) for e in true.within.tolist() if e != q]
                 for dm in [true, *corrupted_maps(true), *others]:
-                    monkeypatch.setattr(kgpercolate.paths, "relative_distances", lambda *a: dm)
+                    monkeypatch.setattr(kgpercolate.paths, "batch_distances", lambda *a: dm)
                     got = outcome(verify_percolation_principles, idx, q, L)
                     if premise_holds(idx, dm):
                         h.update(repr(got).encode())
@@ -594,21 +635,23 @@ def test_report_digest(monkeypatch):
 
 @pytest.mark.parametrize("horizon", [1, 2, 3, 4])
 def test_verify_ignores_decoder(monkeypatch, horizon):
-    # check (3) picks its triples from the CSR, not from the kernel's
-    # decoder: with the decoder emptied it still reports the triples that
-    # corrupted layers miss
+    # check (3) picks its wanted triples from the CSR, not from the kernel's
+    # decoder: with the decoder cut down to its layered entries it still
+    # reports the triples that corrupted layers miss
     import kgpercolate.paths
 
     rng = np.random.default_rng(horizon)
     idx = build_index(augment(loopy_kg(rng)))
     missed = 0
     for q in range(idx.num_entities):
-        true = relative_distances(idx, q, horizon)
+        true = batch_distances(idx, [q], horizon)
         for dm in (true, corrupt_layers(true)):
             want = reference_verify(idx, dm)
             missed += sum(c.startswith("non-uphill") for c in want.counterexamples)
-            no_decoder = replace(dm, decoder=np.empty(0, dtype=np.int64))
-            monkeypatch.setattr(kgpercolate.paths, "relative_distances", lambda *a: no_decoder)
+            keep = (dm.layer >= 1) & (dm.layer <= horizon)
+            layered_only = replace(dm, decoder=tuple(a[keep] for a in dm.decoder),
+                                   layer=dm.layer[keep])
+            monkeypatch.setattr(kgpercolate.paths, "batch_distances", lambda *a: layered_only)
             assert verify_percolation_principles(idx, q, horizon) == want
     assert missed > 0 or horizon == 1
 
@@ -617,7 +660,7 @@ def test_principle_budget_guards(toy_index, toy_aug):
     # from A at horizon 3 the climb visits 7 prefixes: A, AB, ABC, ABCE, AD,
     # ADC, ADCE
     q = toy_aug.entities.id("A")
-    dm = relative_distances(toy_index, q, 3)
+    dm = batch_distances(toy_index, [q], 3)
     assert sum(map(len, shortest_path_map(toy_index, dm, 7).values())) == 7
     with pytest.raises(ValueError, match="shortest-path enumeration exceeded 6 expansions"):
         shortest_path_map(toy_index, dm, 6)

@@ -10,13 +10,13 @@ CHANGED / BASE; a ratio below 1 means CHANGED is faster.
 
     python tools/interleave.py BASE [CHANGED] --call CALL [--seed N] [--pairs N]
 
-CALL is one of ``relative_distances`` and ``verify_percolation_principles``
-(once per query of the batch), ``count_queries`` and ``build_batch`` (once
-per batch).  CHANGED defaults to this checkout.  The set-up is the eval
-workload's: the sparse test graph at horizon 3, batches of 64 held-out
-queries asked in either direction, no masks.  The host's speed drifts by up
-to 1.5x between separate runs, so a small difference is visible only in
-pairs this close.
+CALL is one of ``batch_distances`` (called with one query) and
+``verify_percolation_principles`` (once per query of the batch),
+``count_queries`` and ``build_batch`` (once per batch).  CHANGED defaults
+to this checkout.  The set-up is the eval workload's: the sparse test graph
+at horizon 3, batches of 64 held-out queries asked in either direction, no
+masks.  The host's speed drifts by up to 1.5x between separate runs, so a
+small difference is visible only in pairs this close.
 
 Before timing, both sides run the first batch and their results are compared
 field by field (dataclass fields, array dtypes and values, dict keys and
@@ -37,7 +37,7 @@ from time import perf_counter
 import numpy as np
 
 HERE = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
-CALLS = ("relative_distances", "verify_percolation_principles", "count_queries", "build_batch")
+CALLS = ("batch_distances", "verify_percolation_principles", "count_queries", "build_batch")
 HORIZON = 3
 
 
@@ -65,9 +65,11 @@ def side(pkg, triples: np.ndarray, n_e: int, n_rel: int, call: str):
             [layering.QuerySpec(int(h), int(r), int(t)) for h, r, t in rows], HORIZON)
     if call == "count_queries":
         return lambda rows: counting.count_queries(index, rows[:, 0], HORIZON)
-    fn = (paths.verify_percolation_principles if call == "verify_percolation_principles"
-          else layering.relative_distances)
-    return lambda rows: [fn(index, int(q), HORIZON) for q in rows[:, 0]]
+    if call == "batch_distances":
+        return lambda rows: [layering.batch_distances(index, [int(q)], HORIZON)
+                             for q in rows[:, 0]]
+    return lambda rows: [paths.verify_percolation_principles(index, int(q), HORIZON)
+                         for q in rows[:, 0]]
 
 
 def same(a, b) -> bool:
