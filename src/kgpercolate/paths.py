@@ -202,22 +202,23 @@ def classify_redundant(
 
 @dataclass
 class PrincipleReport:
-    """Outcome of the three structural checks for one query."""
+    """Outcome of the structural checks for one query.
+
+    Principles (1) and (2) hold whenever a report is made, since the premise
+    they follow from is checked first, so only (3) has an outcome.
+    """
 
     query: int
     horizon: int
-    shortest_all_valid: bool
-    no_valid_redundant: bool
     coverage_complete: bool
     n_shortest: int = 0
     n_walks: int = 0
     n_valid: int = 0
-    n_redundant: int = 0
     counterexamples: list[str] = field(default_factory=list)
 
     @property
     def all_ok(self) -> bool:
-        return self.shortest_all_valid and self.no_valid_redundant and self.coverage_complete
+        return self.coverage_complete
 
 
 def verify_percolation_principles(
@@ -268,7 +269,7 @@ def verify_percolation_principles(
     from q over the triples that are not self-loops, one step at a time.
     ``n_valid`` sums sigma(u) times u's out-triples that are not self-loops
     and whose tail is no shallower than u, over u with d(u) <= H-1.
-    ``n_redundant`` is 0, and (1) and (2) have no counterexamples.
+    No valid walk is redundant, and (1) and (2) have no counterexamples.
 
     (3) reads the same CSR ranges: its counterexamples are every repeat of
     a layered triple in the map's decoder order, then every wanted triple
@@ -330,8 +331,6 @@ def verify_percolation_principles(
     cex += [f"non-uphill triple missing from all layers: pos {p}"
             for p in pos[td >= hd].tolist() if p not in layered]
     return PrincipleReport(
-        query=q, horizon=horizon,
-        shortest_all_valid=True, no_valid_redundant=True, coverage_complete=not cex,
-        n_shortest=sum(sigma), n_walks=n_walks, n_valid=n_valid, n_redundant=0,
-        counterexamples=cex,
+        query=q, horizon=horizon, coverage_complete=not cex,
+        n_shortest=sum(sigma), n_walks=n_walks, n_valid=n_valid, counterexamples=cex,
     )

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
-EXPECT = "b1f74ba7e4a06b5da3198ac1685e56618bac96bb02c432bc19a9bfcd558736d7"
+EXPECT = "5c72e0534bb5f90b984c964fac643dace6c7da7d40e384b9461d3518a0f0667f"
 
 
 @pytest.mark.skipif(np.__version__ != "2.4.6",
@@ -26,4 +26,4 @@ def test_golden_hash_unchanged():
         capture_output=True, text=True, timeout=600,
     )
     assert run.returncode == 0, run.stdout + run.stderr
-    assert "analysis  0992bc98d8e435422e1945ac557a0f30047f6ac2a0ecc8a6e618e6ca445839e6" in run.stdout
+    assert "analysis  264c4c75a627b702361e2596c7faac51b2ea8abae235fd0d17db4b029d89f24d" in run.stdout

@@ -65,6 +65,12 @@ KNOWN = {
         "eval": "4724e801b216870bd28cd7ead3ba09ac9b9bf4a02659828d5b98b15db456b842",
         "analysis": "0992bc98d8e435422e1945ac557a0f30047f6ac2a0ecc8a6e618e6ca445839e6",
     },
+    # PrincipleReport drops the fields that could only read True, True and 0
+    "5c72e0534bb5f90b984c964fac643dace6c7da7d40e384b9461d3518a0f0667f": {
+        "train": "58471aa2f0b0b7baa39d372834a2d1cb152888a559a1d5cbb625898b8cab93ed",
+        "eval": "4724e801b216870bd28cd7ead3ba09ac9b9bf4a02659828d5b98b15db456b842",
+        "analysis": "264c4c75a627b702361e2596c7faac51b2ea8abae235fd0d17db4b029d89f24d",
+    },
 }
 
 
