@@ -425,6 +425,42 @@ def test_principle_entity_outside_horizon_raises(monkeypatch, toy_index, toy_aug
         verify_percolation_principles(toy_index, q, 3)
 
 
+def test_premise_reads_distances_not_within(monkeypatch, toy_index, toy_aug):
+    # E left outside the horizon breaks the premise at C -> E; a map whose
+    # ``within`` also leaves out C hides that triple from a check that
+    # trusted the list, so the premise check takes its entities from dist
+    import kgpercolate.paths
+
+    ids = toy_aug.entities
+    q = ids.id("A")
+    dm = leave_horizon(batch_distances(toy_index, [q], 3), ids.id("E"))
+    dm = replace(dm, within=np.setdiff1d(dm.within, [ids.id("C"), ids.id("E")]))
+    monkeypatch.setattr(kgpercolate.paths, "batch_distances", lambda *a: dm)
+    pos = int(toy_index.find_edges(ids.id("C"), ids.id("E"))[0])
+    with pytest.raises(ValueError, match=(
+        f"^percolation premise fails for query {q}: triple pos {pos} has head "
+        "distance 2 and tail distance -1$"
+    )):
+        verify_percolation_principles(toy_index, q, 3)
+
+
+@pytest.mark.parametrize("label", [0, 4])
+def test_verify_reads_layer_ids(monkeypatch, toy_index, toy_aug, label):
+    # layer 2's triples stay in the decoder, relabelled as descending (0) or
+    # as beyond the horizon (4 at horizon 3): no layer holds them, so check
+    # (3) reports each of them missing
+    import kgpercolate.paths
+
+    q = toy_aug.entities.id("A")
+    true = batch_distances(toy_index, [q], 3)
+    dm = replace(true, layer=np.where(true.layer == 2, label, true.layer))
+    monkeypatch.setattr(kgpercolate.paths, "batch_distances", lambda *a: dm)
+    rep = verify_percolation_principles(toy_index, q, 3)
+    assert rep.counterexamples == [f"non-uphill triple missing from all layers: pos {p}"
+                                   for p in layer_positions(true)[1].tolist()]
+    assert rep == reference_verify(toy_index, dm)
+
+
 def reference_verify(index, dm):
     """The principle checks written straight against the index and the
     map: numpy lookups of ``dm.dist`` per triple, the CSR sliced at every

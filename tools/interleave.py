@@ -10,8 +10,8 @@ CHANGED / BASE; a ratio below 1 means CHANGED is faster.
 
     python tools/interleave.py BASE [CHANGED] --call CALL [--seed N] [--pairs N]
 
-CALL is one of ``batch_distances`` (called with one query) and
-``verify_percolation_principles`` (once per query of the batch),
+CALL is one of ``batch_distances`` with a single query and
+``verify_percolation_principles`` (each once per query of the batch),
 ``count_queries`` and ``build_batch`` (once per batch).  CHANGED defaults
 to this checkout.  The set-up is the eval workload's: the sparse test graph
 at horizon 3, batches of 64 held-out queries asked in either direction, no
