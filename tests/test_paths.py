@@ -365,13 +365,9 @@ def relayer(dm, layers):
     return replace(dm, decoder=(np.zeros(len(pos), dtype=np.int64), pos), layer=layer)
 
 
-def numbered_layers(dm):
-    return list(enumerate(layer_positions(dm), 1))
-
-
 def corrupt_layers(dm):
     # layer 1 twice and layer 2 gone: repeats and missing triples
-    layers = numbered_layers(dm)
+    layers = list(enumerate(layer_positions(dm), 1))
     return relayer(dm, [layers[0], layers[0], *layers[2:]])
 
 
@@ -558,7 +554,7 @@ def outcome(check, *args):
 
 def repeat_layers_reversed(dm):
     # every layer twice, the second time in reverse: repeats out of order
-    layers = numbered_layers(dm)
+    layers = list(enumerate(layer_positions(dm), 1))
     return relayer(dm, [*layers, *layers[::-1]])
 
 
