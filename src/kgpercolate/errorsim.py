@@ -15,17 +15,18 @@ and after.  Exact closed forms are reported next to the Monte Carlo
 estimates; the guaranteed lower bound on the increase is
 alpha * sigma2 / (m+1)^2.
 
-All estimates come with standard errors from batch means, and every run is
-reproducible from its seed (independent substreams per experiment).
+All estimates come with standard errors from ``BATCHES`` batch means, and every
+run is reproducible from its seed (independent substreams per experiment).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 FAMILIES = ("translation", "scaling", "rotation")
+BATCHES = 40  # equal-sized batches behind every standard error
 
 
 @dataclass
@@ -36,12 +37,9 @@ class HopVarianceResult:
     sigma2: float
     samples: int
     seed: int
-    estimates: list[float] = field(default_factory=list)  # per hop 1..hops
-    std_errors: list[float] = field(default_factory=list)
-    theory: list[float] | None = None  # k * sigma2 where exact
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
+    estimates: list[float]  # per hop 1..hops
+    std_errors: list[float]
+    theory: list[float] | None  # k * sigma2 where exact
 
 
 @dataclass
@@ -53,33 +51,26 @@ class AggregationResult:
     sigma2: float
     samples: int
     seed: int
-    before_estimate: float = 0.0
-    before_se: float = 0.0
-    after_estimate: float = 0.0
-    after_se: float = 0.0
-    increase_estimate: float = 0.0
-    increase_se: float = 0.0
-    before_exact: float = 0.0
-    after_exact: float = 0.0
-    increase_exact: float = 0.0
-    bound: float = 0.0
-    pairwise_covariance_exact: float = 0.0
-    shared_covariance_uniform: bool = True
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
+    before_estimate: float
+    before_se: float
+    after_estimate: float
+    after_se: float
+    increase_estimate: float
+    increase_se: float
+    before_exact: float
+    after_exact: float
+    increase_exact: float
+    bound: float
 
 
-def _step_matrix(family: str, dim: int, rng: np.random.Generator) -> np.ndarray | None:
-    if family == "translation":
-        return None  # identity
-    if family == "scaling":
-        return rng.uniform(0.5, 1.5, size=dim)
-    if family == "rotation":
-        a = rng.standard_normal((dim, dim))
-        q, r = np.linalg.qr(a)
-        return q * np.sign(np.diag(r))  # uniform orthogonal
-    raise ValueError(f"unknown step family {family!r}; choose from {FAMILIES}")
+def _batch_mean_squares(x: np.ndarray) -> np.ndarray:
+    """Mean square of each of ``BATCHES`` equal blocks of rows of ``x``."""
+    return np.square(x).reshape(BATCHES, -1).mean(axis=1)
+
+
+def _mean_se(per_batch: np.ndarray) -> tuple[float, float]:
+    """Batch-means estimate and its standard error."""
+    return float(per_batch.mean()), float(per_batch.std(ddof=1) / np.sqrt(BATCHES))
 
 
 def simulate_hop_variance(
@@ -89,52 +80,45 @@ def simulate_hop_variance(
     dim: int = 16,
     samples: int = 20_000,
     seed: int = 0,
-    batches: int = 40,
 ) -> HopVarianceResult:
     """Estimate per-hop deviation variance for one step family.
 
     The scaling family draws a single diagonal reused across hops; rotation
     draws a fresh orthogonal matrix per hop.  Estimates are the mean of
     squared deviations over samples and dimensions; standard errors come
-    from ``batches`` batch means.
+    from ``BATCHES`` batch means.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown step family {family!r}; choose from {FAMILIES}")
-    if hops < 0 or sigma2 < 0 or samples < batches:
-        raise ValueError("need hops >= 0, sigma2 >= 0 and samples >= batches")
-    samples -= samples % batches  # batch means need equal-sized batches
+    if hops < 0 or sigma2 < 0 or dim < 1 or samples < BATCHES:
+        raise ValueError(f"need hops >= 0, sigma2 >= 0, dim >= 1 and samples >= {BATCHES}")
+    samples -= samples % BATCHES  # batch means need equal-sized batches
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    scale_diag = _step_matrix("scaling", dim, rng) if family == "scaling" else None
+    scale_diag = rng.uniform(0.5, 1.5, size=dim) if family == "scaling" else None
     delta = np.zeros((samples, dim), dtype=np.float64)
-    res = HopVarianceResult(
-        family=family, dim=dim, hops=hops, sigma2=sigma2,
-        samples=samples, seed=seed,
-        theory=(
-            [k * sigma2 for k in range(1, hops + 1)]
-            if family in ("translation", "rotation")
-            else None
-        ),
-    )
     sigma = float(np.sqrt(sigma2))
-    for _k in range(1, hops + 1):
+    stats = []
+    for _ in range(hops):
         if family == "rotation":
-            a = _step_matrix("rotation", dim, rng)
-            delta = delta @ a.T
+            q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+            delta = delta @ (q * np.sign(np.diag(r))).T  # uniform orthogonal
         elif family == "scaling":
             delta = delta * scale_diag
         delta = delta + rng.standard_normal((samples, dim)) * sigma
-        per_batch = np.mean(
-            np.square(delta).reshape(batches, samples // batches * dim), axis=1
-        )
-        res.estimates.append(float(per_batch.mean()))
-        res.std_errors.append(float(per_batch.std(ddof=1) / np.sqrt(batches)))
-    return res
+        stats.append(_mean_se(_batch_mean_squares(delta)))
+    return HopVarianceResult(
+        family, dim, hops, sigma2, samples, seed,
+        estimates=[est for est, _ in stats], std_errors=[se for _, se in stats],
+        theory=[k * sigma2 for k in range(1, hops + 1)] if family != "scaling" else None,
+    )
 
 
 def exact_aggregation_variance(
     m: int, path_len: int, alpha: int, overlap: int, sigma2: float
 ) -> tuple[float, float, float]:
     """Closed-form (before, after, increase) for the shared-prefix build."""
+    if m < 1 or path_len < 1 or alpha < 0 or sigma2 < 0 or not 0 <= overlap <= path_len:
+        raise ValueError("need m, path_len >= 1, alpha, sigma2 >= 0, overlap in [0, path_len]")
     var_path = path_len * sigma2
     cm = m * (m - 1) * overlap * sigma2
     before = (m * var_path + cm) / m**2
@@ -151,7 +135,6 @@ def simulate_aggregation(
     overlap: int | None = None,
     samples: int = 40_000,
     seed: int = 0,
-    batches: int = 40,
 ) -> AggregationResult:
     """Variance of the mean-aggregated endpoint before/after one redundant path.
 
@@ -164,56 +147,28 @@ def simulate_aggregation(
     share the same error draws (paired batches) so the increase estimate has
     a meaningful standard error.
     """
-    if m < 1 or path_len < 1 or alpha < 0:
-        raise ValueError("need m >= 1, path_len >= 1, alpha >= 0")
     if overlap is None:
         overlap = path_len // 2
-    if not 0 <= overlap <= path_len:
-        raise ValueError("overlap must lie in [0, path_len]")
-    if samples < batches:
-        raise ValueError("samples must be >= batches")
-    samples -= samples % batches
+    exact = exact_aggregation_variance(m, path_len, alpha, overlap, sigma2)
+    if samples < BATCHES:
+        raise ValueError(f"need samples >= {BATCHES}")
+    samples -= samples % BATCHES
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     sigma = float(np.sqrt(sigma2))
 
     # distinct triple errors: shared prefix | m private remainders | extras
-    n_private = path_len - overlap
     shared = rng.standard_normal((samples, overlap)).sum(axis=1) * sigma
-    private = rng.standard_normal((samples, m, n_private)).sum(axis=2) * sigma
+    private = rng.standard_normal((samples, m, path_len - overlap)).sum(axis=2) * sigma
     extras = rng.standard_normal((samples, alpha)).sum(axis=1) * sigma
     path_err = shared[:, None] + private  # (samples, m)
-    redundant_err = path_err[:, -1] + extras
-
-    before = path_err.mean(axis=1)
-    after = (path_err.sum(axis=1) + redundant_err) / (m + 1)
-
-    def batch_var(x):
-        per = np.square(x).reshape(batches, -1).mean(axis=1)
-        return per
-
-    b_b = batch_var(before)
-    b_a = batch_var(after)
-    diff = b_a - b_b
-    before_exact, after_exact, inc_exact = exact_aggregation_variance(
-        m, path_len, alpha, overlap, sigma2
+    before = _batch_mean_squares(path_err.mean(axis=1))
+    # keep path m + extras grouped: summing in another order changes the last bit
+    after = _batch_mean_squares((path_err.sum(axis=1) + (path_err[:, -1] + extras)) / (m + 1))
+    return AggregationResult(
+        m, path_len, alpha, overlap, sigma2, samples, seed,
+        *_mean_se(before), *_mean_se(after), *_mean_se(after - before),
+        *exact, bound=alpha * sigma2 / (m + 1) ** 2,
     )
-    res = AggregationResult(
-        m=m, path_len=path_len, alpha=alpha, overlap=overlap,
-        sigma2=sigma2, samples=samples, seed=seed,
-        before_estimate=float(b_b.mean()),
-        before_se=float(b_b.std(ddof=1) / np.sqrt(batches)),
-        after_estimate=float(b_a.mean()),
-        after_se=float(b_a.std(ddof=1) / np.sqrt(batches)),
-        increase_estimate=float(diff.mean()),
-        increase_se=float(diff.std(ddof=1) / np.sqrt(batches)),
-        before_exact=before_exact,
-        after_exact=after_exact,
-        increase_exact=inc_exact,
-        bound=alpha * sigma2 / (m + 1) ** 2,
-        pairwise_covariance_exact=m * (m - 1) * overlap * sigma2,
-        shared_covariance_uniform=True,
-    )
-    return res
 
 
 def run_entropy_suite(
@@ -230,15 +185,15 @@ def run_entropy_suite(
     """Full report: per-hop variances for all families + aggregation study."""
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(4)]
     per_hop = {
-        fam: simulate_hop_variance(
+        fam: asdict(simulate_hop_variance(
             fam, hops, sigma2, dim=dim, samples=samples, seed=s
-        ).as_dict()
+        ))
         for fam, s in zip(FAMILIES, seeds[:3])
     }
-    agg = simulate_aggregation(
+    agg = asdict(simulate_aggregation(
         m, path_len, alpha, sigma2, overlap=overlap,
         samples=max(samples, 2000), seed=seeds[3],
-    ).as_dict()
+    ))
     return {
         "seed": seed,
         "sigma2": sigma2,

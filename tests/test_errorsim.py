@@ -1,5 +1,7 @@
 """Monte Carlo error-growth simulator against closed-form oracles."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -70,10 +72,14 @@ class TestHopVariance:
         assert a.estimates != c.estimates
 
     def test_samples_trimmed_to_batches(self):
-        res = simulate_hop_variance(
-            "translation", hops=1, sigma2=0.01, samples=1001, batches=40, seed=0
-        )
+        res = simulate_hop_variance("translation", hops=1, sigma2=0.01, samples=1001, seed=0)
         assert res.samples == 1000
+        res = simulate_aggregation(m=2, path_len=3, alpha=1, sigma2=0.01, samples=1203, seed=0)
+        assert res.samples == 1200
+
+    def test_zero_dim_rejected(self):
+        with pytest.raises(ValueError, match="dim"):
+            simulate_hop_variance("translation", hops=2, sigma2=0.01, dim=0)
 
 
 class TestAggregation:
@@ -139,6 +145,14 @@ class TestAggregation:
             simulate_aggregation(m=1, path_len=2, alpha=1, sigma2=0.1, overlap=3)
         with pytest.raises(ValueError):
             simulate_aggregation(m=1, path_len=0, alpha=1, sigma2=0.1)
+        with pytest.raises(ValueError, match="overlap"):
+            exact_aggregation_variance(2, 3, 1, 5, 1.0)
+        with pytest.raises(ValueError):
+            exact_aggregation_variance(2, 3, -1, 1, 1.0)
+
+    def test_negative_noise_rejected(self):
+        with pytest.raises(ValueError, match="sigma2"):
+            simulate_aggregation(m=2, path_len=3, alpha=1, sigma2=-0.1)
 
 
 def test_suite_report_structure():
@@ -152,3 +166,39 @@ def test_suite_report_structure():
     rep2 = run_entropy_suite(hops=3, sigma2=0.01, samples=2000, seed=4,
                              m=2, path_len=3, alpha=1)
     assert rep == rep2
+
+
+# sha256 over a seeded grid of every result field, plus one suite report
+GOLDEN_ERRORSIM_DIGEST = "85040d85d0b34d022d3872e05f5ecfb50bc0fa664b0f0cce549a03ba7e8a1734"
+HOP_FIELDS = ("family", "dim", "hops", "sigma2", "samples", "seed",
+              "estimates", "std_errors", "theory")
+AGG_FIELDS = ("m", "path_len", "alpha", "overlap", "sigma2", "samples", "seed",
+              "before_estimate", "before_se", "after_estimate", "after_se",
+              "increase_estimate", "increase_se", "before_exact", "after_exact",
+              "increase_exact", "bound")
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6",
+                    reason="the golden digest is defined under numpy 2.4.6")
+def test_golden_digest():
+    h = hashlib.sha256()
+
+    def feed(res, names):
+        for name in names:
+            h.update(repr(getattr(res, name)).encode())
+
+    for family in FAMILIES:
+        for seed in range(3):
+            for dim in (1, 12, 16):
+                feed(simulate_hop_variance(family, hops=3, sigma2=0.01, dim=dim,
+                                           samples=403, seed=seed), HOP_FIELDS)
+    for m in (1, 2, 3):
+        for path_len, overlap in ((1, 0), (3, 1), (4, 4)):
+            for alpha in (0, 2):
+                for seed in range(3):
+                    feed(simulate_aggregation(m, path_len, alpha, 0.04, overlap=overlap,
+                                              samples=403, seed=seed), AGG_FIELDS)
+    rep = run_entropy_suite(hops=3, samples=2000, seed=4, m=2, path_len=3, alpha=1)
+    rep["aggregation"] = {k: rep["aggregation"][k] for k in AGG_FIELDS}
+    h.update(repr(rep).encode())
+    assert h.hexdigest() == GOLDEN_ERRORSIM_DIGEST
