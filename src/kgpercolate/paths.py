@@ -11,12 +11,10 @@ many distinct triples with a single shortest path (``classify_redundant``).
 ``shortest_path_map`` lists every shortest path by one climbing DFS.  The
 classifiers read the query's one-slot ``BatchDistanceMap`` from
 ``batch_distances(index, [q], horizon)``, and refuse a map of more slots.
-Identity self-loops are excluded from enumeration by default; a shortest
-path extended by an identity step would otherwise count as both valid and
-redundant and the structural checks below would be vacuous.  Principle (2)
-drops base-relation self-loops from its walks for the same reason: a triple
-whose head is its tail is a sideways step, and a shortest path ending in one
-is valid and shares every triple with that path.
+Enumeration skips every self-loop, a triple whose head is its tail, of the
+identity or of a base relation: it is a sideways step, and a shortest path
+ending in one is valid and shares every triple with that path, so with
+self-loops the walks of principle (2) would be redundant on every graph.
 
 ``verify_percolation_principles`` lists no path.  It checks a premise on the
 query's distance map (the query alone at distance 0, and every triple out
@@ -64,16 +62,20 @@ def enumerate_paths(
     source: int,
     target: int,
     max_len: int,
-    include_identity: bool = False,
     max_expansions: int = 2_000_000,
 ) -> list[RelationalPath]:
-    """All walks from source to target with at most max_len triples.
+    """All walks from source to target of at most max_len triples and no
+    self-loop step (identity or base relation): the walks of principle (2).
 
-    Raises ValueError when the DFS frontier exceeds max_expansions prefixes;
-    the message advises a smaller max_len.
+    Raises ValueError naming ``source`` or ``target`` when it is outside
+    [0, |E|), and when the DFS frontier exceeds max_expansions prefixes;
+    that message advises a smaller max_len.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
+    for name, e in (("source", source), ("target", target)):
+        if not 0 <= e < index.num_entities:
+            raise ValueError(f"{name} {e} outside [0, {index.num_entities})")
     out: list[RelationalPath] = []
     prefix: list[Triple] = []
     budget = [max_expansions]
@@ -89,15 +91,12 @@ def enumerate_paths(
             out.append(RelationalPath(source, target, tuple(prefix)))
         if depth == max_len:
             return
-        lo, hi = index.indptr[node], index.indptr[node + 1]
-        for p in range(lo, hi):
-            r = int(index.rel[p])
-            if not include_identity and r == index.identity_rel:
-                continue
-            t = int(index.tail[p])
-            prefix.append((node, r, t))
-            walk(t, depth + 1)
-            prefix.pop()
+        lo, hi = index.indptr[node : node + 2].tolist()
+        for r, t in zip(index.rel[lo:hi].tolist(), index.tail[lo:hi].tolist()):
+            if t != node:
+                prefix.append((node, r, t))
+                walk(t, depth + 1)
+                prefix.pop()
 
     walk(source, 0)
     return out
@@ -109,6 +108,17 @@ def _one_slot(bd: BatchDistanceMap) -> int:
         raise ValueError(f"path classifiers read a one-slot distance map, "
                          f"not one of {len(bd.queries)} slots")
     return int(bd.queries[0])
+
+
+def _distances(bd: BatchDistanceMap, ids: list[int]) -> list[int]:
+    """The one-slot map's distances of ``ids``; ValueError for an id outside
+    [0, |E|), which numpy would read wrapped around or fail on bare."""
+    _one_slot(bd)
+    n = len(bd.dist)
+    for e in ids:
+        if not 0 <= e < n:
+            raise ValueError(f"entity {e} outside [0, {n})")
+    return bd.dist[ids].tolist()
 
 
 def shortest_path_map(
@@ -126,7 +136,7 @@ def shortest_path_map(
     prefix visited.
     """
     q = _one_slot(bd)
-    dist = dict(zip(bd.within.tolist(), bd.dist[bd.within].tolist()))
+    dist = bd.dist.tolist()
     short: dict[int, list[RelationalPath]] = {}
     prefix: list[Triple] = []
     budget = [max_expansions]
@@ -137,11 +147,11 @@ def shortest_path_map(
             raise ValueError(
                 f"shortest-path enumeration exceeded {max_expansions} expansions"
             )
-        if dist.get(node) == depth:
+        if dist[node] == depth:
             short.setdefault(node, []).append(RelationalPath(q, node, tuple(prefix)))
         lo, hi = index.indptr[node : node + 2].tolist()
         for r, t in zip(index.rel[lo:hi].tolist(), index.tail[lo:hi].tolist()):
-            if dist.get(t) == depth + 1:
+            if dist[t] == depth + 1:
                 prefix.append((node, r, t))
                 climb(t, depth + 1)
                 prefix.pop()
@@ -156,10 +166,9 @@ def potential_deltas(path: RelationalPath, bd: BatchDistanceMap) -> list[int]:
     Non-final triples use max(gamma_tail - gamma_head, 0); the final triple
     uses min(gamma_tail - gamma_head + 1, 1) so that a last sideways step
     still counts as progress.  Every entity on the path must be within the
-    horizon.
+    horizon and an id in [0, |E|).
     """
-    _one_slot(bd)
-    dist = bd.dist[[e for h, _, t in path.triples for e in (h, t)]].tolist()
+    dist = _distances(bd, [e for h, _, t in path.triples for e in (h, t)])
     out: list[int] = []
     last = path.length - 1
     for i, (gh, gt) in enumerate(zip(dist[::2], dist[1::2])):
@@ -190,8 +199,7 @@ def classify_redundant(
     per shortest path, not against the union across all of them.  At gamma
     0 every longer walk is redundant.
     """
-    _one_slot(bd)
-    gamma = int(bd.dist[path.target])
+    [gamma] = _distances(bd, [path.target])
     if gamma < 0:
         raise ValueError(f"target {path.target} unreachable within horizon")
     if path.length <= gamma:

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -73,13 +72,23 @@ def test_enumerate_empty_path(toy_index, toy_aug):
     assert len(paths) == 1 and paths[0].length == 0
 
 
-def test_enumerate_identity_toggle(toy_index, toy_aug):
-    ids = toy_aug.entities
-    base = enumerate_paths(toy_index, ids.id("A"), ids.id("B"), 2)
-    with_id = enumerate_paths(
-        toy_index, ids.id("A"), ids.id("B"), 2, include_identity=True
-    )
-    assert len(with_id) > len(base)
+def test_enumerate_skips_self_loops():
+    # a has a base self-loop, its reverse and an identity loop; no walk
+    # steps along any of them
+    kg = augment(make_graph(np.array([[0, 0, 0], [0, 0, 1]], dtype=np.int32),
+                            Vocab(["a", "b"]), Vocab(["r"])))
+    idx = build_index(kg)
+    assert [p.triples for p in enumerate_paths(idx, 0, 1, 2)] == [((0, 0, 1),)]
+    assert [p.triples for p in enumerate_paths(idx, 0, 0, 2)] == [(), ((0, 0, 1), (1, 1, 0))]
+
+
+@pytest.mark.parametrize("source, target, bad", [
+    (-1, 2, "source -1"), (-5, -5, "source -5"), (99, 0, "source 99"),
+    (0, 5, "target 5"), (0, -1, "target -1"),
+])
+def test_enumerate_refuses_ids_outside_range(toy_index, source, target, bad):
+    with pytest.raises(ValueError, match=rf"^{bad} outside \[0, 5\)$"):
+        enumerate_paths(toy_index, source, target, 2)
 
 
 def test_enumeration_bound_guard(toy_index, toy_aug):
@@ -112,6 +121,13 @@ def test_deltas_outside_horizon_error(toy_aug, toy_index):
     p = path_from_names(toy_aug, [("A", "r1", "B"), ("B", "r1", "C")])
     with pytest.raises(ValueError, match="outside horizon"):
         potential_deltas(p, dm1)
+    # an id outside [0, |E|) is refused, not read wrapped around: dist[-1]
+    # is E's distance
+    for e in (-1, 9):
+        p = RelationalPath(0, e, ((0, 0, e),))
+        for classify in (potential_deltas, lambda p, bd: classify_redundant(p, bd, [])):
+            with pytest.raises(ValueError, match=rf"^entity {e} outside \[0, 5\)$"):
+                classify(p, dm1)
 
 
 def test_shortest_paths_a_to_c(toy_index, toy_aug, toy_dm):
@@ -119,6 +135,13 @@ def test_shortest_paths_a_to_c(toy_index, toy_aug, toy_dm):
     paths = shortest_path_map(toy_index, toy_dm)[ids.id("C")]
     assert len(paths) == 2
     assert all(p.length == 2 for p in paths)
+
+
+def test_shortest_path_map_reads_distances_not_within(toy_index, toy_dm):
+    # a map whose ``within`` lists the query alone keeps every shortest path
+    cut = replace(toy_dm, within=toy_dm.queries.copy())
+    assert len(shortest_path_map(toy_index, toy_dm)) == 5
+    assert shortest_path_map(toy_index, cut) == shortest_path_map(toy_index, toy_dm)
 
 
 def test_classify_redundant_backtrack(toy_aug, toy_index, toy_dm):
@@ -232,70 +255,6 @@ def test_principles_random_graphs(seed, L):
     assert rep.all_ok, rep.counterexamples
 
 
-def oracle_shortest(index, dm, t) -> list:
-    """The shortest paths to t from the definition, by brute force: walks of
-    exactly dist[t] triples whose k-th entity sits at distance k.  On a true
-    distance map every walk that long to t qualifies."""
-    d = int(dm.dist[t])
-    return [
-        p for p in enumerate_paths(index, int(dm.queries[0]), t, d, include_identity=True)
-        if p.length == d and all(dm.dist[e] == k for k, (_, _, e) in enumerate(p.triples, 1))
-    ]
-
-
-def oracle_report(index, dm) -> tuple[dict, dict]:
-    """The PrincipleReport fields from the definitions, target by target:
-    walks of length 1..H from ``enumerate_paths`` with no self-loop triple,
-    ``oracle_shortest``, ``is_percolation_valid`` and ``classify_redundant``,
-    and the layer coverage from a count of every layered position.  Apart
-    from them, the outcomes of principles (1) and (2), which the report
-    leaves out: their counterexamples are among the fields'."""
-    q, H = int(dm.queries[0]), dm.horizon
-    n = Counter()
-    bad = {"shortest": [], "redundant": [], "coverage": []}
-    for t in np.flatnonzero(dm.dist >= 0).tolist():
-        short = oracle_shortest(index, dm, t)
-        n["shortest"] += len(short)
-        bad["shortest"] += [
-            f"shortest-not-valid: {p.triples}" for p in short if not is_percolation_valid(p, dm)
-        ]
-        for p in enumerate_paths(index, q, t, H):
-            if p.length == 0 or any(h == e for h, _, e in p.triples):
-                continue
-            n["walks"] += 1
-            if is_percolation_valid(p, dm):
-                n["valid"] += 1
-                if classify_redundant(p, dm, short):
-                    n["redundant"] += 1
-                    bad["redundant"].append(f"valid-and-redundant: {p.triples}")
-    layered = Counter(layered_positions(dm).tolist())
-    bad["coverage"] += [
-        f"triple in two layers: pos {pos}" for pos, k in layered.items() for _ in range(k - 1)
-    ]
-    for pos, (h, t) in enumerate(zip(index.head.tolist(), index.tail.tolist())):
-        dh, dt = int(dm.dist[h]), int(dm.dist[t])
-        if 0 <= dh <= H - 1 and dt >= dh and pos not in layered:
-            bad["coverage"].append(f"non-uphill triple missing from all layers: pos {pos}")
-    fields = dict(
-        coverage_complete=not bad["coverage"],
-        n_shortest=n["shortest"],
-        n_walks=n["walks"],
-        n_valid=n["valid"],
-        counterexamples=Counter(sum(bad.values(), [])),
-    )
-    return fields, dict(
-        shortest_all_valid=not bad["shortest"],
-        no_valid_redundant=not bad["redundant"],
-        n_redundant=n["redundant"],
-    )
-
-
-def report_fields(rep) -> dict:
-    got = {k: getattr(rep, k) for k in ("coverage_complete", "n_shortest", "n_walks", "n_valid")}
-    got["counterexamples"] = Counter(rep.counterexamples)
-    return got
-
-
 def loopy_kg(rng: np.random.Generator):
     """``random_kg`` plus base self-loops, parallel triples under another
     relation and exact duplicate triples."""
@@ -319,17 +278,14 @@ def test_principles_match_definitions(seed, L):
     for q in rng.choice(idx.num_entities, size=3).tolist():
         dm = batch_distances(idx, [q], L)
         rep = verify_percolation_principles(idx, q, L)
-        fields, principles = oracle_report(idx, dm)
-        assert principles == dict(shortest_all_valid=True, no_valid_redundant=True, n_redundant=0)
-        assert report_fields(rep) == fields
+        assert rep == reference_verify(idx, dm)
         assert rep.all_ok, rep.counterexamples
-        # the one-pass map holds exactly the walks as long as each target's distance
-        short = shortest_path_map(idx, dm)
-        for t in dm.within.tolist():
-            want = [p.triples for p in enumerate_paths(idx, q, t, int(dm.dist[t]))
-                    if p.length == dm.dist[t]]
-            assert Counter(p.triples for p in short.get(t, [])) == Counter(want)
-        assert set(short) == set(dm.within.tolist())
+        # the one-pass map holds exactly the walks as long as each target's
+        # distance, in the same DFS order, and a key for every target
+        d = dm.dist.tolist()
+        assert shortest_path_map(idx, dm) == {
+            t: [p for p in enumerate_paths(idx, q, t, d[t]) if p.length == d[t]]
+            for t in np.flatnonzero(dm.dist >= 0).tolist()}
 
 
 def corrupt_query_distance(dm):
@@ -346,12 +302,6 @@ def corrupt_neighbour_distance(dm):
     dist = dm.dist.copy()
     dist[dist == 1] = 0
     return replace(dm, dist=dist)
-
-
-def layered_positions(dm) -> np.ndarray:
-    """The positions of the map's decoder entries with a layer id in
-    1..horizon, in decoder order."""
-    return dm.decoder[1][(dm.layer >= 1) & (dm.layer <= dm.horizon)]
 
 
 def relayer(dm, layers):
@@ -371,12 +321,13 @@ def corrupt_layers(dm):
     return relayer(dm, [layers[0], layers[0], *layers[2:]])
 
 
-@pytest.mark.parametrize("corrupt, flag", [
-    (corrupt_query_distance, "shortest_all_valid"),
-    (corrupt_neighbour_distance, "no_valid_redundant"),
-    (corrupt_layers, "coverage_complete"),
-])
-def test_principle_failures_match_definitions(monkeypatch, toy_index, toy_aug, corrupt, flag):
+@pytest.mark.parametrize("corrupt, prefix", [
+    (corrupt_query_distance, "shortest-not-valid: "),
+    (corrupt_neighbour_distance, "valid-and-redundant: "),
+    (corrupt_layers, "triple in two layers: "),
+], ids=["corrupt_query_distance-shortest_all_valid",
+        "corrupt_neighbour_distance-no_valid_redundant", "corrupt_layers-coverage_complete"])
+def test_principle_failures_match_definitions(monkeypatch, toy_index, toy_aug, corrupt, prefix):
     # the definitions find each failure; verify reports the failure of (3),
     # and refuses the two maps whose distances break the premise
     import kgpercolate.paths
@@ -385,17 +336,15 @@ def test_principle_failures_match_definitions(monkeypatch, toy_index, toy_aug, c
     q = ids.id("A")
     dm = corrupt(batch_distances(toy_index, [q], 3))
     monkeypatch.setattr(kgpercolate.paths, "batch_distances", lambda *a: dm)
-    fields, principles = oracle_report(toy_index, dm)
-    assert not {**fields, **principles}[flag]
+    want = reference_verify(toy_index, dm)
+    assert any(c.startswith(prefix) for c in want.counterexamples)
     refusal = {
         corrupt_query_distance: f"query {q}: it sits at distance 1, not 0",
         corrupt_neighbour_distance: f"query {q}: entity {ids.id('B')} also sits at distance 0",
     }.get(corrupt)
     assert premise_holds(toy_index, dm) == (refusal is None)
     if refusal is None:
-        rep = verify_percolation_principles(toy_index, q, 3)
-        assert not getattr(rep, flag) and not rep.all_ok
-        assert report_fields(rep) == fields
+        assert verify_percolation_principles(toy_index, q, 3) == want
     else:
         with pytest.raises(ValueError, match=f"^percolation premise fails for {refusal}$"):
             verify_percolation_principles(toy_index, q, 3)
@@ -412,7 +361,7 @@ def test_principle_entity_outside_horizon_raises(monkeypatch, toy_index, toy_aug
     dm = leave_horizon(batch_distances(toy_index, [q], 3), ids.id("B"))
     monkeypatch.setattr(kgpercolate.paths, "batch_distances", lambda *a: dm)
     with pytest.raises(ValueError, match="path entity outside horizon 3"):
-        oracle_report(toy_index, dm)
+        reference_verify(toy_index, dm)
     pos = int(toy_index.find_edges(q, ids.id("B"))[0])
     with pytest.raises(ValueError, match=(
         f"^percolation premise fails for query {q}: triple pos {pos} has head "
@@ -458,89 +407,39 @@ def test_verify_reads_layer_ids(monkeypatch, toy_index, toy_aug, label):
 
 
 def reference_verify(index, dm):
-    """The principle checks written straight against the index and the
-    map: numpy lookups of ``dm.dist`` per triple, the CSR sliced at every
-    visit, and check (3) as a scan of every triple.  Nothing here reads the
-    code under test except ``RelationalPath``, ``classify_redundant`` and
-    the report type.  A failure of principle (1) or (2) shows as a
-    counterexample alone, since the report has no field for either."""
-    q, horizon = int(dm.queries[0]), dm.horizon
-    rep = PrincipleReport(query=q, horizon=horizon, coverage_complete=True)
-    within = np.flatnonzero(dm.dist >= 0)
-    dist = dict(zip(within.tolist(), dm.dist[within].tolist()))
-
-    def deltas(path):
-        out = []
-        for i, (h, _, t) in enumerate(path.triples):
-            gh, gt = int(dm.dist[h]), int(dm.dist[t])
-            if gh < 0 or gt < 0:
-                raise ValueError(
-                    f"path entity outside horizon {dm.horizon}: triple {i} has "
-                    f"distances ({gh}, {gt})"
-                )
-            out.append(max(gt - gh, 0) if i < path.length - 1 else min(gt - gh + 1, 1))
-        return out
-
-    short, prefix = {}, []
-
-    def climb(node, depth):
-        if dist.get(node) == depth:
-            short.setdefault(node, []).append(RelationalPath(q, node, tuple(prefix)))
-        lo, hi = index.indptr[node : node + 2].tolist()
-        for r, t in zip(index.rel[lo:hi].tolist(), index.tail[lo:hi].tolist()):
-            if dist.get(t) != depth + 1:
-                continue
-            prefix.append((node, r, t))
-            climb(t, depth + 1)
-            prefix.pop()
-
-    climb(q, 0)
-    for t in within.tolist():
-        rep.n_shortest += len(short.get(t, []))
-        for p in short.get(t, []):
-            if not all(d > 0 for d in deltas(p)):
-                rep.counterexamples.append(f"shortest-not-valid: {p.triples}")
-
-    def walk(node, depth, gh, climbed, inside):
-        gt = dist.get(node, -1)
-        if depth > 0 and gt >= 0:
-            rep.n_walks += 1
-            if not inside:
-                deltas(RelationalPath(q, node, tuple(prefix)))
-            if climbed and gt >= gh:
+    """verify's report from the path lab's definitions: the shortest paths
+    of ``shortest_path_map``; the walks of 1..H triples that
+    ``enumerate_paths`` lists to every entity with a distance, classified
+    by ``is_percolation_valid`` and ``classify_redundant``; and check (3)
+    as a scan of every triple.  A failure of principle (1) or (2) shows as
+    a counterexample alone, since the report has no field for either."""
+    q, H = int(dm.queries[0]), dm.horizon
+    rep = PrincipleReport(query=q, horizon=H, coverage_complete=True)
+    short = shortest_path_map(index, dm)
+    for t in np.flatnonzero(dm.dist >= 0).tolist():
+        shortest = short.get(t, [])
+        rep.n_shortest += len(shortest)
+        rep.counterexamples += [f"shortest-not-valid: {p.triples}"
+                                for p in shortest if not is_percolation_valid(p, dm)]
+        walks = [p for p in enumerate_paths(index, q, t, H) if p.length]
+        rep.n_walks += len(walks)
+        for p in walks:
+            if is_percolation_valid(p, dm):
                 rep.n_valid += 1
-                if depth > gt:
-                    p = RelationalPath(q, node, tuple(prefix))
-                    if classify_redundant(p, dm, short.get(node, [])):
-                        rep.counterexamples.append(f"valid-and-redundant: {p.triples}")
-        if depth == horizon:
-            return
-        climbed = climbed and (depth == 0 or gt > gh)
-        inside = inside and gt >= 0
-        lo, hi = index.indptr[node : node + 2].tolist()
-        for r, t in zip(index.rel[lo:hi].tolist(), index.tail[lo:hi].tolist()):
-            if t == node:
-                continue
-            prefix.append((node, r, t))
-            walk(t, depth + 1, gt, climbed, inside)
-            prefix.pop()
+                if classify_redundant(p, dm, shortest):
+                    rep.counterexamples.append(f"valid-and-redundant: {p.triples}")
 
-    walk(q, 0, 0, True, True)
-
-    layered = layered_positions(dm)
+    layered = dm.decoder[1][(dm.layer >= 1) & (dm.layer <= H)]  # in decoder order
     first = np.zeros(len(layered), dtype=bool)
     first[np.unique(layered, return_index=True)[1]] = True
-    for pos in layered[~first].tolist():
-        rep.coverage_complete = False
-        rep.counterexamples.append(f"triple in two layers: pos {pos}")
     hd = dm.dist[index.head]
     td = dm.dist[index.tail]
-    want = np.flatnonzero((hd >= 0) & (hd <= horizon - 1) & (td >= hd))
-    seen = np.zeros(index.num_triples, dtype=bool)
-    seen[layered] = True
-    for pos in want[~seen[want]].tolist():
-        rep.coverage_complete = False
-        rep.counterexamples.append(f"non-uphill triple missing from all layers: pos {pos}")
+    want = np.flatnonzero((hd >= 0) & (hd <= H - 1) & (td >= hd))
+    coverage = ([f"triple in two layers: pos {pos}" for pos in layered[~first].tolist()]
+                + [f"non-uphill triple missing from all layers: pos {pos}"
+                   for pos in want[~np.isin(want, layered)].tolist()])
+    rep.coverage_complete = not coverage
+    rep.counterexamples += coverage
     return rep
 
 
