@@ -2,14 +2,25 @@
 
 Covers exactly the operations the percolation model needs: dense linear
 algebra, ReLU, row gather/scatter, ``segment_mean_std`` (PNA's mean and std
-over contiguous segments with caller-supplied denominators, from one
-reduction), and a stable logsumexp.  Records happen only inside a
+over contiguous segments with caller-supplied denominators), and a stable
+logsumexp.  Records happen only inside a
 ``with Tape() as tape`` block; outside a tape every op is a plain numpy
 computation, which is what evaluation uses.
 
 ReLU is branch-free: ``np.fmax(x, 0)``, then ``+= 0.0`` (fmax's -0.0 to
 +0.0), has the bytes of ``np.where(x > 0, x, 0)`` on every input and took
 0.07 against 0.91 ms on 3488x32 mixed-sign float32 (numpy 2.4.6, 2-vCPU VM).
+
+Per-triple arrays have narrow rows (8 or 32 float32), and numpy runs one
+inner loop per row wherever an operand is strided or broadcast along them.
+So no per-triple array goes through an axis-1 concatenate, a strided half
+(``a[:, :d]``) or an (n, 1) column broadcast; per-segment factors are
+expanded to contiguous arrays first.  On a bench train step (numpy 2.4.6,
+2-vCPU VM): ``np.concatenate([x, x*x], axis=1)`` on (19623, 8) took 342 us
+against 66 us for ``x*x`` alone; ``sums[:, :8] * inv[:, None]`` on
+(3761, 16) took 77 us against 6.4 us for the contiguous product; and
+expanding (3761, 8) segment rows to their 19623 rows took 45 us with
+``np.repeat`` against 23 us with ``np.take`` on a row -> segment index.
 
 Row gathers go through ``np.take``, and every segment sum
 (``segment_mean_std`` and ``index_add``) goes through one kernel,
@@ -265,28 +276,37 @@ def index_add(target: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
 
     Rows of one index are summed by ``_segment_sums`` in their order in
     ``values`` (much faster than np.add.at at batched-subgraph volumes).
-    The path depends on the index, and each gives the bytes of a stable
-    argsort of idx followed by ``np.add.reduceat``:
+    One ``np.diff`` of idx picks the path, and each gives the bytes of a
+    stable argsort of idx followed by ``np.add.reduceat``:
 
     - strictly increasing: every row is its own segment, so a plain
       ``target[idx] += values`` adds the same single values;
     - non-decreasing: the stable argsort is the identity, so the segments
       are summed from ``values`` as given, with no sort and no reordered copy;
-    - otherwise: a stable argsort, on a uint16 key when the target has at
-      most 65536 rows (numpy radix-sorts it); a stable sort's permutation
+    - otherwise: a stable argsort of the narrowest key that holds every row
+      of the target, uint8 up to 256 rows and uint16 up to 65536 (numpy
+      radix-sorts both; uint8 took 67 against 119 us for uint16 on 19,623
+      ids into 17 rows), else idx itself; a stable sort's permutation
       depends only on the key order, so it equals that of idx itself.
     """
     if idx.size == 0:
         return
-    if np.all(idx[1:] > idx[:-1]):
+    # the smallest step between neighbours, 1 for one id; unsigned ids would wrap
+    lo = np.diff(idx.astype(np.intp, copy=False)).min(initial=1)
+    if lo > 0:
         target[idx] += values
         return
     si, sv = idx, values
-    if not np.all(idx[1:] >= idx[:-1]):
-        key = idx.astype(np.uint16) if target.shape[0] <= 1 << 16 else idx
+    if lo < 0:
+        rows = target.shape[0]
+        key = (idx.astype(np.uint8) if rows <= 1 << 8
+               else idx.astype(np.uint16) if rows <= 1 << 16 else idx)
         order = np.argsort(key, kind="stable")
         si, sv = idx[order], np.take(values, order, axis=0)
-    ptr = np.flatnonzero(np.r_[True, si[1:] != si[:-1], True])
+    starts = np.empty(si.size + 1, dtype=bool)  # True where a segment starts
+    starts[0] = starts[-1] = True
+    np.not_equal(si[1:], si[:-1], out=starts[1:-1])
+    ptr = np.flatnonzero(starts)
     target[si[ptr[:-1]]] += _segment_sums(sv, ptr)
 
 
@@ -418,29 +438,48 @@ def _check_segments(seg_ptr: np.ndarray, n_rows: int, denom: np.ndarray) -> None
 
 
 def segment_mean_std(a: Tensor, seg_ptr: np.ndarray, denom: np.ndarray) -> Tensor:
-    """[mean : std] per segment, denominator-weighted, from one reduction.
+    """[mean : std] per segment, denominator-weighted.
 
     mean = sum(x) / denom and std = sqrt(relu(E[x^2] - E[x]^2) + eps),
-    with E[.] = sum(.) / denom.  One segment sum over [x : x*x] gives both
-    sums; it sums each column on its own, so they equal two separate
-    reductions byte for byte.  Every segment holds a row (``seg_ptr`` rises
-    strictly, as in a ``BatchGraph`` layer); no rows give a (0, 2d) result.
+    with E[.] = sum(.) / denom.  ``_segment_sums`` takes sum(x) and
+    sum(x*x) in two calls on contiguous (rows, d) arrays; it sums each
+    column on its own, so they equal the bytes of any other grouping of the
+    columns.  The sums are scaled in place by a contiguous (segments, d)
+    1/denom, and the backward expands segment rows to their rows with
+    ``np.take`` on one row -> segment index (module docstring).  Every
+    segment holds a row (``seg_ptr`` rises strictly, as in a ``BatchGraph``
+    layer); no rows give a (0, 2d) result.
     """
     seg_ptr = np.asarray(seg_ptr)
     denom = np.asarray(denom, dtype=a.data.dtype)
     _check_segments(seg_ptr, a.data.shape[0], denom)
-    sizes = np.diff(seg_ptr)
-    inv = (1.0 / denom)[:, None]
-    d = a.data.shape[1]
-    sums = _segment_sums(np.concatenate([a.data, a.data * a.data], axis=1), seg_ptr)
-    m1 = sums[:, :d] * inv
-    w = sums[:, d:] * inv - m1 * m1
-    std = np.sqrt(np.maximum(w, 0) + STD_EPS)
+    x = a.data
+    n, d = len(denom), x.shape[1]
+    inv = np.repeat(1.0 / denom, d).reshape(n, d)
+    m1 = _segment_sums(x, seg_ptr)
+    m1 *= inv
+    w = _segment_sums(x * x, seg_ptr)
+    w *= inv
+    w -= m1 * m1
+    std = np.maximum(w, 0)
+    std += STD_EPS
+    np.sqrt(std, out=std)
 
     def vjp(g):
-        coef = g[:, d:] * (w > 0) * inv / std
-        dx = np.repeat(coef, sizes, axis=0) * (a.data - np.repeat(m1, sizes, axis=0))
-        return (dx + np.repeat(g[:, :d] * inv, sizes, axis=0),)
+        # explicit copies: a half of a one-row g is already contiguous, and
+        # ascontiguousarray would hand back a view of g, which add's VJP may
+        # also have given to another input
+        g_mean = g[:, :d].copy()
+        coef = g[:, d:].copy()
+        coef *= w > 0
+        coef *= inv
+        coef /= std
+        g_mean *= inv
+        rows = np.repeat(np.arange(n), np.diff(seg_ptr))
+        dx = x - np.take(m1, rows, axis=0)
+        np.multiply(np.take(coef, rows, axis=0), dx, out=dx)
+        dx += np.take(g_mean, rows, axis=0)
+        return (dx,)
 
     return _out(np.concatenate([m1, std], axis=1), (a,), vjp)
 

@@ -229,30 +229,78 @@ def segment_std_reference(a, seg_ptr, denom):
     return ad._out(out_data, (a,), vjp)
 
 
-@pytest.mark.parametrize("width", [1, 2, 7, 32, 64])
-def test_segment_mean_std_bytes_match_separate_ops(width):
-    # float32 (rounding shows), segments of 1 to 40 rows
-    rng = np.random.default_rng(100 + width)
-    sizes = rng.integers(1, 41, 25)
-    sizes[:3] = [1, 10, 40]
+def mean_std_input(rng, width, layout):
+    """(seg_ptr, denom, rows) in float32 with rounding that shows.  "few": 25
+    segments of 1 to 40 rows, which reduceat sums; "kernel": the segment sum
+    kernel's sizes without empty segments, rows of mixed magnitude with a
+    quarter of them -0.0 or +0.0 (``kernel_input``'s, minus inf and NaN)."""
+    if layout == "few":
+        sizes = rng.integers(1, 41, 25)
+        sizes[:3] = [1, 10, 40]
+        data = rng.standard_normal((int(sizes.sum()), width)) + rng.standard_normal(width)
+    else:
+        sizes, data = kernel_input(rng, np.float64, width)
+        keep = np.repeat(sizes > 0, sizes)
+        sizes, data = sizes[sizes > 0], data[keep]
+        data[~np.isfinite(data)] = -0.0
     seg_ptr = np.r_[0, np.cumsum(sizes)]
-    denom = rng.uniform(0.5, 50.0, len(sizes))
-    data = rng.standard_normal((int(seg_ptr[-1]), width)) + rng.standard_normal(width)
-    w = Tensor(rng.standard_normal((len(sizes), 2 * width)))
-    got = {}
-    for name in ("fused", "pair"):
-        x = Tensor(data, requires_grad=True)
-        with Tape() as tape:
-            if name == "fused":
-                out = segment_mean_std(x, seg_ptr, denom)
-            else:
-                out = concat([segment_mean_reference(x, seg_ptr, denom),
-                              segment_std_reference(x, seg_ptr, denom)], axis=1)
-            loss = sum_all(hadamard(out, w))
-        tape.backward(loss)
-        assert out.data.dtype == x.grad.dtype == np.float32
-        got[name] = (out.data.tobytes(), x.grad.tobytes())
-    assert got["fused"] == got["pair"]
+    return seg_ptr, rng.uniform(0.5, 50.0, len(sizes)), data.astype(np.float32)
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 8, 16, 32, 64])
+def test_segment_mean_std_bytes_match_separate_ops(width):
+    # forward and backward bytes of the fused op against the separate mean
+    # and std ops, through reduceat and through the segment sum kernel
+    rng = np.random.default_rng(100 + width)
+    for layout in ("few", "kernel"):
+        seg_ptr, denom, data = mean_std_input(rng, width, layout)
+        w = Tensor(rng.standard_normal((len(denom), 2 * width)))
+        got = {}
+        for name in ("fused", "pair"):
+            x = Tensor(data, requires_grad=True)
+            with Tape() as tape:
+                if name == "fused":
+                    out = segment_mean_std(x, seg_ptr, denom)
+                else:
+                    out = concat([segment_mean_reference(x, seg_ptr, denom),
+                                  segment_std_reference(x, seg_ptr, denom)], axis=1)
+                loss = sum_all(hadamard(out, w))
+            tape.backward(loss)
+            assert out.data.dtype == x.grad.dtype == np.float32
+            got[name] = (out.data.tobytes(), x.grad.tobytes())
+        assert got["fused"] == got["pair"], layout
+
+
+@pytest.mark.parametrize("sizes", [[3], [2, 1, 4]], ids=["one-segment", "three-segments"])
+def test_vjps_leave_incoming_gradient_unchanged(sizes):
+    # add's VJP hands one gradient array to both inputs, so a VJP that wrote
+    # into its gradient (or into a view of it: a half of a one-row gradient
+    # is contiguous) would change another input's gradient
+    rng = np.random.default_rng(46)
+    seg_ptr = np.r_[0, np.cumsum(sizes)]
+    denom = rng.uniform(1.0, 5.0, len(sizes))
+    x1, x2 = (Tensor(rng.standard_normal((int(seg_ptr[-1]), 4)), requires_grad=True)
+              for _ in range(2))
+    y = Tensor(rng.standard_normal((len(sizes), 3)), requires_grad=True)
+    with Tape() as tape:
+        cat = concat([segment_mean_std(x1, seg_ptr, denom), y], axis=1)
+    for out, _, vjp in tape._entries:
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        kept = g.copy()
+        vjp(g)
+        assert g.tobytes() == kept.tobytes()
+    assert cat.shape == (len(sizes), 11)
+
+    w = Tensor(rng.standard_normal((len(sizes), 8)))
+    alone = Tensor(x1.data, requires_grad=True)
+    with Tape() as tape:
+        loss = sum_all(hadamard(segment_mean_std(alone, seg_ptr, denom), w))
+    tape.backward(loss)
+    with Tape() as tape:
+        shared = add(segment_mean_std(x1, seg_ptr, denom), segment_mean_std(x2, seg_ptr, denom))
+        loss = sum_all(hadamard(shared, w))
+    tape.backward(loss)
+    assert x1.grad.tobytes() == alone.grad.tobytes()
 
 
 def test_float32_chain_gradcheck():
@@ -386,6 +434,9 @@ def index_cases(rng):
         ("increasing", 40, np.sort(rng.choice(40, 25, replace=False))),
         ("nondecreasing", 40, runs),
         ("unsorted-small", 17, rng.integers(0, 17, 300)),
+        ("unsorted-unsigned", 17, rng.integers(0, 17, 300).astype(np.uint32)),
+        ("unsorted-uint8-edge", 1 << 8, rng.integers((1 << 8) - 20, 1 << 8, 300)),
+        ("unsorted-uint16-low", (1 << 8) + 1, rng.integers(0, (1 << 8) + 1, 300)),
         ("unsorted-uint16-edge", 1 << 16, rng.integers((1 << 16) - 20, 1 << 16, 300)),
         ("unsorted-large", 70_000, rng.integers(0, 70_000, 3000)),
     ]
@@ -407,8 +458,8 @@ def test_index_add_bytes_match_sorted_reduceat(width):
 
 
 def test_index_add_sorts_only_unsorted_indices(monkeypatch):
-    # sorted indices skip the argsort; unsorted ones into at most 65536
-    # rows sort a uint16 key, larger targets sort the index itself
+    # sorted indices skip the argsort; unsorted ones sort a uint8 key into
+    # at most 256 rows, a uint16 key into at most 65536, else the index itself
     rng = np.random.default_rng(42)
     keys = []
     argsort = np.argsort
@@ -422,7 +473,8 @@ def test_index_add_sorts_only_unsorted_indices(monkeypatch):
         keys.clear()
         index_add(np.zeros((n, 2), np.float32), idx, np.ones((idx.size, 2), np.float32))
         if name.startswith("unsorted"):
-            assert keys == [np.dtype(np.uint16) if n <= 1 << 16 else idx.dtype], name
+            want = (np.uint8 if n <= 1 << 8 else np.uint16 if n <= 1 << 16 else idx.dtype)
+            assert keys == [np.dtype(want)], name
         else:
             assert keys == [], name
 

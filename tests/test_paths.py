@@ -278,7 +278,7 @@ def test_principles_match_definitions(seed, L):
     for q in rng.choice(idx.num_entities, size=3).tolist():
         dm = batch_distances(idx, [q], L)
         rep = verify_percolation_principles(idx, q, L)
-        assert rep == reference_verify(idx, dm)
+        # test_verify_matches_reference compares this report with the oracle
         assert rep.all_ok, rep.counterexamples
         # the one-pass map holds exactly the walks as long as each target's
         # distance, in the same DFS order, and a key for every target

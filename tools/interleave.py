@@ -12,16 +12,25 @@ CHANGED / BASE; a ratio below 1 means CHANGED is faster.
 
 CALL is one of ``batch_distances`` with a single query and
 ``verify_percolation_principles`` (each once per query of the batch),
-``count_queries`` and ``build_batch`` (once per batch).  CHANGED defaults
-to this checkout.  The set-up is the eval workload's: the sparse test graph
-at horizon 3, batches of 64 held-out queries asked in either direction, no
-masks.  The host's speed drifts by up to 1.5x between separate runs, so a
+``count_queries`` and ``build_batch`` (once per batch), and ``train_step``.
+CHANGED defaults to this checkout.  The set-up of the first four is the eval
+workload's: the sparse test graph at horizon 3, batches of 64 held-out
+queries asked in either direction, no masks.  ``train_step`` has the train
+workload's: the train graph at horizon 4, batches of 16 train queries asked
+in either direction, each masking its own triple and that triple's reverse
+twin, default model config and Adam.  Its timed step is ``forward_batch``,
+``sum_all`` of the logits, backward and one Adam step; the masks and the
+``BatchGraph`` are made before the timer starts.  Every step starts from the
+seeded parameters and a fresh Adam (about 0.1 ms of a 17 ms step on a 2-vCPU
+VM), since repeated steps on the unbounded ``sum_all`` loss overflow within
+about a hundred steps.  The host's speed drifts by up to 1.5x between separate runs, so a
 small difference is visible only in pairs this close.
 
 Before timing, both sides run the first batch and their results are compared
-field by field (dataclass fields, array dtypes and values, dict keys and
-values); when they differ the script names the call and exits 1, so an A/B
-never times two programs that compute different things.
+field by field (dataclass fields, array dtypes, shapes and bytes, dict keys
+and values; for ``train_step`` the logits, every parameter's gradient and the
+updated parameters); when they differ the script names the call and exits 1,
+so an A/B never times two programs that compute different things.
 """
 
 from __future__ import annotations
@@ -37,8 +46,12 @@ from time import perf_counter
 import numpy as np
 
 HERE = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
-CALLS = ("batch_distances", "verify_percolation_principles", "count_queries", "build_batch")
-HORIZON = 3
+CALLS = ("batch_distances", "verify_percolation_principles", "count_queries", "build_batch",
+         "train_step")
+HORIZON = 3        # eval's
+TRAIN_HORIZON = 4  # the train workload's, and its batch size and Adam rate
+TRAIN_BATCH = 16
+TRAIN_LR = 1e-2
 
 
 def load(root: str, name: str):
@@ -52,31 +65,77 @@ def load(root: str, name: str):
     return module
 
 
-def side(pkg, triples: np.ndarray, n_e: int, n_rel: int, call: str):
-    """The call of the package ``pkg`` on its own index, as a function of a batch."""
+def side(pkg, triples: np.ndarray, n_e: int, n_rel: int, call: str, seed: int):
+    """(prepare, run) of the package ``pkg`` on its own index: ``prepare`` turns
+    a batch of (h, r, t) rows into the call's input before the timer starts,
+    and ``run`` is the timed call on that input."""
     kg, layering, counting, paths = (importlib.import_module(f"{pkg.__name__}.{sub}")
                                      for sub in ("kg", "layering", "counting", "paths"))
     graph = kg.make_graph(triples, kg.Vocab([f"e{i}" for i in range(n_e)]),
                           kg.Vocab([f"r{i}" for i in range(n_rel)]))
     index = kg.build_index(kg.augment(graph))
+    rows_as_given = lambda rows: rows
+    if call == "train_step":
+        return train_side(pkg, index, seed)
     if call == "build_batch":
         builder = layering.SubgraphBuilder(index)
-        return lambda rows: builder.build_batch(
+        return rows_as_given, lambda rows: builder.build_batch(
             [layering.QuerySpec(int(h), int(r), int(t)) for h, r, t in rows], HORIZON)
     if call == "count_queries":
-        return lambda rows: counting.count_queries(index, rows[:, 0], HORIZON)
+        return rows_as_given, lambda rows: counting.count_queries(index, rows[:, 0], HORIZON)
     if call == "batch_distances":
-        return lambda rows: [layering.batch_distances(index, [int(q)], HORIZON)
-                             for q in rows[:, 0]]
-    return lambda rows: [paths.verify_percolation_principles(index, int(q), HORIZON)
-                         for q in rows[:, 0]]
+        return rows_as_given, lambda rows: [layering.batch_distances(index, [int(q)], HORIZON)
+                                            for q in rows[:, 0]]
+    return rows_as_given, lambda rows: [paths.verify_percolation_principles(index, int(q),
+                                                                            HORIZON)
+                                        for q in rows[:, 0]]
+
+
+def train_side(pkg, index, seed: int):
+    """The train workload's step on ``index``, parameters drawn from ``seed``:
+    (prepare, run) as in ``side``."""
+    ad, kg, layering, model = (importlib.import_module(f"{pkg.__name__}.{sub}")
+                               for sub in ("autodiff", "kg", "layering", "model"))
+    config = model.ModelConfig(n_base_relations=index.n_base_relations,
+                               horizon=TRAIN_HORIZON)
+    params = model.init_params(config, seed)
+    seeded = {k: p.data.copy() for k, p in params.items()}
+    builder = layering.SubgraphBuilder(index)
+
+    def prepare(rows):
+        queries = []
+        for h, r, t in rows:
+            fwd, bwd = index.find_edges(h, t), index.find_edges(t, h)
+            removed = np.concatenate([
+                fwd[index.rel[fwd] == r],
+                bwd[index.rel[bwd] == kg.reverse_rel(int(r), index.n_base_relations)],
+            ])
+            queries.append(layering.QuerySpec(int(h), int(r), int(t), removed))
+        return builder.build_batch(queries, TRAIN_HORIZON)
+
+    def run(bg):
+        for k, p in params.items():
+            p.data[...] = seeded[k]
+        opt = ad.Adam(params, lr=TRAIN_LR)
+        with ad.Tape() as tape:
+            logits = model.forward_batch(params, config, bg)
+            loss = ad.sum_all(logits)
+        tape.backward(loss)
+        out = {"logits": logits.data}
+        out.update((f"grad {k}", p.grad) for k, p in params.items())
+        opt.step()
+        opt.zero_grad()
+        out.update((f"param {k}", p.data.copy()) for k, p in params.items())
+        return out
+
+    return prepare, run
 
 
 def same(a, b) -> bool:
     """Equal results, compared by value across the two packages' types."""
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
-                and a.dtype == b.dtype and np.array_equal(a, b))
+                and a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes())
     if dataclasses.is_dataclass(a):
         names = [f.name for f in dataclasses.fields(a)]
         return (dataclasses.is_dataclass(b) and type(a).__name__ == type(b).__name__
@@ -103,35 +162,43 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=901)
     ap.add_argument("--pairs", type=int, default=60)
     ap.add_argument("--reps", type=int, default=3)
-    ap.add_argument("--batch", type=int, default=64)
+    ap.add_argument("--batch", type=int, default=None,
+                    help=f"queries per batch (default {TRAIN_BATCH} for train_step, else 64)")
     args = ap.parse_args()
+    train = args.call == "train_step"
+    if args.batch is None:
+        args.batch = TRAIN_BATCH if train else 64
 
     sys.path.insert(0, os.path.join(HERE, "bench"))
     from synth import make_split
 
     split = make_split(args.seed)
-    pool = split.test_queries.astype(np.int64)
+    queries, facts, n_e = ((split.train, split.train, split.n_train_entities) if train else
+                           (split.test_queries, split.test_facts, split.n_test_entities))
+    pool = queries.astype(np.int64)
     pool = np.concatenate([pool, np.stack([pool[:, 2], pool[:, 1] + split.n_relations,
                                            pool[:, 0]], axis=1)])
     rng = np.random.default_rng([args.seed, 1])
     batches = [pool[rng.integers(0, len(pool), args.batch)] for _ in range(args.pairs)]
-    fns = [side(load(root, name), split.test_facts, split.n_test_entities, split.n_relations,
-                args.call)
-           for root, name in ((args.base, "kgp_base"), (args.changed, "kgp_changed"))]
-    base, changed = (fn(batches[0]) for fn in fns)  # also warms both sides up
+    sides = [side(load(root, name), facts, n_e, split.n_relations, args.call, args.seed)
+             for root, name in ((args.base, "kgp_base"), (args.changed, "kgp_changed"))]
+    # also warms both sides up
+    base, changed = (run(prepare(batches[0])) for prepare, run in sides)
     if not same(base, changed):
         sys.exit(f"error: {args.call} returns different results on the two sides; "
                  "not timing it")
 
     times = np.full((args.pairs, 2), np.inf)
     for i, rows in enumerate(batches):
+        inputs = [prepare(rows) for prepare, _ in sides]
         for r in range(args.reps):
             for s in ((0, 1) if (i + r) % 2 == 0 else (1, 0)):
-                times[i, s] = min(times[i, s], run_ms(fns[s], rows))
+                times[i, s] = min(times[i, s], run_ms(sides[s][1], inputs[s]))
     ratio = times[:, 1] / times[:, 0]
     q1, med, q3 = np.percentile(ratio, [25, 50, 75])
+    graph = f"train graph, horizon {TRAIN_HORIZON}" if train else f"test graph, horizon {HORIZON}"
     print(f"call      {args.call} (seed {args.seed}, {args.pairs} pairs of "
-          f"{args.batch}-query batches, test graph, horizon {HORIZON})")
+          f"{args.batch}-query batches, {graph})")
     print(f"base      {np.median(times[:, 0]):.3f} ms median  {os.path.abspath(args.base)}")
     print(f"changed   {np.median(times[:, 1]):.3f} ms median  {os.path.abspath(args.changed)}")
     print(f"ratio     {med:.3f} changed/base [q1 {q1:.3f}, q3 {q3:.3f}], "
