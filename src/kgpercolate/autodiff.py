@@ -3,9 +3,9 @@
 Covers exactly the operations the percolation model needs: dense linear
 algebra, ReLU, row gather/scatter, ``segment_mean_std`` (PNA's mean and std
 over contiguous segments with caller-supplied denominators), and a stable
-logsumexp.  Records happen only inside a
-``with Tape() as tape`` block; outside a tape every op is a plain numpy
-computation, which is what evaluation uses.
+logsumexp.  Records happen only inside a ``with Tape() as tape`` block;
+outside a tape every op is a plain numpy computation, which is what
+evaluation uses.
 
 ReLU is branch-free: ``np.fmax(x, 0)``, then ``+= 0.0`` (fmax's -0.0 to
 +0.0), has the bytes of ``np.where(x > 0, x, 0)`` on every input and took
