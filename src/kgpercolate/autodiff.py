@@ -234,12 +234,17 @@ def _segment_sums(x: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     reduceat calls its inner loop once per segment and column.  For a
     segment of m <= 8 rows that loop gives
     ``x[s] + (((-0.0 + x[s+1]) + x[s+2]) + ...)``, numpy's order, and the
-    leading -0.0 changes no value.  Here one-row segments are a single
-    ``np.take``; segments of 2..8 rows are grouped by row count, longest
-    first, so for each row offset k one ``np.take`` and one vectorized add
-    accumulate row k into every segment longer than k.  Longer segments keep
-    numpy's blocked pairwise order: reduceat runs on their rows alone.  When
-    the short segments would cost reduceat few calls, it runs on everything.
+    leading -0.0 changes no value.  Here one stable argsort of the clipped
+    row counts (a uint8 key) orders the segments longest first.  Segments of
+    more than 8 rows keep numpy's blocked pairwise order: reduceat runs on
+    their rows alone.  Segments of 2..8 rows, longest first, take one
+    ``np.take`` and one vectorized add per row offset k, which accumulate
+    row k into every segment longer than k.  One-row segments are one
+    ``np.take``.  The sums, made in that order, return to segment order by
+    one ``np.take`` on the inverse permutation: writing each group into its
+    rows by fancy assignment ran a per-row loop, 82 against ~10 us for
+    (3207, 8) sums.  When the short segments would cost reduceat few calls,
+    it runs on everything.
     """
     starts = ptr[:-1]
     width = math.prod(x.shape[1:])
@@ -247,28 +252,34 @@ def _segment_sums(x: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     if len(starts) * width < _KERNEL_MIN_CALLS:
         return np.add.reduceat(x, starts, axis=0)
     sizes = ptr[1:] - starts
-    counts = np.bincount(np.minimum(sizes, _SHORT + 1), minlength=_SHORT + 2)
+    clipped = np.minimum(sizes, _SHORT + 1)
+    counts = np.bincount(clipped, minlength=_SHORT + 2)
     if counts[1:_SHORT + 1].sum() * width < _KERNEL_MIN_CALLS:
         return np.add.reduceat(x, starts, axis=0)
-    out = np.take(x, starts, axis=0)
-    multi = [m for m in range(_SHORT, 1, -1) if counts[m]]
-    if multi:
-        seg = np.concatenate([np.flatnonzero(sizes == m) for m in multi])
-        first = starts[seg]
-        # longer[k]: how many of them have more than k rows, a prefix of seg
-        longer = np.cumsum(counts[_SHORT:0:-1])[::-1].tolist()
-        tail = np.take(x, first + 1, axis=0)
-        for k in range(2, multi[0]):
-            n = longer[k]
-            tail[:n] += np.take(x, first[:n] + k, axis=0)
-        out[seg] = np.take(x, first, axis=0) + tail
-    if counts[_SHORT + 1]:
-        long = np.flatnonzero(sizes > _SHORT)
+    # longest first: over _SHORT rows, then _SHORT rows down to one
+    order = np.argsort((_SHORT + 1 - clipped).astype(np.uint8), kind="stable")
+    n_long = counts[_SHORT + 1]
+    n_multi = n_long + counts[2:_SHORT + 1].sum()
+    parts = []
+    if n_long:
+        long = order[:n_long]
         rows_in = sizes[long]
         packed = np.cumsum(rows_in) - rows_in  # their starts once packed
         rows = np.repeat(starts[long] - packed, rows_in) + np.arange(packed[-1] + rows_in[-1])
-        out[long] = np.add.reduceat(np.take(x, rows, axis=0), packed, axis=0)
-    return out
+        parts.append(np.add.reduceat(np.take(x, rows, axis=0), packed, axis=0))
+    if n_multi > n_long:
+        first = starts[order[n_long:n_multi]]
+        # longer[k]: how many of them have more than k rows, a prefix of first
+        longer = np.cumsum(counts[_SHORT:0:-1])[::-1].tolist()
+        tail = np.take(x, first + 1, axis=0)
+        for k in range(2, int(clipped[order[n_long]])):
+            n = longer[k]
+            tail[:n] += np.take(x, first[:n] + k, axis=0)
+        parts.append(np.take(x, first, axis=0) + tail)
+    parts.append(np.take(x, starts[order[n_multi:]], axis=0))
+    back = np.empty_like(order)
+    back[order] = np.arange(len(order))
+    return np.take(np.concatenate(parts), back, axis=0)
 
 
 def index_add(target: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:

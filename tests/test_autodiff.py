@@ -1,6 +1,7 @@
 """Gradient checks for the tape: finite differences plus loop oracles."""
 
 import platform
+import sys
 import time
 import weakref
 from types import SimpleNamespace
@@ -465,7 +466,8 @@ def test_index_add_sorts_only_unsorted_indices(monkeypatch):
     argsort = np.argsort
 
     def spy(a, *args, **kw):
-        keys.append(a.dtype)
+        if sys._getframe(1).f_code.co_name == "index_add":  # not the segment sum kernel's
+            keys.append(a.dtype)
         return argsort(a, *args, **kw)
 
     monkeypatch.setattr(np, "argsort", spy)
@@ -479,13 +481,17 @@ def test_index_add_sorts_only_unsorted_indices(monkeypatch):
             assert keys == [], name
 
 
-def kernel_input(rng, dtype, width):
-    """Segment sizes 0-10, 16, 17 and 130, enough short ones that the segment
-    sum kernel (not plain reduceat) runs, and rows of mixed magnitude (so the
-    summation order shows in the rounding) holding -0.0, +0.0, inf and NaN."""
+KERNEL_SIZES = np.r_[0:11, 16, 17, 130]
+
+
+def kernel_input(rng, dtype, width, pool=KERNEL_SIZES):
+    """Segment sizes drawn from ``pool`` (by default 0-10, 16, 17 and 130),
+    enough short ones that the segment sum kernel (not plain reduceat) runs,
+    and rows of mixed magnitude (so the summation order shows in the
+    rounding) holding -0.0, +0.0, inf and NaN."""
     w = 1 if width is None else width
     n_seg = 2 * ad._KERNEL_MIN_CALLS // w + 64
-    sizes = rng.choice(np.r_[0:11, 16, 17, 130], n_seg)
+    sizes = rng.choice(pool, n_seg)
     assert np.count_nonzero((sizes > 0) & (sizes <= ad._SHORT)) * w >= ad._KERNEL_MIN_CALLS
     n = int(sizes.sum())
     shape = (n,) if width is None else (n, width)
@@ -503,26 +509,30 @@ def kernel_input(rng, dtype, width):
 @pytest.mark.parametrize("width", [None, 1, 2, 8, 16, 64])
 def test_segment_sums_bytes_match_reduceat(dtype, width):
     # the kernel copies numpy's summation order; this pins it to the
-    # installed numpy, through both callers, on contiguous and strided rows
+    # installed numpy, through both callers, on contiguous and strided rows,
+    # with every group of segment sizes and with no segments over 8 rows, none
+    # of 2..8 rows, or one row each
     rng = np.random.default_rng(43 + (width or 0))
-    sizes, data = kernel_input(rng, dtype, width)
-    # the kernel takes the bounds of the nonempty segments; index_add also
-    # sees the empty ones, as target rows that receive nothing
-    ptr = np.r_[0, np.cumsum(sizes[sizes > 0])]
-    idx = np.repeat(np.arange(len(sizes)), sizes)
-    shuffled = rng.permutation(len(idx))
-    strided = np.repeat(data[..., None], 2, axis=-1)[..., 0]
-    with np.errstate(invalid="ignore", over="ignore"):
-        for x in (data, strided):
-            want = np.add.reduceat(x, ptr[:-1], axis=0)
-            got = ad._segment_sums(x, ptr)
-            assert got.dtype == dtype and got.tobytes() == want.tobytes()
-            for i, vals in ((idx, x), (idx[shuffled], x[shuffled])):
-                base = np.zeros((len(sizes),) + x.shape[1:], dtype)
-                want_t, got_t = base.copy(), base.copy()
-                sorted_index_add(want_t, i, vals)
-                index_add(got_t, i, vals)
-                assert got_t.tobytes() == want_t.tobytes()
+    for pool in (KERNEL_SIZES, np.r_[0:9], np.r_[0, 1, 1, 1, 1, 1, 1, 16, 17, 130],
+                 np.r_[0, 1, 1, 1]):
+        sizes, data = kernel_input(rng, dtype, width, pool)
+        # the kernel takes the bounds of the nonempty segments; index_add also
+        # sees the empty ones, as target rows that receive nothing
+        ptr = np.r_[0, np.cumsum(sizes[sizes > 0])]
+        idx = np.repeat(np.arange(len(sizes)), sizes)
+        shuffled = rng.permutation(len(idx))
+        strided = np.repeat(data[..., None], 2, axis=-1)[..., 0]
+        with np.errstate(invalid="ignore", over="ignore"):
+            for x in (data, strided):
+                want = np.add.reduceat(x, ptr[:-1], axis=0)
+                got = ad._segment_sums(x, ptr)
+                assert got.dtype == dtype and got.tobytes() == want.tobytes(), pool
+                for i, vals in ((idx, x), (idx[shuffled], x[shuffled])):
+                    base = np.zeros((len(sizes),) + x.shape[1:], dtype)
+                    want_t, got_t = base.copy(), base.copy()
+                    sorted_index_add(want_t, i, vals)
+                    index_add(got_t, i, vals)
+                    assert got_t.tobytes() == want_t.tobytes(), pool
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
