@@ -243,7 +243,7 @@ def _segment_sums(x: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     ``np.take``.  The sums, made in that order, return to segment order by
     one ``np.take`` on the inverse permutation: writing each group into its
     rows by fancy assignment ran a per-row loop, 82 against ~10 us for
-    (3207, 8) sums.  When the short segments would cost reduceat few calls,
+    (3207, 8) sums (numpy 2.4.6, 2-vCPU VM).  When the short segments would cost reduceat few calls,
     it runs on everything.
     """
     starts = ptr[:-1]
@@ -297,7 +297,7 @@ def index_add(target: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
     - otherwise: a stable argsort of the narrowest key that holds every row
       of the target, uint8 up to 256 rows and uint16 up to 65536 (numpy
       radix-sorts both; uint8 took 67 against 119 us for uint16 on 19,623
-      ids into 17 rows), else idx itself; a stable sort's permutation
+      ids into 17 rows, numpy 2.4.6 on a 2-vCPU VM), else idx itself; a stable sort's permutation
       depends only on the key order, so it equals that of idx itself.
     """
     if idx.size == 0:

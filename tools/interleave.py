@@ -23,8 +23,8 @@ twin, default model config and Adam.  Its timed step is ``forward_batch``,
 ``BatchGraph`` are made before the timer starts.  Every step starts from the
 seeded parameters and a fresh Adam (about 0.1 ms of a 17 ms step on a 2-vCPU
 VM), since repeated steps on the unbounded ``sum_all`` loss overflow within
-about a hundred steps.  The host's speed drifts by up to 1.5x between separate runs, so a
-small difference is visible only in pairs this close.
+about a hundred steps.  The host's speed drifts by up to 1.5x between
+separate runs, so a small difference is visible only in pairs this close.
 
 Before timing, both sides run the first batch and their results are compared
 field by field (dataclass fields, array dtypes, shapes and bytes, dict keys
