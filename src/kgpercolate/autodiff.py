@@ -387,17 +387,22 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
     )
 
 
-def _row_index(idx, op: str) -> np.ndarray:
-    # np.take reads a boolean mask as the row ids 0 and 1
+def _row_index(idx, rows: int, op: str) -> np.ndarray:
+    # np.take reads a boolean mask as the row ids 0 and 1; index_add keeps
+    # only one write of a negative id and its positive twin
     idx = np.asarray(idx)
     if idx.dtype.kind not in "iu":
         raise ValueError(f"{op} needs an integer row index, not {idx.dtype}")
+    # one reduction: read as unsigned, a negative id exceeds every row
+    if idx.size and idx.view(idx.dtype.str.replace("i", "u")).max() >= rows:
+        raise ValueError(f"{op} row ids span [{idx.min()}, {idx.max()}], "
+                         f"outside [0, {rows})")
     return idx
 
 
 def gather(a: Tensor, idx: np.ndarray) -> Tensor:
     """Row lookup a[idx]; duplicates in idx accumulate in the backward."""
-    idx = _row_index(idx, "gather")
+    idx = _row_index(idx, a.data.shape[0], "gather")
 
     def vjp(g):
         da = np.zeros_like(a.data)
@@ -409,7 +414,7 @@ def gather(a: Tensor, idx: np.ndarray) -> Tensor:
 
 def scatter_rows_add(a: Tensor, idx: np.ndarray, b: Tensor) -> Tensor:
     """out = a with out[idx] += b, duplicates accumulated."""
-    idx = _row_index(idx, "scatter_rows_add")
+    idx = _row_index(idx, a.data.shape[0], "scatter_rows_add")
     data = a.data.copy()
     index_add(data, idx, b.data)
 

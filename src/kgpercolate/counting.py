@@ -27,7 +27,7 @@ whenever N <= |T+|, which is the sparse regime these comparisons target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,32 +47,10 @@ class QueryCount:
     full_propagation_total: int
     pairwise_lower_bound: int
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass
 class TripleCountReport:
-    horizon: int
-    total_augmented_triples: int
-    queries: list[QueryCount] = field(default_factory=list)
-
-    def mean(self, attr: str) -> float:
-        if not self.queries:
-            return 0.0
-        return float(np.mean([getattr(c, attr) for c in self.queries]))
-
-    def as_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "total_augmented_triples": self.total_augmented_triples,
-            "n_queries": len(self.queries),
-            "mean_percolation": self.mean("percolation_total"),
-            "mean_layer_rebuild": self.mean("layer_rebuild_total"),
-            "mean_full_propagation": self.mean("full_propagation_total"),
-            "mean_pairwise_lower_bound": self.mean("pairwise_lower_bound"),
-            "queries": [c.as_dict() for c in self.queries],
-        }
+    queries: list[QueryCount]
 
 
 def _hop_counts(index: AdjacencyIndex, dist: np.ndarray, slot: np.ndarray,
@@ -141,8 +119,4 @@ def count_queries(
 ) -> TripleCountReport:
     """``count_query`` for every query, from one kernel call; ``removed[s]``
     is query s's mask."""
-    return TripleCountReport(
-        horizon=horizon,
-        total_augmented_triples=index.num_triples,
-        queries=_query_counts(index, queries, horizon, removed),
-    )
+    return TripleCountReport(_query_counts(index, queries, horizon, removed))

@@ -58,9 +58,6 @@ class Vocab:
     def __contains__(self, name: str) -> bool:
         return name in self._ids
 
-    def __iter__(self):
-        return iter(self._names)
-
     def __repr__(self) -> str:
         return f"Vocab({len(self)} entries)"
 
@@ -144,8 +141,13 @@ def make_graph(triples: np.ndarray, entities: Vocab, relations: Vocab) -> Knowle
 
     Entity ids must lie in [0, |entities|) and relation ids in
     [0, |relations|); otherwise ValueError names the first bad row and field.
+    A non-empty array of another dtype than int or uint (float, bool)
+    raises ValueError naming it, where a cast would truncate its ids.
     """
-    ids = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    ids = np.asarray(triples)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValueError(f"triple ids must be integers, not {ids.dtype}")
+    ids = ids.astype(np.int64, copy=False).reshape(-1, 3)
     hi = np.array([len(entities), len(relations), len(entities)])
     bad = (ids < 0) | (ids >= hi)
     rows = np.flatnonzero(bad.any(axis=1))

@@ -7,9 +7,9 @@ distance, *percolation-valid* when every potential difference along it is
 positive (``potential_deltas``, ``is_percolation_valid``), and *redundant*
 when it is longer than the relative distance yet still shares at least that
 many distinct triples with a single shortest path (``classify_redundant``).
-``enumerate_paths`` lists every walk by brute force, and
-``shortest_path_map`` lists every shortest path by one climbing DFS.  The
-classifiers read the query's one-slot ``BatchDistanceMap`` from
+``enumerate_paths`` lists every walk by brute force; the shortest paths to
+a target are the walks it lists that are as long as the target's distance.
+The classifiers read the query's one-slot ``BatchDistanceMap`` from
 ``batch_distances(index, [q], horizon)``, and refuse a map of more slots.
 Enumeration skips every self-loop, a triple whose head is its tail, of the
 identity or of a base relation: it is a sideways step, and a shortest path
@@ -57,18 +57,22 @@ class RelationalPath:
         return len(self.triples)
 
 
+MAX_EXPANSIONS = 2_000_000  # prefixes one ``enumerate_paths`` call may visit
+
+
 def enumerate_paths(
     index: AdjacencyIndex,
     source: int,
     target: int,
     max_len: int,
-    max_expansions: int = 2_000_000,
 ) -> list[RelationalPath]:
     """All walks from source to target of at most max_len triples and no
-    self-loop step (identity or base relation): the walks of principle (2).
+    self-loop step (identity or base relation), in DFS order: the walks of
+    principle (2).  With source the query, those as long as the target's
+    distance are its shortest paths.
 
     Raises ValueError naming ``source`` or ``target`` when it is outside
-    [0, |E|), and when the DFS frontier exceeds max_expansions prefixes;
+    [0, |E|), and when the DFS visits more than ``MAX_EXPANSIONS`` prefixes;
     that message advises a smaller max_len.
     """
     if max_len < 0:
@@ -78,13 +82,13 @@ def enumerate_paths(
             raise ValueError(f"{name} {e} outside [0, {index.num_entities})")
     out: list[RelationalPath] = []
     prefix: list[Triple] = []
-    budget = [max_expansions]
+    budget = [MAX_EXPANSIONS]
 
     def walk(node: int, depth: int):
         budget[0] -= 1
         if budget[0] < 0:
             raise ValueError(
-                f"path enumeration exceeded {max_expansions} expansions; "
+                f"path enumeration exceeded {MAX_EXPANSIONS} expansions; "
                 "reduce max_len or restrict the graph"
             )
         if node == target:
@@ -102,62 +106,18 @@ def enumerate_paths(
     return out
 
 
-def _one_slot(bd: BatchDistanceMap) -> int:
-    """The query entity of a one-slot map; ValueError for any other map."""
+def _distances(bd: BatchDistanceMap, ids: list[int]) -> list[int]:
+    """The one-slot map's distances of ``ids``; ValueError for a map of more
+    slots, and for an id outside [0, |E|), which numpy would read wrapped
+    around or fail on bare."""
     if len(bd.queries) != 1:
         raise ValueError(f"path classifiers read a one-slot distance map, "
                          f"not one of {len(bd.queries)} slots")
-    return int(bd.queries[0])
-
-
-def _distances(bd: BatchDistanceMap, ids: list[int]) -> list[int]:
-    """The one-slot map's distances of ``ids``; ValueError for an id outside
-    [0, |E|), which numpy would read wrapped around or fail on bare."""
-    _one_slot(bd)
     n = len(bd.dist)
     for e in ids:
         if not 0 <= e < n:
             raise ValueError(f"entity {e} outside [0, {n})")
     return bd.dist[ids].tolist()
-
-
-def shortest_path_map(
-    index: AdjacencyIndex,
-    bd: BatchDistanceMap,
-    max_expansions: int = 2_000_000,
-) -> dict[int, list[RelationalPath]]:
-    """The complete shortest-path set of every entity, from one climbing DFS.
-
-    Only triples raising the relative distance by exactly one can sit on a
-    shortest path, and a climbing prefix of d triples ends at an entity at
-    distance d, so each climbing prefix is a shortest path to its endpoint.
-    Keys are endpoints, paths are in DFS order, and an in-horizon entity
-    without a key has no shortest path.  One budget unit is one climbing
-    prefix visited.
-    """
-    q = _one_slot(bd)
-    dist = bd.dist.tolist()
-    short: dict[int, list[RelationalPath]] = {}
-    prefix: list[Triple] = []
-    budget = [max_expansions]
-
-    def climb(node: int, depth: int):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise ValueError(
-                f"shortest-path enumeration exceeded {max_expansions} expansions"
-            )
-        if dist[node] == depth:
-            short.setdefault(node, []).append(RelationalPath(q, node, tuple(prefix)))
-        lo, hi = index.indptr[node : node + 2].tolist()
-        for r, t in zip(index.rel[lo:hi].tolist(), index.tail[lo:hi].tolist()):
-            if dist[t] == depth + 1:
-                prefix.append((node, r, t))
-                climb(t, depth + 1)
-                prefix.pop()
-
-    climb(q, 0)
-    return short
 
 
 def potential_deltas(path: RelationalPath, bd: BatchDistanceMap) -> list[int]:

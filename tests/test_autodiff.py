@@ -580,6 +580,22 @@ def test_row_ops_reject_non_integer_index(index):
         scatter_rows_add(a, index, Tensor(np.ones((3, 2))))
 
 
+@pytest.mark.parametrize("index, span", [
+    (np.array([-1, 2]), r"\[-1, 2\]"),
+    (np.array([0, 3], dtype=np.int32), r"\[0, 3\]"),
+    (np.array([2, -128], dtype=np.int8), r"\[-128, 2\]"),
+    (np.array([1, 255], dtype=np.uint8), r"\[1, 255\]"),
+], ids=["negative", "too_large", "int8_negative", "uint8_too_large"])
+def test_row_ops_reject_ids_outside_rows(index, span):
+    # a negative id would wrap to a row that its positive twin also names,
+    # and the backward keeps only one of their writes
+    a, b = Tensor(np.ones((3, 2))), Tensor(np.ones((2, 2)))
+    for op, call in (("gather", lambda: gather(a, index)),
+                     ("scatter_rows_add", lambda: scatter_rows_add(a, index, b))):
+        with pytest.raises(ValueError, match=rf"^{op} row ids span {span}, outside \[0, 3\)$"):
+            call()
+
+
 def test_index_add_is_called_through_the_module(monkeypatch):
     # the bench's traced runs wrap this attribute to time and count calls
     calls = []

@@ -91,11 +91,11 @@ def test_method_ordering_sparse_regime(seed, L):
 
 def test_report_aggregation(toy_index, toy_aug):
     ids = toy_aug.entities
-    rep = count_queries(toy_index, [ids.id("A"), ids.id("B")], 3)
-    assert rep.as_dict()["n_queries"] == 2
-    assert rep.mean("percolation_total") > 0
-    d = rep.as_dict()
-    assert d["mean_percolation"] <= d["mean_layer_rebuild"]
+    queries = [ids.id("B"), ids.id("A")]
+    rep = count_queries(toy_index, queries, 3)
+    assert [c.query for c in rep.queries] == queries
+    for c in rep.queries:
+        assert 0 < c.percolation_total <= c.layer_rebuild_total
 
 
 @settings(max_examples=20, deadline=None)
@@ -107,9 +107,7 @@ def test_count_queries_match_count_query(seed, L):
     idx = build_index(augment(random_kg(rng)))
     queries = rng.integers(0, idx.num_entities, size=int(rng.integers(0, 9)))
     rep = count_queries(idx, queries, L)
-    assert [c.as_dict() for c in rep.queries] == [
-        count_query(idx, int(q), L).as_dict() for q in queries
-    ]
+    assert rep.queries == [count_query(idx, int(q), L) for q in queries]
 
 
 @settings(max_examples=20, deadline=None)
@@ -122,6 +120,5 @@ def test_masked_count_queries_match_count_query(seed, L):
     removed = [None if rng.random() < 0.25 else random_mask(rng, idx, rng.uniform(0, 0.5))[0]
                for _ in queries]
     rep = count_queries(idx, queries, L, removed)
-    assert [c.as_dict() for c in rep.queries] == [
-        count_query(idx, int(q), L, removed=r).as_dict() for q, r in zip(queries, removed)
-    ]
+    assert rep.queries == [count_query(idx, int(q), L, removed=r)
+                           for q, r in zip(queries, removed)]

@@ -157,6 +157,21 @@ def test_make_graph_rejects_out_of_range_ids(rows, msg):
         make_graph(np.array(rows), Vocab(["a", "b"]), Vocab(["r"]))
 
 
+@pytest.mark.parametrize("rows, dtype", [
+    ([[0, 0, 1.7], [1.2, 0, 0]], "float64"),
+    ([[False, False, True]], "bool"),
+], ids=["float", "bool"])
+def test_make_graph_rejects_non_integer_ids(rows, dtype):
+    # a cast would truncate 1.7 to 1 and read True as 1
+    with pytest.raises(ValueError, match=f"^triple ids must be integers, not {dtype}$"):
+        make_graph(np.array(rows), Vocab(["a", "b"]), Vocab(["r"]))
+
+
+def test_make_graph_accepts_empty_array_of_any_dtype():
+    kg = make_graph(np.empty((0, 3)), Vocab(["a"]), Vocab(["r"]))
+    assert kg.triples.shape == (0, 3) and kg.triples.dtype == np.int32
+
+
 @pytest.mark.parametrize("head", [5, -1])
 def test_index_rejects_head_outside_entities(toy_aug, head):
     aug = toy_aug.augmented.copy()

@@ -17,7 +17,6 @@ from kgpercolate.paths import (
     enumerate_paths,
     is_percolation_valid,
     potential_deltas,
-    shortest_path_map,
     verify_percolation_principles,
 )
 
@@ -27,6 +26,12 @@ from conftest import layer_positions, random_kg, toy_triple
 @pytest.fixture
 def toy_dm(toy_index, toy_aug):
     return batch_distances(toy_index, [toy_aug.entities.id("A")], 3)
+
+
+def shortest_paths(index, dm, t):
+    """The walks from the query to t as long as t's distance."""
+    d = int(dm.dist[t])
+    return [p for p in enumerate_paths(index, int(dm.queries[0]), t, d) if p.length == d]
 
 
 def path_from_names(kg, names):
@@ -91,10 +96,13 @@ def test_enumerate_refuses_ids_outside_range(toy_index, source, target, bad):
         enumerate_paths(toy_index, source, target, 2)
 
 
-def test_enumeration_bound_guard(toy_index, toy_aug):
+def test_enumeration_bound_guard(monkeypatch, toy_index, toy_aug):
+    import kgpercolate.paths
+
     ids = toy_aug.entities
-    with pytest.raises(ValueError, match="expansions"):
-        enumerate_paths(toy_index, ids.id("A"), ids.id("C"), 3, max_expansions=5)
+    monkeypatch.setattr(kgpercolate.paths, "MAX_EXPANSIONS", 5)
+    with pytest.raises(ValueError, match="exceeded 5 expansions"):
+        enumerate_paths(toy_index, ids.id("A"), ids.id("C"), 3)
 
 
 def test_deltas_invalid_detour(toy_aug, toy_index, toy_dm):
@@ -132,21 +140,14 @@ def test_deltas_outside_horizon_error(toy_aug, toy_index):
 
 def test_shortest_paths_a_to_c(toy_index, toy_aug, toy_dm):
     ids = toy_aug.entities
-    paths = shortest_path_map(toy_index, toy_dm)[ids.id("C")]
+    paths = shortest_paths(toy_index, toy_dm, ids.id("C"))
     assert len(paths) == 2
     assert all(p.length == 2 for p in paths)
 
 
-def test_shortest_path_map_reads_distances_not_within(toy_index, toy_dm):
-    # a map whose ``within`` lists the query alone keeps every shortest path
-    cut = replace(toy_dm, within=toy_dm.queries.copy())
-    assert len(shortest_path_map(toy_index, toy_dm)) == 5
-    assert shortest_path_map(toy_index, cut) == shortest_path_map(toy_index, toy_dm)
-
-
 def test_classify_redundant_backtrack(toy_aug, toy_index, toy_dm):
     ids = toy_aug.entities
-    shortest = shortest_path_map(toy_index, toy_dm)[ids.id("C")]
+    shortest = shortest_paths(toy_index, toy_dm, ids.id("C"))
     p = path_from_names(
         toy_aug,
         [("A", "r1", "B"), ("B", "r1_inv", "A"), ("A", "r1", "B"), ("B", "r1", "C")],
@@ -158,14 +159,14 @@ def test_classify_redundant_backtrack(toy_aug, toy_index, toy_dm):
 def test_classify_detour_not_redundant(toy_aug, toy_index, toy_dm):
     # shares one triple with each shortest path but never two with the same one
     ids = toy_aug.entities
-    shortest = shortest_path_map(toy_index, toy_dm)[ids.id("C")]
+    shortest = shortest_paths(toy_index, toy_dm, ids.id("C"))
     p = path_from_names(toy_aug, [("A", "r1", "B"), ("B", "r2", "D"), ("D", "r2", "C")])
     assert not classify_redundant(p, toy_dm, shortest)
 
 
 def test_classify_shortest_never_redundant(toy_aug, toy_index, toy_dm):
     ids = toy_aug.entities
-    shortest = shortest_path_map(toy_index, toy_dm)[ids.id("C")]
+    shortest = shortest_paths(toy_index, toy_dm, ids.id("C"))
     for p in shortest:
         assert p.length == toy_dm.dist[ids.id("C")] and is_percolation_valid(p, toy_dm)
         assert not classify_redundant(p, toy_dm, shortest)
@@ -194,12 +195,10 @@ def test_any_return_to_query_is_redundant(toy_aug, toy_index, toy_dm):
 
 
 @pytest.mark.parametrize("classify", [
-    lambda index, bd, p: shortest_path_map(index, bd),
     lambda index, bd, p: potential_deltas(p, bd),
     lambda index, bd, p: is_percolation_valid(p, bd),
     lambda index, bd, p: classify_redundant(p, bd, [p]),
-], ids=["shortest_path_map", "potential_deltas", "is_percolation_valid",
-        "classify_redundant"])
+], ids=["potential_deltas", "is_percolation_valid", "classify_redundant"])
 def test_classifiers_refuse_two_slot_maps(toy_index, toy_aug, classify):
     # slot 0 of a two-slot map keys its entities by id, so reading the map
     # by entity id would silently answer for slot 0 alone
@@ -276,16 +275,9 @@ def test_principles_match_definitions(seed, L):
     rng = np.random.default_rng(seed)
     idx = build_index(augment(loopy_kg(rng)))
     for q in rng.choice(idx.num_entities, size=3).tolist():
-        dm = batch_distances(idx, [q], L)
         rep = verify_percolation_principles(idx, q, L)
         # test_verify_matches_reference compares this report with the oracle
         assert rep.all_ok, rep.counterexamples
-        # the one-pass map holds exactly the walks as long as each target's
-        # distance, in the same DFS order, and a key for every target
-        d = dm.dist.tolist()
-        assert shortest_path_map(idx, dm) == {
-            t: [p for p in enumerate_paths(idx, q, t, d[t]) if p.length == d[t]]
-            for t in np.flatnonzero(dm.dist >= 0).tolist()}
 
 
 def corrupt_query_distance(dm):
@@ -407,21 +399,22 @@ def test_verify_reads_layer_ids(monkeypatch, toy_index, toy_aug, label):
 
 
 def reference_verify(index, dm):
-    """verify's report from the path lab's definitions: the shortest paths
-    of ``shortest_path_map``; the walks of 1..H triples that
-    ``enumerate_paths`` lists to every entity with a distance, classified
-    by ``is_percolation_valid`` and ``classify_redundant``; and check (3)
-    as a scan of every triple.  A failure of principle (1) or (2) shows as
-    a counterexample alone, since the report has no field for either."""
+    """verify's report from the path lab's definitions: the walks of at most
+    H triples that ``enumerate_paths`` lists to every entity t with a
+    distance; of them, those as long as t's distance are its shortest
+    paths, and those of 1..H triples are classified by
+    ``is_percolation_valid`` and ``classify_redundant``; and check (3) as a
+    scan of every triple.  A failure of principle (1) or (2) shows as a
+    counterexample alone, since the report has no field for either."""
     q, H = int(dm.queries[0]), dm.horizon
     rep = PrincipleReport(query=q, horizon=H, coverage_complete=True)
-    short = shortest_path_map(index, dm)
     for t in np.flatnonzero(dm.dist >= 0).tolist():
-        shortest = short.get(t, [])
+        listed = enumerate_paths(index, q, t, H)
+        shortest = [p for p in listed if p.length == dm.dist[t]]
         rep.n_shortest += len(shortest)
         rep.counterexamples += [f"shortest-not-valid: {p.triples}"
                                 for p in shortest if not is_percolation_valid(p, dm)]
-        walks = [p for p in enumerate_paths(index, q, t, H) if p.length]
+        walks = [p for p in listed if p.length]
         rep.n_walks += len(walks)
         for p in walks:
             if is_percolation_valid(p, dm):
@@ -585,13 +578,3 @@ def test_verify_ignores_decoder(monkeypatch, horizon):
             monkeypatch.setattr(kgpercolate.paths, "batch_distances", lambda *a: layered_only)
             assert verify_percolation_principles(idx, q, horizon) == want
     assert missed > 0 or horizon == 1
-
-
-def test_principle_budget_guards(toy_index, toy_aug):
-    # from A at horizon 3 the climb visits 7 prefixes: A, AB, ABC, ABCE, AD,
-    # ADC, ADCE
-    q = toy_aug.entities.id("A")
-    dm = batch_distances(toy_index, [q], 3)
-    assert sum(map(len, shortest_path_map(toy_index, dm, 7).values())) == 7
-    with pytest.raises(ValueError, match="shortest-path enumeration exceeded 6 expansions"):
-        shortest_path_map(toy_index, dm, 6)

@@ -136,14 +136,14 @@ def main() -> None:
                 out = loop.step(queries, tr)
                 if name == "analysis":
                     report, checks = out
-                    feed(h, [c.as_dict() for c in report.queries])
+                    feed(h, [dataclasses.asdict(c) for c in report.queries])
                     feed(h, checks)
                 else:
                     bg, logits = out[0], out[1]
                     feed(h, bg)
                     feed(h, logits)
-                    feed(h, [count_query(loop.s.index, qs.query, wl.horizon,
-                                         removed=qs.removed).as_dict()
+                    feed(h, [dataclasses.asdict(count_query(loop.s.index, qs.query,
+                                                            wl.horizon, removed=qs.removed))
                              for qs in queries])
         digests[name] = h.hexdigest()
         print(f"{name:9s} {digests[name]}")
