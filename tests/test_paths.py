@@ -244,16 +244,6 @@ def test_premise_needs_query_alone_at_distance_0(monkeypatch):
         verify_percolation_principles(idx, 0, 2)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 4))
-def test_principles_random_graphs(seed, L):
-    kg = augment(random_kg(np.random.default_rng(seed), n_entities=12, density=1.5))
-    idx = build_index(kg)
-    q = int(np.random.default_rng(seed + 11).integers(0, len(kg.entities)))
-    rep = verify_percolation_principles(idx, q, L)
-    assert rep.all_ok, rep.counterexamples
-
-
 def loopy_kg(rng: np.random.Generator):
     """``random_kg`` plus base self-loops, parallel triples under another
     relation and exact duplicate triples."""
@@ -271,7 +261,8 @@ def loopy_kg(rng: np.random.Generator):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 4))
-def test_principles_match_definitions(seed, L):
+def test_principles_hold_on_true_maps(seed, L):
+    # loopy_kg graphs are random_kg graphs with loops and repeats added
     rng = np.random.default_rng(seed)
     idx = build_index(augment(loopy_kg(rng)))
     for q in rng.choice(idx.num_entities, size=3).tolist():

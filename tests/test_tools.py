@@ -1,0 +1,55 @@
+"""The measuring scripts under ``tools/`` run against this checkout.
+
+``interleave.py`` draws its batches from the bench's ``Loop``, so a change to
+the bench's workloads or to ``Loop`` that breaks it fails here; each run is
+an A/A of this checkout against itself with as few batches as it takes.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+CALL_WORKLOAD = {"build_batch": "eval", "count_queries": "analysis",
+                 "verify_percolation_principles": "analysis", "batch_distances": "analysis",
+                 "train_step": "train"}
+
+
+def tool(name: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, os.path.join(ROOT, "tools", name), *args],
+                          capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("call", sorted(CALL_WORKLOAD))
+def test_interleave_times_each_call_on_its_workload(call):
+    run = tool("interleave.py", ROOT, "--call", call, "--pairs", "2", "--reps", "1")
+    assert run.returncode == 0, run.stdout + run.stderr
+    ratio = [line for line in run.stdout.splitlines() if line.startswith("ratio")]
+    assert len(ratio) == 1 and f"the {CALL_WORKLOAD[call]} workload's batches" in ratio[0]
+
+
+def test_interleave_refuses_sides_that_differ(tmp_path):
+    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src")
+    autodiff = tmp_path / "src" / "kgpercolate" / "autodiff.py"
+    text = autodiff.read_text()
+    assert "\nSTD_EPS = 1e-6" in text
+    autodiff.write_text(text.replace("\nSTD_EPS = 1e-6", "\nSTD_EPS = 1e-5"))
+    run = tool("interleave.py", str(tmp_path), "--call", "train_step", "--pairs", "2",
+               "--reps", "1")
+    assert run.returncode == 1
+    assert "train_step returns different results" in run.stderr
+
+
+def test_step_faults_prints_its_fields():
+    run = tool("step_faults.py", "--steps", "3", "--warmup", "1")
+    assert run.returncode == 0, run.stdout + run.stderr
+    fields = dict(line.split(None, 1) for line in run.stdout.splitlines())
+    assert re.fullmatch(r"(\d+|None) thread\(s\)", fields["blas"])
+    for name in ("step_ms_p50", "minflt_per_step", "maxrss_mb"):
+        assert float(fields[name]) >= 0

@@ -4,7 +4,7 @@ For each of the bench workloads train, eval and analysis and each seed, it
 runs the first batches of the workload's loop and hashes what the library
 returned: every BatchGraph field, the logits (train steps run backward and
 Adam, so later logits cover the gradients too; eval never trains, so it runs
-with seeded nonzero biases), the per-query count_query dicts, and the
+with seeded nonzero biases), the per-query count dicts, and the
 PrincipleReport tallies.  A refactor that claims to keep the outputs
 unchanged must print the same hash before and after.
 
@@ -104,7 +104,7 @@ def main() -> None:
     args = ap.parse_args()
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
-    from kgpercolate.counting import count_query
+    from kgpercolate.counting import count_queries
     from kgpercolate.model import ModelConfig
     from spans import NullTracer
     from synth import make_split
@@ -142,9 +142,9 @@ def main() -> None:
                     bg, logits = out[0], out[1]
                     feed(h, bg)
                     feed(h, logits)
-                    feed(h, [dataclasses.asdict(count_query(loop.s.index, qs.query,
-                                                            wl.horizon, removed=qs.removed))
-                             for qs in queries])
+                    report = count_queries(loop.s.index, [qs.query for qs in queries],
+                                           wl.horizon, [qs.removed for qs in queries])
+                    feed(h, [dataclasses.asdict(c) for c in report.queries])
         digests[name] = h.hexdigest()
         print(f"{name:9s} {digests[name]}")
         total.update(h.digest())
