@@ -357,10 +357,10 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
     out = np.fmax(a.data, 0)
-    out += 0.0  # fmax keeps -0.0 where np.where(mask, x, 0) gives +0.0
-    return _out(out, (a,), lambda g: (g * mask,))
+    out += 0.0  # fmax keeps -0.0 where np.where(x > 0, x, 0) gives +0.0
+    # out > 0 is x > 0 for every x, NaN, signed zeros and infinities included
+    return _out(out, (a,), lambda g: (g * (out > 0),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:

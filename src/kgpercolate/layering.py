@@ -65,9 +65,11 @@ class BatchDistanceMap:
 
 def _slot_ids(name: str, values, lo: int, hi: int) -> np.ndarray:
     """One integer per slot in [lo, hi), as int64; otherwise ValueError
-    naming the first slot that breaks the rule."""
+    naming the first slot that breaks the rule; a bool is no id even where
+    ints beside it make the array integer."""
     ids = np.asarray(values)
-    if len(ids) and ids.dtype.kind not in "iu":
+    if len(ids) and (ids.dtype.kind not in "iu" or not isinstance(values, np.ndarray)
+                     and not {bool, np.bool_}.isdisjoint(map(type, values))):
         s = next((i for i, v in enumerate(values)
                   if isinstance(v, bool) or not isinstance(v, (int, np.integer))), 0)
         raise ValueError(f"query slot {s}: {name}={values[s]!r} is not an integer id")

@@ -110,3 +110,21 @@ def random_mask(rng: np.random.Generator, index, frac: float) -> tuple[np.ndarra
     keep[removed] = False
     rows = np.stack([index.head, index.rel, index.tail], axis=1)[keep]
     return removed, rows
+
+
+def numeric_grads(f, tensors, h):
+    """Central finite differences of scalar f() w.r.t. each tensor's data."""
+    grads = []
+    for t in tensors:
+        g = np.zeros_like(t.data)
+        flat, gf = t.data.ravel(), g.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            fp = f()
+            flat[i] = orig - h
+            fm = f()
+            flat[i] = orig
+            gf[i] = (fp - fm) / (2 * h)
+        grads.append(g)
+    return grads

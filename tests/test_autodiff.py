@@ -32,30 +32,14 @@ from kgpercolate.autodiff import (
 )
 from kgpercolate.model import ModelConfig, init_params
 
+from conftest import numeric_grads
+
 
 @pytest.fixture
 def float64():
     ad.set_default_dtype("float64")
     yield
     ad.set_default_dtype("float32")
-
-
-def numeric_grads(f, tensors, h):
-    """Central finite differences of scalar f() w.r.t. each tensor's data."""
-    grads = []
-    for t in tensors:
-        g = np.zeros_like(t.data)
-        flat, gf = t.data.ravel(), g.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = f()
-            flat[i] = orig - h
-            fm = f()
-            flat[i] = orig
-            gf[i] = (fp - fm) / (2 * h)
-        grads.append(g)
-    return grads
 
 
 def check_grads(build, tensors, h=1e-6, rtol=1e-5, atol=1e-7):
@@ -117,13 +101,6 @@ class TestGradients64:
             return sum_all(hadamard(gather(flat, np.arange(2, 8)), w))
 
         check_grads(build, [a, b])
-
-    def test_gather_with_duplicates(self, float64):
-        rng = np.random.default_rng(4)
-        table = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
-        idx = np.array([0, 2, 2, 4, 0, 2])
-        w = Tensor(rng.standard_normal((6, 3)))
-        check_grads(lambda: sum_all(hadamard(gather(table, idx), w)), [table])
 
     def test_gather_backward_matches_add_at(self, float64):
         rng = np.random.default_rng(5)
@@ -398,20 +375,6 @@ class TestTapeMechanics:
         with pytest.raises(ValueError, match=r"denom of shape .* for 2 segments"):
             segment_mean_std(x, np.array([0, 2, 4]), np.array(denom))
         assert segment_mean_std(x, np.array([0, 2, 4]), np.array([1.0, 2.0])).shape == (2, 4)
-
-
-def test_index_add_matches_np_add_at():
-    rng = np.random.default_rng(40)
-    for _ in range(20):
-        n = int(rng.integers(1, 9))
-        k = int(rng.integers(0, 40))
-        idx = rng.integers(0, n, size=k)
-        vals = rng.standard_normal((k, 3)).astype(np.float32)
-        a = np.zeros((n, 3), dtype=np.float32)
-        b = a.copy()
-        index_add(a, idx, vals)
-        np.add.at(b, idx, vals)
-        np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-6)
 
 
 def sorted_index_add(target, idx, values):

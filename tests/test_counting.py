@@ -52,11 +52,10 @@ def test_count_query_rejects_out_of_range_removed(toy_index, removed, match):
         count_query(toy_index, 0, 3, removed=np.array(removed))
 
 
-def test_hop_counts_match_naive_oracle(toy_index, toy_aug):
-    q = toy_aug.entities.id("A")
-    bd = batch_distances(toy_index, [q], 3)
-    got = count_query(toy_index, q, 3).hop_triple_counts
-    assert got == naive_hop_counts(toy_aug.augmented, bd.dist.tolist(), 3)
+def test_count_queries_rejects_bool_beside_ints(toy_index):
+    # [0, True] is an integer array to numpy; the bool must not count entity 1
+    with pytest.raises(ValueError, match=r"query slot 1: query=True is not an integer id"):
+        count_queries(toy_index, [0, True], 3)
 
 
 @settings(max_examples=30, deadline=None)

@@ -18,12 +18,26 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 EXPECT = "5c72e0534bb5f90b984c964fac643dace6c7da7d40e384b9461d3518a0f0667f"
 
 
-@pytest.mark.skipif(np.__version__ != "2.4.6",
-                    reason="the golden digests are defined under numpy 2.4.6")
-def test_golden_hash_unchanged():
-    run = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "tools", "golden_hash.py"), "--expect", EXPECT],
+pytestmark = pytest.mark.skipif(np.__version__ != "2.4.6",
+                                reason="the golden digests are defined under numpy 2.4.6")
+
+
+def golden_hash(expect: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "golden_hash.py"), "--expect", expect],
         capture_output=True, text=True, timeout=600,
     )
+
+
+def test_golden_hash_unchanged():
+    run = golden_hash(EXPECT)
     assert run.returncode == 0, run.stdout + run.stderr
     assert "analysis  264c4c75a627b702361e2596c7faac51b2ea8abae235fd0d17db4b029d89f24d" in run.stdout
+
+
+def test_golden_hash_names_moved_workloads():
+    # b1f74ba7... is a KNOWN digest that differs from today's in analysis alone
+    run = golden_hash("b1f74ba7e4a06b5da3198ac1685e56618bac96bb02c432bc19a9bfcd558736d7")
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert f"all       {EXPECT}" in run.stdout
+    assert run.stderr.rstrip().endswith("; moved: analysis"), run.stderr

@@ -129,22 +129,6 @@ def test_index_outgoing_set_of_A(toy_index, toy_aug):
     assert rows == expected
 
 
-def test_index_completeness_and_degrees(toy_index, toy_aug):
-    n = toy_index.num_triples
-    assert n == 17
-    assert toy_index.out_degree.sum() == 17
-    # every augmented triple appears exactly once in its head bucket
-    seen = set()
-    for e in range(toy_index.num_entities):
-        out = slice(toy_index.indptr[e], toy_index.indptr[e + 1])
-        for row in zip(toy_index.head[out].tolist(), toy_index.rel[out].tolist(),
-                       toy_index.tail[out].tolist()):
-            assert row[0] == e
-            seen.add(row)
-    assert len(seen) == 17
-    assert seen == {tuple(r) for r in toy_aug.augmented.tolist()}
-
-
 @pytest.mark.parametrize("rows, msg", [
     ([[0, 0, 1], [0, 3, 1]], r"triple row 1: relation id 3 outside \[0, 1\)"),
     ([[0, 0, 5]], r"triple row 0: tail id 5 outside \[0, 2\)"),

@@ -5,7 +5,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgpercolate.kg import Vocab, augment, build_index, make_graph
@@ -21,14 +21,6 @@ def test_toy_distances(toy_index, toy_aug):
     assert got == {"A": 0, "B": 1, "C": 2, "D": 1, "E": 3}
 
 
-def test_toy_layers(toy_index, toy_aug):
-    ids = toy_aug.entities
-    bd = batch_distances(toy_index, [ids.id("A")], 3)
-    assert set(np.flatnonzero(bd.dist == 1)) == {ids.id("B"), ids.id("D")}
-    assert set(np.flatnonzero(bd.dist == 2)) == {ids.id("C")}
-    assert set(np.flatnonzero(bd.dist == 3)) == {ids.id("E")}
-
-
 def test_horizon_truncation(toy_index, toy_aug):
     ids = toy_aug.entities
     bd = batch_distances(toy_index, [ids.id("A")], 1)
@@ -40,8 +32,6 @@ def test_horizon_truncation(toy_index, toy_aug):
 def test_isolated_query_has_empty_layers():
     ents = Vocab(["a", "b"])
     rels = Vocab(["r"])
-    kg = make_graph(np.array([[1, 0, 1]], dtype=np.int32), ents, rels)
-    # "b r b" would be a self loop; instead use an edgeless "a"
     kg = make_graph(np.empty((0, 3), dtype=np.int32), ents, rels)
     idx = build_index(augment(kg))
     bd = batch_distances(idx, [0], 3)
@@ -54,18 +44,6 @@ def test_bad_arguments(toy_index):
         batch_distances(toy_index, [99], 3)
     with pytest.raises(ValueError):
         batch_distances(toy_index, [0], 0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 5), st.floats(0.0, 0.5))
-def test_distances_match_bfs_oracle(seed, L, frac):
-    kg = augment(random_kg(np.random.default_rng(seed)))
-    idx = build_index(kg)
-    q = int(np.random.default_rng(seed + 1).integers(0, len(kg.entities)))
-    removed, kept = random_mask(np.random.default_rng(seed + 2), idx, frac)
-    bd = batch_distances(idx, [q], L, [removed])
-    oracle = bfs_oracle(kept, len(kg.entities), q, L)
-    assert np.array_equal(bd.dist.astype(np.int64), oracle)
 
 
 def test_toy_percolation_layer2(toy_index, toy_aug):
@@ -109,43 +87,6 @@ def test_layers_disjoint_and_downhill(toy_index, toy_aug):
     assert len(all_pos) == len(set(all_pos))
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 4), st.floats(0.0, 0.5))
-def test_percolation_matches_naive_oracle(seed, L, frac):
-    kg = augment(random_kg(np.random.default_rng(seed)))
-    idx = build_index(kg)
-    q = int(np.random.default_rng(seed + 7).integers(0, len(kg.entities)))
-    removed, kept = random_mask(np.random.default_rng(seed + 8), idx, frac)
-    bd = batch_distances(idx, [q], L, [removed])
-    d = {i: int(v) for i, v in enumerate(bd.dist)}
-
-    def triples(pos):
-        return {(int(idx.head[p]), int(idx.rel[p]), int(idx.tail[p])) for p in pos}
-
-    for l in range(1, L + 1):
-        naive = {
-            (int(h), int(r), int(t))
-            for h, r, t in kept.tolist()
-            if d[h] == l - 1 and d[t] in (l - 1, l)
-        }
-        assert triples(layer_positions(bd)[l - 1]) == naive
-    naive = {(h, r, t) for h, r, t in kept.tolist() if d[h] >= 0 and d[t] >= 0}
-    assert triples(bd.decoder[1]) == naive
-    assert len(bd.decoder[1]) == len(naive)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 4))
-def test_triple_budget(seed, L):
-    # layered percolation never exceeds the full neighborhood triple count
-    kg = augment(random_kg(np.random.default_rng(seed)))
-    idx = build_index(kg)
-    q = int(np.random.default_rng(seed + 3).integers(0, len(kg.entities)))
-    bd = batch_distances(idx, [q], L)
-    layered = sum(len(pos) for pos in layer_positions(bd))
-    assert layered <= len(bd.decoder[1])
-
-
 def test_removed_edges_affect_distances(toy_index, toy_aug):
     ids = toy_aug.entities
     # removing A->B and A->D disconnects everything from A
@@ -178,42 +119,6 @@ def test_batch_node_table_duplicates_shared_entities(toy_index, toy_aug):
     assert bg.node_entity[bg.query_nodes[0]] == ids.id("A")
     assert bg.node_entity[bg.query_nodes[1]] == ids.id("B")
     assert bg.node_entity[bg.answer_nodes[0]] == ids.id("C")
-
-
-def test_batch_layers_match_single_query(toy_index, toy_aug):
-    ids = toy_aug.entities
-    b = SubgraphBuilder(toy_index)
-    single = b.build_batch([QuerySpec(query=ids.id("A"), rel=0)], horizon=3)
-    pair = b.build_batch(
-        [
-            QuerySpec(query=ids.id("A"), rel=0),
-            QuerySpec(query=ids.id("D"), rel=1),
-        ],
-        horizon=3,
-    )
-    # the batch holds the encoder's layers 1..H-1
-    assert len(single.layers) == len(pair.layers) == 2
-    for lt_s, lt_p in zip(single.layers, pair.layers):
-        tri_s = {
-            (
-                int(single.node_entity[h]),
-                int(r),
-                int(single.node_entity[lt_s.targets[np.searchsorted(lt_s.seg_ptr, i, "right") - 1]]),
-            )
-            for i, (h, r) in enumerate(zip(lt_s.head_node, lt_s.rel))
-        }
-        mask0 = lt_p.triple_query == 0
-        tri_p = set()
-        for i in np.flatnonzero(mask0):
-            seg = np.searchsorted(lt_p.seg_ptr, i, "right") - 1
-            tri_p.add(
-                (
-                    int(pair.node_entity[lt_p.head_node[i]]),
-                    int(lt_p.rel[i]),
-                    int(pair.node_entity[lt_p.targets[seg]]),
-                )
-            )
-        assert tri_s == tri_p
 
 
 def test_batch_denominators_are_global_degrees(toy_index, toy_aug):
@@ -280,20 +185,23 @@ def test_batch_respects_removed_edges(toy_index, toy_aug):
         ("query", QuerySpec(query=99, rel=0)),
         ("query", QuerySpec(query=-1, rel=0)),
         ("query", QuerySpec(query=1.5, rel=0)),
+        ("query", QuerySpec(query=True, rel=0)),
         ("rel", QuerySpec(query=0, rel=99)),
         ("rel", QuerySpec(query=0, rel=5)),  # identity is 4 on the toy graph
         ("rel", QuerySpec(query=0, rel=-1)),
+        ("rel", QuerySpec(query=0, rel=True)),
         ("answer", QuerySpec(query=0, rel=0, answer=99)),
         ("answer", QuerySpec(query=0, rel=0, answer=-2)),
         ("answer", QuerySpec(query=0, rel=0, answer=2.0)),
+        ("answer", QuerySpec(query=0, rel=0, answer=np.False_)),
         ("removed", QuerySpec(query=0, rel=0, removed=np.array([0, 99]))),
         ("removed", QuerySpec(query=0, rel=0, removed=np.array([-1]))),
         ("removed", QuerySpec(query=0, rel=0, removed=np.array([1.0]))),
         ("removed", QuerySpec(query=0, rel=0, removed=np.array([True]))),
     ],
-    ids=["query-high", "query-low", "query-float", "rel-high", "rel-past-identity", "rel-low",
-         "answer-high", "answer-low", "answer-float", "removed-high", "removed-low",
-         "removed-float", "removed-bool"],
+    ids=["query-high", "query-low", "query-float", "query-bool", "rel-high", "rel-past-identity",
+         "rel-low", "rel-bool", "answer-high", "answer-low", "answer-float", "answer-bool",
+         "removed-high", "removed-low", "removed-float", "removed-bool"],
 )
 def test_batch_rejects_out_of_range_specs(toy_index, field, bad):
     b = SubgraphBuilder(toy_index)
@@ -318,7 +226,8 @@ def slot_triples(bg, lt, s: int) -> list[tuple[int, int, int]]:
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000), st.integers(0, 8), st.integers(1, 4))
+@given(st.integers(0, 10_000), st.integers(0, 8), st.integers(1, 5))
+@example(seed=0, n_slots=1, L=5)  # an entity at distance 5
 def test_batch_slots_match_single_query_and_oracle(seed, n_slots, L):
     # a few entities fill all slots, each slot under its own mask, so a mask
     # or a distance keyed on the wrong slot shows up as a mismatch
