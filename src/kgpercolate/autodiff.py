@@ -387,22 +387,25 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
     )
 
 
-def _row_index(idx, rows: int, op: str) -> np.ndarray:
+def _row_index(idx, a: Tensor, op: str) -> np.ndarray:
     # np.take reads a boolean mask as the row ids 0 and 1; index_add keeps
     # only one write of a negative id and its positive twin
     idx = np.asarray(idx)
     if idx.dtype.kind not in "iu":
         raise ValueError(f"{op} needs an integer row index, not {idx.dtype}")
+    rows = a.data.shape[0]
     # one reduction: read as unsigned, a negative id exceeds every row
     if idx.size and idx.view(idx.dtype.str.replace("i", "u")).max() >= rows:
-        raise ValueError(f"{op} row ids span [{idx.min()}, {idx.max()}], "
+        of = f" of {a.name!r}" if a.name else ""
+        raise ValueError(f"{op}{of} row ids span [{idx.min()}, {idx.max()}], "
                          f"outside [0, {rows})")
     return idx
 
 
 def gather(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Row lookup a[idx]; duplicates in idx accumulate in the backward."""
-    idx = _row_index(idx, a.data.shape[0], "gather")
+    """Row lookup a[idx]; duplicates in idx accumulate in the backward.  An
+    id outside a's rows raises ValueError, naming a when it has a name."""
+    idx = _row_index(idx, a, "gather")
 
     def vjp(g):
         da = np.zeros_like(a.data)
@@ -414,7 +417,7 @@ def gather(a: Tensor, idx: np.ndarray) -> Tensor:
 
 def scatter_rows_add(a: Tensor, idx: np.ndarray, b: Tensor) -> Tensor:
     """out = a with out[idx] += b, duplicates accumulated."""
-    idx = _row_index(idx, a.data.shape[0], "scatter_rows_add")
+    idx = _row_index(idx, a, "scatter_rows_add")
     data = a.data.copy()
     index_add(data, idx, b.data)
 

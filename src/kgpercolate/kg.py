@@ -83,18 +83,16 @@ class KnowledgeGraph:
     def num_entities(self) -> int:
         return len(self.entities)
 
-    @property
-    def num_augmented_relations(self) -> int:
-        return 2 * self.n_base_relations + 1
-
-    @property
-    def identity_rel(self) -> int:
-        return 2 * self.n_base_relations
-
 
 def reverse_rel(r: int | np.ndarray, n_base: int):
-    """Reverse relation id: base -> reverse, reverse -> base, identity -> itself."""
+    """Reverse relation id: base -> reverse, reverse -> base, identity -> itself.
+
+    An id outside [0, 2 * n_base] raises ValueError naming the span of ``r``.
+    """
     r = np.asarray(r)
+    if r.size and (r.min() < 0 or r.max() > 2 * n_base):
+        raise ValueError(f"relation ids span [{r.min()}, {r.max()}], "
+                         f"outside [0, {2 * n_base}]")
     out = np.where(
         r < n_base, r + n_base, np.where(r < 2 * n_base, r - n_base, r)
     )

@@ -248,13 +248,15 @@ class BatchGraph:
         """Raise ValueError unless the batch's structural invariants hold.
 
         The slots' spans tile the node rows in slot order and agree with
-        ``node_query``; each slot's query and answer node (unless -1) lie in
-        its own span; there are ``horizon - 1`` layers; in every layer and
-        the decoder, ``seg_ptr`` rises strictly from 0 to the triple count
-        (every target receives a message), ``targets`` strictly increase, no
-        target has fewer ``denom`` than messages (it cannot receive more than
-        its visible in-triples), and each triple's head and target rows lie
-        in the span of its ``triple_query``.
+        ``node_query``; ``query_nodes``, ``query_rels`` and ``answer_nodes``
+        hold one entry per slot; each slot's query and answer node (unless
+        -1) lie in its own span; there are ``horizon - 1`` layers; in every
+        layer and the decoder, ``seg_ptr`` rises strictly from 0 to the
+        triple count (every target receives a message), ``targets`` strictly
+        increase, ``rel`` has one entry per triple and ``denom`` one per
+        target, no target has fewer ``denom`` than messages (it cannot
+        receive more than its visible in-triples), and each triple's head and
+        target rows lie in the span of its ``triple_query``.
         """
         n_q = self.num_queries
         spans = self.spans
@@ -270,6 +272,10 @@ class BatchGraph:
             raise ValueError(f"spans do not tile the {self.n_nodes} node rows in slot order")
         if not np.array_equal(self.node_query, np.repeat(np.arange(n_q), np.diff(bounds))):
             raise ValueError("node_query disagrees with spans")
+        for name in ("query_nodes", "query_rels", "answer_nodes"):
+            shape = getattr(self, name).shape
+            if shape != (n_q,):
+                raise ValueError(f"{name} has shape {shape}, not ({n_q},)")
         for name, rows, present in (("query_nodes", self.query_nodes, True),
                                     ("answer_nodes", self.answer_nodes, self.answer_nodes != -1)):
             bad = np.flatnonzero(((rows < spans[:, 0]) | (rows >= spans[:, 1])) & present)
@@ -285,6 +291,9 @@ class BatchGraph:
                                  f"pointer over {len(lt.targets)} targets")
             if (np.diff(lt.targets) <= 0).any():
                 raise ValueError(f"{name}: targets are not strictly increasing")
+            if len(lt.rel) != m or len(lt.denom) != len(lt.targets):
+                raise ValueError(f"{name}: {len(lt.rel)} rel and {len(lt.denom)} denom entries "
+                                 f"for {m} triples and {len(lt.targets)} targets")
             short = np.flatnonzero(lt.denom < np.diff(ptr))
             if len(short):
                 i = short[0]

@@ -68,9 +68,6 @@ class ModelConfig:
         if self.dim_low < 1:
             raise ValueError(f"dim_low must be at least 1, not {self.dim_low}")
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def init_params(config: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
     """Fresh parameter dict; draw order is fixed, so seeds reproduce."""
@@ -137,23 +134,11 @@ def _message_pass(
 def encode(params: dict[str, Tensor], config: ModelConfig, bg: BatchGraph) -> Tensor:
     """Percolation layers 1..L-1; returns (n_nodes, d) embeddings.
 
-    Raises ValueError when the batch was built with another horizon, or when
-    a relation id of its queries, layers or decoder is at or above
-    ``config.num_augmented_relations`` (a config with fewer relations than
-    the graph).  A config with more relations than the graph cannot be
-    detected from a batch: its ids all fit the larger tables.  ``compress``,
-    ``decode`` and ``score`` read no relation id that this has not checked.
+    Raises ValueError when the batch was built with another horizon.
     """
     if bg.horizon != config.horizon:
         raise ValueError(
             f"batch built with horizon {bg.horizon}, model expects {config.horizon}"
-        )
-    n_rel = config.num_augmented_relations
-    top = max(int(ids.max(initial=-1)) for ids in
-              [bg.query_rels, bg.decoder.rel, *(layer.rel for layer in bg.layers)])
-    if top >= n_rel:
-        raise ValueError(
-            f"batch has relation id {top}, model has {n_rel} augmented relations"
         )
     init = np.zeros((bg.n_nodes, config.dim), dtype=np.float32)
     init[bg.query_nodes] = 1.0
@@ -168,13 +153,20 @@ def encode(params: dict[str, Tensor], config: ModelConfig, bg: BatchGraph) -> Te
     return h
 
 
+def _query_mlp(params: dict[str, Tensor], bg: BatchGraph, x: Tensor,
+               rel_table: str, layer1: str, layer2: str) -> Tensor:
+    """Two-layer MLP on [x : query-relation row]; the second layer's
+    pre-activation."""
+    q_rel = gather(params[rel_table], bg.query_rels)
+    node_rel = gather(q_rel, bg.node_query)
+    z = relu(add(matmul(concat([x, node_rel], axis=1), params[f"{layer1}_w"]),
+                 params[f"{layer1}_b"]))
+    return add(matmul(z, params[f"{layer2}_w"]), params[f"{layer2}_b"])
+
+
 def compress(params: dict[str, Tensor], config: ModelConfig,
              bg: BatchGraph, h: Tensor) -> Tensor:
-    q_rel = gather(params["enc_rel_1"], bg.query_rels)
-    node_rel = gather(q_rel, bg.node_query)
-    z = relu(add(matmul(concat([h, node_rel], axis=1), params["comp1_w"]),
-                 params["comp1_b"]))
-    return relu(add(matmul(z, params["comp2_w"]), params["comp2_b"]))
+    return relu(_query_mlp(params, bg, h, "enc_rel_1", "comp1", "comp2"))
 
 
 def decode(params: dict[str, Tensor], config: ModelConfig,
@@ -191,18 +183,15 @@ def decode(params: dict[str, Tensor], config: ModelConfig,
 def score(params: dict[str, Tensor], config: ModelConfig,
           bg: BatchGraph, refined: Tensor) -> Tensor:
     """Raw logits, one per batch node row."""
-    q_rel = gather(params["dec_rel"], bg.query_rels)
-    node_rel = gather(q_rel, bg.node_query)
-    s1 = relu(add(matmul(concat([refined, node_rel], axis=1), params["score1_w"]),
-                  params["score1_b"]))
-    s = add(matmul(s1, params["score2_w"]), params["score2_b"])
-    return reshape(s, (bg.n_nodes,))
+    return reshape(_query_mlp(params, bg, refined, "dec_rel", "score1", "score2"),
+                   (bg.n_nodes,))
 
 
 def forward_batch(params: dict[str, Tensor], config: ModelConfig,
                   bg: BatchGraph) -> Tensor:
     """Full pipeline: logits for every node row of the batch; ``encode``
-    checks the batch against the config."""
+    checks the batch's horizon, and each gather refuses a relation id its
+    table has no row for."""
     h = encode(params, config, bg)
     compressed = compress(params, config, bg, h)
     refined = decode(params, config, bg, compressed)

@@ -1,5 +1,6 @@
 """Gradient checks for the tape: finite differences plus loop oracles."""
 
+import dataclasses
 import platform
 import sys
 import time
@@ -750,7 +751,7 @@ class TestCheckpoint:
     def test_default_model_roundtrip(self, tmp_path):
         config = ModelConfig(n_base_relations=8)
         params = init_params(config, seed=3)
-        meta = {"config": config.as_dict(), "seed": 3, "steps": np.int64(600),
+        meta = {"config": dataclasses.asdict(config), "seed": 3, "steps": np.int64(600),
                 "blas_threads": 1}
         path = tmp_path / "model.ckpt"
         save_params(path, params, meta=meta)

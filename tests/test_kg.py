@@ -73,9 +73,8 @@ def test_augment_counts_toy():
     aug = augment(kg)
     # 2*|T| + |E| = 2*6 + 5
     assert aug.augmented.shape == (17, 3)
-    assert aug.num_augmented_relations == 5
     assert len(aug.relations) == 5
-    assert aug.identity_rel == 4
+    assert build_index(aug).identity_rel == 4
 
 
 def test_augment_reverse_and_identity_ids():
@@ -88,7 +87,7 @@ def test_augment_reverse_and_identity_ids():
     assert np.array_equal(rev[:, 1], base[:, 1] + 2)
     ident = aug.augmented[2 * len(base) :]
     assert np.array_equal(ident[:, 0], ident[:, 2])
-    assert (ident[:, 1] == aug.identity_rel).all()
+    assert (ident[:, 1] == 2 * kg.n_base_relations).all()
 
 
 def test_augment_twice_is_error():
@@ -102,7 +101,7 @@ def test_augment_empty_triples_gives_identity_loops_only():
     kg = make_graph(np.empty((0, 3), dtype=np.int32), ents, Vocab())
     aug = augment(kg)
     assert aug.augmented.shape == (3, 3)
-    assert (aug.augmented[:, 1] == aug.identity_rel).all()
+    assert (aug.augmented[:, 1] == 2 * kg.n_base_relations).all()
 
 
 def test_reverse_rel_mapping():
@@ -112,6 +111,11 @@ def test_reverse_rel_mapping():
     assert reverse_rel(4, 2) == 4  # identity maps to itself
     arr = reverse_rel(np.array([0, 3, 4]), 2)
     assert arr.tolist() == [2, 1, 4]
+    # an id outside [0, 2R] is no relation; mapped, -1 would read as base
+    # relation 1 and 9 as itself
+    for bad, span in ((-1, r"\[-1, -1\]"), (5, r"\[5, 5\]"), (np.array([0, 5]), r"\[0, 5\]")):
+        with pytest.raises(ValueError, match=rf"^relation ids span {span}, outside \[0, 4\]$"):
+            reverse_rel(bad, 2)
 
 
 def test_index_outgoing_set_of_A(toy_index, toy_aug):
@@ -124,7 +128,7 @@ def test_index_outgoing_set_of_A(toy_index, toy_aug):
     expected = {
         (ids.id("A"), rels.id("r1"), ids.id("B")),
         (ids.id("A"), rels.id("r2"), ids.id("D")),
-        (ids.id("A"), toy_aug.identity_rel, ids.id("A")),
+        (ids.id("A"), toy_index.identity_rel, ids.id("A")),
     }
     assert rows == expected
 
@@ -216,7 +220,7 @@ def test_augment_arithmetic_random(seed):
     kg = random_kg(np.random.default_rng(seed))
     aug = augment(kg)
     assert len(aug.augmented) == 2 * len(kg.triples) + len(kg.entities)
-    assert aug.num_augmented_relations == 2 * kg.n_base_relations + 1
+    assert len(aug.relations) == 2 * kg.n_base_relations + 1
     idx = build_index(aug)
     assert idx.out_degree.sum() == len(aug.augmented)
     # out-degree equals in-degree in an augmented graph

@@ -58,8 +58,8 @@ def test_toy_percolation_layer2(toy_index, toy_aug):
         (ids.id("D"), rels.id("r2"), ids.id("C")),
         (ids.id("B"), rels.id("r2"), ids.id("D")),
         (ids.id("D"), rels.id("r2_inv"), ids.id("B")),
-        (ids.id("B"), toy_aug.identity_rel, ids.id("B")),
-        (ids.id("D"), toy_aug.identity_rel, ids.id("D")),
+        (ids.id("B"), toy_index.identity_rel, ids.id("B")),
+        (ids.id("D"), toy_index.identity_rel, ids.id("D")),
     }
     assert got == expected
     # the edge pointing back to the query is never included
@@ -448,11 +448,17 @@ def _swap_first_two(a):
         (lambda bg: bg.spans.__setitem__((0, 1), bg.spans[0, 1] - 1), "spans"),
         (lambda bg: bg.layers.append(bg.decoder), "3 layers at horizon 3"),
         (lambda bg: bg.layers[0].denom.__setitem__(0, bg.layers[0].seg_ptr[1] - 1), "denom"),
+        (lambda bg: setattr(bg.decoder, "rel", bg.decoder.rel[:-1]), "decoder: .* rel"),
+        (lambda bg: setattr(bg, "query_nodes", bg.query_nodes[:-1]), r"^query_nodes has shape"),
+        (lambda bg: setattr(bg, "answer_nodes", bg.answer_nodes[:-1]), r"^answer_nodes has shape"),
+        (lambda bg: setattr(bg.layers[0], "denom", bg.layers[0].denom[:-1]),
+         "layer 1: .* denom"),
     ],
     ids=["seg_ptr-start", "seg_ptr-end", "seg_ptr-decreasing", "seg_ptr-empty-segment",
          "targets-order", "head-crosses-span", "target-crosses-span", "slot-out-of-range",
          "query-node", "answer-node", "node_query", "spans-gap", "layer-count",
-         "denom-below-messages"],
+         "denom-below-messages", "decoder-rel-length", "query-nodes-length",
+         "answer-nodes-length", "denom-length"],
 )
 def test_batch_check_rejects_broken_invariants(toy_index, toy_aug, corrupt, match):
     ids = toy_aug.entities

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kgpercolate import autodiff as ad
-from kgpercolate.autodiff import STD_EPS, Tape, Tensor, logsumexp, segment_mean_std
+from kgpercolate.autodiff import Adam, STD_EPS, Tape, Tensor, logsumexp, segment_mean_std
 from kgpercolate.counting import count_query
 from kgpercolate.kg import Vocab, augment, build_index, make_graph
 from kgpercolate.layering import QuerySpec, SubgraphBuilder
@@ -151,13 +151,15 @@ class TestForward:
         _, aug, index, builder = toy_setup()
         bg = toy_batch(builder, aug)
         cfg = small_config(n_base_relations=1)
-        with pytest.raises(ValueError, match="relation id 4, model has 3 augmented"):
+        msg = r"^gather of 'enc_rel_1' row ids span \[0, 4\], outside \[0, 3\)$"
+        with pytest.raises(ValueError, match=msg):
             forward_batch(init_params(cfg), cfg, bg)
 
     def test_encode_checks_the_batch(self):
         # the stages run on their own, as a train or eval loop calls them: a
         # horizon-4 batch under a horizon-3 model would leave layer 3 unread
-        # and still give finite logits
+        # and still give finite logits; a decoder relation id is first read,
+        # and refused, by decode
         _, aug, index, builder = toy_setup()
         cfg = small_config()
         params = init_params(cfg)
@@ -165,18 +167,24 @@ class TestForward:
             encode(params, cfg, toy_batch(builder, aug, horizon=4))
         bg = toy_batch(builder, aug)
         bg.decoder.rel[0] = 7
-        with pytest.raises(ValueError, match="relation id 7, model has 5 augmented"):
-            encode(params, cfg, bg)
+        compressed = compress(params, cfg, bg, encode(params, cfg, bg))
+        with pytest.raises(ValueError, match=r"^gather of 'dec_rel' row ids span \[0, 7\]"):
+            decode(params, cfg, bg, compressed)
 
-    @pytest.mark.parametrize("where", ["query_rels", "layer", "decoder"])
-    def test_relation_id_out_of_range_named(self, where):
+    @pytest.mark.parametrize("where, table, low", [("query_rels", "enc_rel_1", 7),
+                                                   ("layer", "enc_rel_2", 0),
+                                                   ("decoder", "dec_rel", 0)],
+                             ids=["query_rels", "layer", "decoder"])
+    def test_relation_id_out_of_range_named(self, where, table, low):
+        # the first gather that reads the bad id refuses it and names its table
         _, aug, index, builder = toy_setup()
         bg = toy_batch(builder, aug)
         cfg = small_config()
         ids = {"query_rels": bg.query_rels, "layer": bg.layers[1].rel,
                "decoder": bg.decoder.rel}[where]
         ids[0] = 7
-        with pytest.raises(ValueError, match="relation id 7, model has 5 augmented"):
+        msg = rf"^gather of '{table}' row ids span \[{low}, 7\], outside \[0, 5\)$"
+        with pytest.raises(ValueError, match=msg):
             forward_batch(init_params(cfg), cfg, bg)
 
     def test_unreached_by_encoder_stays_zero(self):
@@ -368,3 +376,32 @@ class TestFullModelGradients:
                 )
         finally:
             ad.set_default_dtype("float32")
+
+    def test_empty_layer_tables_get_no_gradient(self):
+        # _message_pass returns h for a layer with no triple: run through
+        # the pass, its empty gathers would give the layer's tables a zero
+        # gradient in place of None, and Adam would decay the moments that
+        # earlier batches left and keep moving the tables
+        cfg = small_config()
+        params = init_params(cfg, seed=2)
+        opt = Adam(params, lr=1e-2)
+        _, aug, index, builder = toy_setup()
+        full = toy_batch(builder, aug)
+        assert full.layers[1].num_triples > 0
+        # no base triple: layer 1 holds the two identity loops, layer 2 nothing
+        bare = augment(make_graph(np.zeros((0, 3), dtype=np.int32), Vocab(["a", "b"]),
+                                  Vocab(["r1", "r2"])))
+        empty = SubgraphBuilder(build_index(bare)).build_batch(
+            [QuerySpec(query=0, rel=0), QuerySpec(query=1, rel=1)], horizon=3)
+        assert empty.layers[0].rel.tolist() == [4, 4] and empty.layers[1].num_triples == 0
+        for bg in (full, empty):
+            opt.zero_grad()
+            before = {k: p.data.copy() for k, p in params.items()}
+            with Tape() as tape:
+                loss = logsumexp(forward_batch(params, cfg, bg))
+            tape.backward(loss)
+            opt.step()
+        for k in ("enc_rel_2", "enc_mix_2"):
+            assert params[k].grad is None, k
+            np.testing.assert_array_equal(params[k].data, before[k], err_msg=k)
+        assert not np.array_equal(params["enc_rel_1"].data, before["enc_rel_1"])

@@ -16,7 +16,7 @@ import sys
 import pytest
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
-CALL_WORKLOAD = {"build_batch": "eval", "count_queries": "analysis",
+CALL_WORKLOAD = {"build_batch": "eval", "forward_batch": "eval", "count_queries": "analysis",
                  "verify_percolation_principles": "analysis", "batch_distances": "analysis",
                  "train_step": "train"}
 

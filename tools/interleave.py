@@ -2,26 +2,27 @@
 
 Loads ``src/kgpercolate`` of each checkout under its own package name and
 times one call on the batches of the bench workload that makes it, in this
-checkout's ``bench/workloads.py``: ``build_batch`` of eval;
-``count_queries``, ``verify_percolation_principles`` and ``batch_distances``
-of analysis; ``train_step`` of train.  The workload gives the graph, the
-horizon and the batch size.  Each side builds its own index of that graph,
-and a ``Loop`` on that index draws its batches with ``next_batch``, so a
-train query's mask holds positions in that side's index.  Each pair is one
-batch: the sides take turns on it ``--reps`` times, alternating which runs
-first, and each keeps its fastest run.  It prints each side's median batch
-time and the median, with quartiles, of the per-pair ratio CHANGED / BASE;
-a ratio below 1 means CHANGED is faster.
+checkout's ``bench/workloads.py``: ``build_batch`` and ``forward_batch`` of
+eval; ``count_queries``, ``verify_percolation_principles`` and
+``batch_distances`` of analysis; ``train_step`` of train.  The workload
+gives the graph, the horizon and the batch size.  Each side builds its own
+index of that graph, and a ``Loop`` on that index draws its batches with
+``next_batch``, so a train query's mask holds positions in that side's
+index.  Each pair is one batch: the sides take turns on it ``--reps``
+times, alternating which runs first, and each keeps its fastest run.  It
+prints each side's median batch time and the median, with quartiles, of the
+per-pair ratio CHANGED / BASE; a ratio below 1 means CHANGED is faster.
 
     python tools/interleave.py BASE [CHANGED] --call CALL [--seed N] [--pairs N] [--reps N]
 
 CHANGED defaults to this checkout.  ``count_queries`` and ``build_batch``
 run once per batch, ``verify_percolation_principles`` and
 ``batch_distances`` (with a single query) once per query of the batch.
+``forward_batch`` is the untaped forward of eval, default model config.
 ``train_step`` is ``forward_batch``, ``sum_all`` of the logits, backward and
-one Adam step at the bench's rate, default model config; the ``BatchGraph``
-is built before the timer starts.  Every step starts from the seeded
-parameters and a fresh Adam, since repeated steps on the unbounded
+one Adam step at the bench's rate, default model config.  Both build the
+``BatchGraph`` before the timer starts.  Every train step starts from the
+seeded parameters and a fresh Adam, since repeated steps on the unbounded
 ``sum_all`` loss overflow within about a hundred steps.  The host's speed
 drifts by up to 1.5x between separate runs, so a small difference is
 visible only in pairs this close.
@@ -48,7 +49,7 @@ import numpy as np
 
 HERE = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 # each call -> the bench workload whose batches it times
-CALLS = {"build_batch": "eval", "count_queries": "analysis",
+CALLS = {"build_batch": "eval", "forward_batch": "eval", "count_queries": "analysis",
          "verify_percolation_principles": "analysis", "batch_distances": "analysis",
          "train_step": "train"}
 
@@ -73,9 +74,10 @@ def side(pkg, graph, call: str, horizon: int, lr: float, seed: int):
         for sub in ("autodiff", "kg", "layering", "counting", "model", "paths"))
     index = kg.build_index(kg.augment(graph))
     builder = layering.SubgraphBuilder(index)
+    build = lambda queries: builder.build_batch(queries, horizon)
     heads = lambda queries: [qs.query for qs in queries]
     if call == "build_batch":
-        return index, lambda queries: queries, lambda qs: builder.build_batch(qs, horizon)
+        return index, lambda queries: queries, build
     if call == "count_queries":
         return index, heads, lambda ents: counting.count_queries(index, ents, horizon)
     if call == "batch_distances":
@@ -87,6 +89,8 @@ def side(pkg, graph, call: str, horizon: int, lr: float, seed: int):
 
     config = model.ModelConfig(n_base_relations=index.n_base_relations, horizon=horizon)
     params = model.init_params(config, seed)
+    if call == "forward_batch":
+        return index, build, lambda bg: model.forward_batch(params, config, bg).data
     seeded = {k: p.data.copy() for k, p in params.items()}
 
     def train_step(bg):
@@ -104,7 +108,7 @@ def side(pkg, graph, call: str, horizon: int, lr: float, seed: int):
         out.update((f"param {k}", p.data.copy()) for k, p in params.items())
         return out
 
-    return index, lambda queries: builder.build_batch(queries, horizon), train_step
+    return index, build, train_step
 
 
 def same(a, b) -> bool:
