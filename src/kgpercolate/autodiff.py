@@ -71,6 +71,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .ids import check_ids
+
 _DTYPE = np.float32
 _DEBUG_FINITE = False
 _ACTIVE_TAPE: "Tape | None" = None
@@ -390,16 +392,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
 def _row_index(idx, a: Tensor, op: str) -> np.ndarray:
     # np.take reads a boolean mask as the row ids 0 and 1; index_add keeps
     # only one write of a negative id and its positive twin
-    idx = np.asarray(idx)
-    if idx.dtype.kind not in "iu":
-        raise ValueError(f"{op} needs an integer row index, not {idx.dtype}")
-    rows = a.data.shape[0]
-    # one reduction: read as unsigned, a negative id exceeds every row
-    if idx.size and idx.view(idx.dtype.str.replace("i", "u")).max() >= rows:
-        of = f" of {a.name!r}" if a.name else ""
-        raise ValueError(f"{op}{of} row ids span [{idx.min()}, {idx.max()}], "
-                         f"outside [0, {rows})")
-    return idx
+    of = f" of {a.name!r}" if a.name else ""
+    return check_ids(f"{op}{of} row ids", idx, 0, a.data.shape[0])
 
 
 def gather(a: Tensor, idx: np.ndarray) -> Tensor:

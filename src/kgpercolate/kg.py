@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ids import check_ids
+
 Triple = tuple[int, int, int]
 
 IDENTITY_SUFFIX = "_self"
@@ -87,12 +89,9 @@ class KnowledgeGraph:
 def reverse_rel(r: int | np.ndarray, n_base: int):
     """Reverse relation id: base -> reverse, reverse -> base, identity -> itself.
 
-    An id outside [0, 2 * n_base] raises ValueError naming the span of ``r``.
+    An id outside [0, 2 * n_base] raises ValueError.
     """
-    r = np.asarray(r)
-    if r.size and (r.min() < 0 or r.max() > 2 * n_base):
-        raise ValueError(f"relation ids span [{r.min()}, {r.max()}], "
-                         f"outside [0, {2 * n_base}]")
+    r = check_ids("relation ids", r, 0, 2 * n_base + 1)
     out = np.where(
         r < n_base, r + n_base, np.where(r < 2 * n_base, r - n_base, r)
     )
@@ -138,23 +137,16 @@ def make_graph(triples: np.ndarray, entities: Vocab, relations: Vocab) -> Knowle
     """Wrap (n, 3) (head, relation, tail) ids as an int32 base graph.
 
     Entity ids must lie in [0, |entities|) and relation ids in
-    [0, |relations|); otherwise ValueError names the first bad row and field.
-    A non-empty array of another dtype than int or uint (float, bool)
-    raises ValueError naming it, where a cast would truncate its ids.
+    [0, |relations|); otherwise ValueError names the field and the first bad
+    row.  Non-integer ids (float, bool) raise ValueError, where a cast would
+    truncate them.
     """
-    ids = np.asarray(triples)
-    if ids.size and ids.dtype.kind not in "iu":
-        raise ValueError(f"triple ids must be integers, not {ids.dtype}")
-    ids = ids.astype(np.int64, copy=False).reshape(-1, 3)
-    hi = np.array([len(entities), len(relations), len(entities)])
-    bad = (ids < 0) | (ids >= hi)
-    rows = np.flatnonzero(bad.any(axis=1))
-    if len(rows):
-        i = rows[0]
-        f = int(np.argmax(bad[i]))
-        raise ValueError(f"triple row {i}: {('head', 'relation', 'tail')[f]} id "
-                         f"{ids[i, f]} outside [0, {hi[f]})")
-    triples = ids.astype(np.int32)
+    n_e, n_r = len(entities), len(relations)
+    ids = np.asarray(triples).reshape(-1, 3)
+    for f, name, hi in ((0, "head", n_e), (1, "relation", n_r), (2, "tail", n_e)):
+        check_ids(f"triple {name} ids", ids[:, f], 0, hi)
+    # every column is in range; this refuses a bool among a list's ints
+    triples = check_ids("triple ids", triples, 0, max(n_e, n_r)).astype(np.int32).reshape(-1, 3)
     return KnowledgeGraph(
         entities=entities,
         relations=relations,
@@ -253,12 +245,10 @@ class AdjacencyIndex:
     def find_edges(self, h: int, t: int) -> np.ndarray:
         """Positions (sorted-order triple ids) of all edges h -> t.
 
-        Raises ValueError naming ``h`` or ``t`` when it is outside [0, |E|).
+        Raises ValueError naming ``h`` or ``t`` when it is no id in [0, |E|).
         """
-        n_e = self.num_entities
-        for name, e in (("h", h), ("t", t)):
-            if not 0 <= e < n_e:
-                raise ValueError(f"find_edges: {name} = {e} outside [0, {n_e})")
+        h, t = (int(check_ids(f"find_edges {name}", e, 0, self.num_entities))
+                for name, e in (("h", h), ("t", t)))
         lo, hi = self.indptr[h], self.indptr[h + 1]
         return (lo + np.flatnonzero(self.tail[lo:hi] == t)).astype(np.int64)
 
@@ -277,10 +267,7 @@ def build_index(kg: KnowledgeGraph) -> AdjacencyIndex:
         raise ValueError("augment the graph before indexing")
     aug = kg.augmented
     n_e, m = len(kg.entities), len(aug)
-    heads = aug[:, 0]
-    if m and (heads.min() < 0 or heads.max() >= n_e):
-        i = np.flatnonzero((heads < 0) | (heads >= n_e))[0]
-        raise ValueError(f"augmented row {i}: head id {heads[i]} outside [0, {n_e})")
+    heads = check_ids("augmented head ids", aug[:, 0], 0, n_e)
     counts = np.bincount(heads, minlength=n_e)
     indptr = np.zeros(n_e + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])

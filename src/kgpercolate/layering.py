@@ -37,6 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .ids import check_ids
 from .kg import AdjacencyIndex
 
 
@@ -63,24 +64,6 @@ class BatchDistanceMap:
     masked: np.ndarray | None  # sorted keys slot*|T+| + pos of masked triples
 
 
-def _slot_ids(name: str, values, lo: int, hi: int) -> np.ndarray:
-    """One integer per slot in [lo, hi), as int64; otherwise ValueError
-    naming the first slot that breaks the rule; a bool is no id even where
-    ints beside it make the array integer."""
-    ids = np.asarray(values)
-    if len(ids) and (ids.dtype.kind not in "iu" or not isinstance(values, np.ndarray)
-                     and not {bool, np.bool_}.isdisjoint(map(type, values))):
-        s = next((i for i, v in enumerate(values)
-                  if isinstance(v, bool) or not isinstance(v, (int, np.integer))), 0)
-        raise ValueError(f"query slot {s}: {name}={values[s]!r} is not an integer id")
-    ids = ids.astype(np.int64).reshape(-1)
-    bad = np.flatnonzero((ids < lo) | (ids >= hi))
-    if len(bad):
-        s = bad[0]
-        raise ValueError(f"query slot {s}: {name}={ids[s]} outside [{lo}, {hi})")
-    return ids
-
-
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     """The sorted distinct keys, as ``np.unique`` gives them, from one sort
     and a compare of neighbours (no hash table); empty keys give empty."""
@@ -98,24 +81,13 @@ def _masked_keys(removed: Sequence[np.ndarray | None], n_triples: int) -> np.nda
     """
     slots, parts = [], []
     for s, pos in enumerate(removed):
-        if pos is None or len(pos) == 0:
-            continue
-        pos = np.asarray(pos)
-        if pos.dtype.kind not in "iu":
-            raise ValueError(f"query slot {s}: removed has dtype {pos.dtype}, "
-                             "not integer triple positions")
-        slots.append(s)
-        parts.append(pos)
+        if pos is not None and len(pos):
+            slots.append(s)
+            parts.append(check_ids(f"query slot {s}: removed positions", pos, 0, n_triples))
     if not parts:
         return None
-    pos = np.concatenate(parts, dtype=np.int64)
+    pos = np.concatenate(parts)
     slot = np.repeat(np.array(slots, dtype=np.int64), [len(p) for p in parts])
-    bad = np.flatnonzero((pos < 0) | (pos >= n_triples))
-    if len(bad):
-        s = slot[bad[0]]
-        own = pos[slot == s]
-        raise ValueError(f"query slot {s}: removed positions span "
-                         f"[{own.min()}, {own.max()}], outside [0, {n_triples})")
     return _sorted_unique(slot * n_triples + pos)
 
 
@@ -147,12 +119,13 @@ def batch_distances(
     index's sorted order) that slot s excludes from traversal and from every
     selection, used for anti-leakage masking.  A query entity or a removed
     position out of range, or removed positions that are not integers, raise
-    ValueError naming the slot.
+    ValueError naming the slot.  A horizon that is no positive int raises
+    ValueError.
     """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon <= 0:
+        raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
     n_e = index.num_entities
-    queries = _slot_ids("query", queries, 0, n_e)
+    queries = check_ids("query entity ids", queries, 0, n_e)
     masked = None
     if removed is not None:
         if len(removed) != len(queries):
@@ -329,8 +302,9 @@ class SubgraphBuilder:
         index = self.index
         n_q, n_e = len(queries), index.num_entities
         # the kernel checks the horizon, the query entities and the masks
-        rels = _slot_ids("rel", [qs.rel for qs in queries], 0, index.identity_rel + 1)
-        answers = _slot_ids("answer", [qs.answer for qs in queries], -1, n_e)
+        rels = check_ids("query relation ids", [qs.rel for qs in queries], 0,
+                         index.identity_rel + 1)
+        answers = check_ids("answer ids", [qs.answer for qs in queries], -1, n_e)
         bd = batch_distances(index, [qs.query for qs in queries], horizon,
                              [qs.removed for qs in queries])
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ids import check_ids
 from .kg import AdjacencyIndex, Triple
 from .layering import BatchDistanceMap, batch_distances
 
@@ -71,15 +72,14 @@ def enumerate_paths(
     principle (2).  With source the query, those as long as the target's
     distance are its shortest paths.
 
-    Raises ValueError naming ``source`` or ``target`` when it is outside
+    Raises ValueError naming ``source`` or ``target`` when it is no id in
     [0, |E|), and when the DFS visits more than ``MAX_EXPANSIONS`` prefixes;
     that message advises a smaller max_len.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    for name, e in (("source", source), ("target", target)):
-        if not 0 <= e < index.num_entities:
-            raise ValueError(f"{name} {e} outside [0, {index.num_entities})")
+    source, target = (int(check_ids(name, e, 0, index.num_entities))
+                      for name, e in (("source", source), ("target", target)))
     out: list[RelationalPath] = []
     prefix: list[Triple] = []
     budget = [MAX_EXPANSIONS]
@@ -113,11 +113,7 @@ def _distances(bd: BatchDistanceMap, ids: list[int]) -> list[int]:
     if len(bd.queries) != 1:
         raise ValueError(f"path classifiers read a one-slot distance map, "
                          f"not one of {len(bd.queries)} slots")
-    n = len(bd.dist)
-    for e in ids:
-        if not 0 <= e < n:
-            raise ValueError(f"entity {e} outside [0, {n})")
-    return bd.dist[ids].tolist()
+    return bd.dist[check_ids("path entity ids", ids, 0, len(bd.dist))].tolist()
 
 
 def potential_deltas(path: RelationalPath, bd: BatchDistanceMap) -> list[int]:

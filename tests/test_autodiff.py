@@ -534,30 +534,42 @@ def test_relu_bytes_match_where(dtype):
         ad.set_default_dtype("float32")
 
 
-@pytest.mark.parametrize("index", [np.array([True, False, True]), np.array([0.0, 2.0, 1.0])])
+# [True, 0] is an integer array to numpy
+@pytest.mark.parametrize("index", [np.array([True, False, True]), np.array([0.0, 2.0, 1.0]),
+                                   [True, 0]])
 def test_row_ops_reject_non_integer_index(index):
     # np.take would read a mask as the row ids 0 and 1, not select rows
     a = Tensor(np.ones((3, 2)))
-    with pytest.raises(ValueError, match="gather"):
+    why = "bool, first bad at position 0" if isinstance(index, list) else np.asarray(index).dtype
+    with pytest.raises(ValueError, match=f"^gather row ids must be integers, not {why}$"):
         gather(a, index)
-    with pytest.raises(ValueError, match="scatter_rows_add"):
+    with pytest.raises(ValueError, match=f"^scatter_rows_add row ids must be integers, not {why}$"):
         scatter_rows_add(a, index, Tensor(np.ones((3, 2))))
 
 
-@pytest.mark.parametrize("index, span", [
-    (np.array([-1, 2]), r"\[-1, 2\]"),
-    (np.array([0, 3], dtype=np.int32), r"\[0, 3\]"),
-    (np.array([2, -128], dtype=np.int8), r"\[-128, 2\]"),
-    (np.array([1, 255], dtype=np.uint8), r"\[1, 255\]"),
-], ids=["negative", "too_large", "int8_negative", "uint8_too_large"])
-def test_row_ops_reject_ids_outside_rows(index, span):
+@pytest.mark.parametrize("index, rows, span, at", [
+    (np.array([-1, 2]), 3, r"\[-1, 2\]", 0),
+    (np.array([0, 3], dtype=np.int32), 3, r"\[0, 3\]", 1),
+    (np.array([2, -128], dtype=np.int8), 3, r"\[-128, 2\]", 1),
+    (np.array([1, 255], dtype=np.uint8), 3, r"\[1, 255\]", 1),
+    # read as unsigned at its own width, -100 would pass as row 156
+    (np.array([-100, 100], dtype=np.int8), 200, r"\[-100, 100\]", 0),
+], ids=["negative", "too_large", "int8_negative", "uint8_too_large", "int8_negative_wide"])
+def test_row_ops_reject_ids_outside_rows(index, rows, span, at):
     # a negative id would wrap to a row that its positive twin also names,
     # and the backward keeps only one of their writes
-    a, b = Tensor(np.ones((3, 2))), Tensor(np.ones((2, 2)))
+    a, b = Tensor(np.ones((rows, 2))), Tensor(np.ones((2, 2)))
     for op, call in (("gather", lambda: gather(a, index)),
                      ("scatter_rows_add", lambda: scatter_rows_add(a, index, b))):
-        with pytest.raises(ValueError, match=rf"^{op} row ids span {span}, outside \[0, 3\)$"):
+        with pytest.raises(ValueError, match=rf"^{op} row ids span {span}, outside "
+                                             rf"\[0, {rows}\), first bad at position {at}$"):
             call()
+    # in range, both reads of a row reach its gradient at this dtype
+    t, row = Tensor(np.ones((rows, 2)), requires_grad=True), rows // 2
+    with Tape() as tape:
+        loss = sum_all(gather(t, np.array([row, row], dtype=index.dtype)))
+    tape.backward(loss)
+    assert t.grad[row].tolist() == [2.0, 2.0] and t.grad.sum() == 4.0
 
 
 def test_index_add_is_called_through_the_module(monkeypatch):

@@ -38,23 +38,26 @@ def test_toy_counts(toy_index, toy_aug):
 
 @pytest.mark.parametrize(
     "removed, match",
-    [([-1], r"removed positions span .* outside \[0, 17\)"),
-     ([99], r"removed positions span .* outside \[0, 17\)"),
-     ([1.0], r"removed has dtype float64"),
-     ([True], r"removed has dtype bool")],
-    ids=["low", "high", "float", "bool"],
+    [(np.array([-1]), r"span \[-1, -1\], outside \[0, 17\)$"),
+     (np.array([99]), r"span \[99, 99\], outside \[0, 17\)$"),
+     (np.array([1.0]), r"must be integers, not float64$"),
+     (np.array([True]), r"must be integers, not bool$"),
+     ([True, 1], r"must be integers, not bool, first bad at position 0$")],
+    ids=["low", "high", "float", "bool", "bool_in_list"],
 )
 def test_count_query_rejects_out_of_range_removed(toy_index, removed, match):
     # the kernel checks the positions for every caller, not only the builder:
     # -1 would silently mask the last triple, 99 would fail in numpy indexing,
-    # and a float or bool array is no list of positions
-    with pytest.raises(ValueError, match=match):
-        count_query(toy_index, 0, 3, removed=np.array(removed))
+    # a float or bool array is no list of positions, and [True, 1] is an
+    # integer array to numpy that would mask position 1
+    with pytest.raises(ValueError, match="^query slot 0: removed positions " + match):
+        count_query(toy_index, 0, 3, removed=removed)
 
 
 def test_count_queries_rejects_bool_beside_ints(toy_index):
     # [0, True] is an integer array to numpy; the bool must not count entity 1
-    with pytest.raises(ValueError, match=r"query slot 1: query=True is not an integer id"):
+    msg = r"^query entity ids must be integers, not bool, first bad at position 1$"
+    with pytest.raises(ValueError, match=msg):
         count_queries(toy_index, [0, True], 3)
 
 

@@ -112,9 +112,12 @@ def test_reverse_rel_mapping():
     arr = reverse_rel(np.array([0, 3, 4]), 2)
     assert arr.tolist() == [2, 1, 4]
     # an id outside [0, 2R] is no relation; mapped, -1 would read as base
-    # relation 1 and 9 as itself
-    for bad, span in ((-1, r"\[-1, -1\]"), (5, r"\[5, 5\]"), (np.array([0, 5]), r"\[0, 5\]")):
-        with pytest.raises(ValueError, match=rf"^relation ids span {span}, outside \[0, 4\]$"):
+    # relation 1 and 9 as itself, and 1.5 and True as relation 1
+    for bad, got in ((-1, "= -1"), (5, "= 5"), (np.array([0, 5]), r"span \[0, 5\]")):
+        with pytest.raises(ValueError, match=rf"^relation ids {got}, outside \[0, 5\)"):
+            reverse_rel(bad, 2)
+    for bad, dtype in ((1.5, "float64"), (True, "bool")):
+        with pytest.raises(ValueError, match=f"^relation ids must be integers, not {dtype}$"):
             reverse_rel(bad, 2)
 
 
@@ -134,25 +137,29 @@ def test_index_outgoing_set_of_A(toy_index, toy_aug):
 
 
 @pytest.mark.parametrize("rows, msg", [
-    ([[0, 0, 1], [0, 3, 1]], r"triple row 1: relation id 3 outside \[0, 1\)"),
-    ([[0, 0, 5]], r"triple row 0: tail id 5 outside \[0, 2\)"),
-    ([[-1, 0, 1]], r"triple row 0: head id -1 outside \[0, 2\)"),
-    # the first bad row, and in it the first bad field
-    ([[0, 0, 1], [2, 0, -1], [0, 9, 0]], r"triple row 1: head id 2 outside"),
-])
+    ([[0, 0, 1], [0, 3, 1]], r"^triple relation ids span \[0, 3\], outside \[0, 1\), "
+                             r"first bad at position 1$"),
+    ([[0, 0, 5]], r"^triple tail ids span \[5, 5\], outside \[0, 2\)$"),
+    ([[-1, 0, 1]], r"^triple head ids span \[-1, -1\], outside \[0, 2\)$"),
+    # the first bad field, and in it the first bad row
+    ([[0, 0, 1], [2, 0, -1], [0, 9, 0]], r"^triple head ids span \[0, 2\], outside \[0, 2\), "
+                                         r"first bad at position 1$"),
+], ids=["relation-high", "tail-high", "head-low", "first-field"])
 def test_make_graph_rejects_out_of_range_ids(rows, msg):
     with pytest.raises(ValueError, match=msg):
         make_graph(np.array(rows), Vocab(["a", "b"]), Vocab(["r"]))
 
 
-@pytest.mark.parametrize("rows, dtype", [
-    ([[0, 0, 1.7], [1.2, 0, 0]], "float64"),
-    ([[False, False, True]], "bool"),
-], ids=["float", "bool"])
-def test_make_graph_rejects_non_integer_ids(rows, dtype):
+@pytest.mark.parametrize("rows, msg", [
+    (np.array([[0, 0, 1.7], [1.2, 0, 0]]), "triple head ids must be integers, not float64"),
+    (np.array([[False, False, True]]), "triple head ids must be integers, not bool"),
+    # [[0, True, 1]] is an integer array to numpy
+    ([[0, True, 1]], r"triple ids must be integers, not bool, first bad at position \(0, 1\)"),
+], ids=["float", "bool", "bool_in_list"])
+def test_make_graph_rejects_non_integer_ids(rows, msg):
     # a cast would truncate 1.7 to 1 and read True as 1
-    with pytest.raises(ValueError, match=f"^triple ids must be integers, not {dtype}$"):
-        make_graph(np.array(rows), Vocab(["a", "b"]), Vocab(["r"]))
+    with pytest.raises(ValueError, match=f"^{msg}$"):
+        make_graph(rows, Vocab(["a", "b"]), Vocab(["r", "s"]))
 
 
 def test_make_graph_accepts_empty_array_of_any_dtype():
@@ -165,7 +172,10 @@ def test_index_rejects_head_outside_entities(toy_aug, head):
     aug = toy_aug.augmented.copy()
     aug[3, 0] = head
     bad = dataclasses.replace(toy_aug, augmented=aug)
-    with pytest.raises(ValueError, match=rf"augmented row 3: head id {head} outside \[0, 5\)"):
+    # the other heads span [0, 4]
+    span = rf"\[{min(head, 0)}, {max(head, 4)}\]"
+    with pytest.raises(ValueError, match=rf"^augmented head ids span {span}, outside \[0, 5\), "
+                                         r"first bad at position 3$"):
         build_index(bad)
 
 
@@ -181,13 +191,18 @@ def test_find_edges(toy_index, toy_aug):
     assert toy_index.tail[pos[0]] == ids.id("B")
 
 
-@pytest.mark.parametrize("h, t, named", [(-1, 0, "h = -1"), (0, -1, "t = -1"),
-                                          (5, 0, "h = 5"), (0, 5, "t = 5")],
-                         ids=["h_low", "t_low", "h_high", "t_high"])
+@pytest.mark.parametrize("h, t, named", [(-1, 0, r"h = -1, outside \[0, 5\)"),
+                                          (0, -1, r"t = -1, outside \[0, 5\)"),
+                                          (5, 0, r"h = 5, outside \[0, 5\)"),
+                                          (0, 5, r"t = 5, outside \[0, 5\)"),
+                                          (0, True, "t must be integers, not bool"),
+                                          (True, 2, "h must be integers, not bool"),
+                                          (0.0, 1, "h must be integers, not float64")],
+                         ids=["h_low", "t_low", "h_high", "t_high", "t_bool", "h_bool", "h_float"])
 def test_find_edges_rejects_out_of_range_ids(toy_index, h, t, named):
-    # a negative h would read indptr[-1]:indptr[0] and find nothing, and
-    # h = |E| would fail in numpy indexing
-    with pytest.raises(ValueError, match=rf"find_edges: {named} outside \[0, 5\)"):
+    # a negative h would read indptr[-1]:indptr[0] and find nothing, h = |E|
+    # would fail in numpy indexing, and t = True would find the edges to 1
+    with pytest.raises(ValueError, match=rf"^find_edges {named}$"):
         toy_index.find_edges(h, t)
 
 

@@ -42,8 +42,10 @@ def test_isolated_query_has_empty_layers():
 def test_bad_arguments(toy_index):
     with pytest.raises(ValueError):
         batch_distances(toy_index, [99], 3)
-    with pytest.raises(ValueError):
-        batch_distances(toy_index, [0], 0)
+    # True would run as horizon 1, and 2.5 fail in range()
+    for horizon in (0, True, 2.5):
+        with pytest.raises(ValueError, match=f"^horizon must be a positive integer, got {horizon}"):
+            batch_distances(toy_index, [0], horizon)
 
 
 def test_toy_percolation_layer2(toy_index, toy_aug):
@@ -206,7 +208,13 @@ def test_batch_respects_removed_edges(toy_index, toy_aug):
 def test_batch_rejects_out_of_range_specs(toy_index, field, bad):
     b = SubgraphBuilder(toy_index)
     good = QuerySpec(query=1, rel=4, answer=0, removed=np.array([0]))
-    with pytest.raises(ValueError, match=rf"slot 1: {field}"):
+    # a slot's query, relation and answer are the ids at its position; its
+    # removed positions are checked on their own
+    msg = {"query": "^query entity ids .*, first bad at position 1$",
+           "rel": "^query relation ids .*, first bad at position 1$",
+           "answer": "^answer ids .*, first bad at position 1$",
+           "removed": "^query slot 1: removed positions "}[field]
+    with pytest.raises(ValueError, match=msg):
         b.build_batch([good, bad], horizon=3)
     # the failed call leaves no state behind: A has 3 entities within 1 hop
     bg = b.build_batch([QuerySpec(0, 0)], 1)

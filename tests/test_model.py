@@ -151,7 +151,8 @@ class TestForward:
         _, aug, index, builder = toy_setup()
         bg = toy_batch(builder, aug)
         cfg = small_config(n_base_relations=1)
-        msg = r"^gather of 'enc_rel_1' row ids span \[0, 4\], outside \[0, 3\)$"
+        msg = (r"^gather of 'enc_rel_1' row ids span \[0, 4\], outside \[0, 3\), "
+               r"first bad at position 0$")
         with pytest.raises(ValueError, match=msg):
             forward_batch(init_params(cfg), cfg, bg)
 
@@ -171,11 +172,12 @@ class TestForward:
         with pytest.raises(ValueError, match=r"^gather of 'dec_rel' row ids span \[0, 7\]"):
             decode(params, cfg, bg, compressed)
 
-    @pytest.mark.parametrize("where, table, low", [("query_rels", "enc_rel_1", 7),
-                                                   ("layer", "enc_rel_2", 0),
-                                                   ("decoder", "dec_rel", 0)],
-                             ids=["query_rels", "layer", "decoder"])
-    def test_relation_id_out_of_range_named(self, where, table, low):
+    @pytest.mark.parametrize("where, table, low, at", [
+        ("query_rels", "enc_rel_1", 7, ""),  # the toy batch's one query
+        ("layer", "enc_rel_2", 0, ", first bad at position 0"),
+        ("decoder", "dec_rel", 0, ", first bad at position 0"),
+    ], ids=["query_rels", "layer", "decoder"])
+    def test_relation_id_out_of_range_named(self, where, table, low, at):
         # the first gather that reads the bad id refuses it and names its table
         _, aug, index, builder = toy_setup()
         bg = toy_batch(builder, aug)
@@ -183,7 +185,7 @@ class TestForward:
         ids = {"query_rels": bg.query_rels, "layer": bg.layers[1].rel,
                "decoder": bg.decoder.rel}[where]
         ids[0] = 7
-        msg = rf"^gather of '{table}' row ids span \[{low}, 7\], outside \[0, 5\)$"
+        msg = rf"^gather of '{table}' row ids span \[{low}, 7\], outside \[0, 5\){at}$"
         with pytest.raises(ValueError, match=msg):
             forward_batch(init_params(cfg), cfg, bg)
 

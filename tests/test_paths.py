@@ -90,9 +90,13 @@ def test_enumerate_skips_self_loops():
 @pytest.mark.parametrize("source, target, bad", [
     (-1, 2, "source -1"), (-5, -5, "source -5"), (99, 0, "source 99"),
     (0, 5, "target 5"), (0, -1, "target -1"),
+    (True, 2, "source True"),  # would walk from entity 1
 ])
 def test_enumerate_refuses_ids_outside_range(toy_index, source, target, bad):
-    with pytest.raises(ValueError, match=rf"^{bad} outside \[0, 5\)$"):
+    name, value = bad.split()
+    msg = (f"{name} must be integers, not bool" if value == "True"
+           else rf"{name} = {value}, outside \[0, 5\)")
+    with pytest.raises(ValueError, match=f"^{msg}$"):
         enumerate_paths(toy_index, source, target, 2)
 
 
@@ -133,9 +137,13 @@ def test_deltas_outside_horizon_error(toy_aug, toy_index):
     # is E's distance
     for e in (-1, 9):
         p = RelationalPath(0, e, ((0, 0, e),))
-        for classify in (potential_deltas, lambda p, bd: classify_redundant(p, bd, [])):
-            with pytest.raises(ValueError, match=rf"^entity {e} outside \[0, 5\)$"):
-                classify(p, dm1)
+        span = rf"\[{min(e, 0)}, {max(e, 0)}\]"
+        with pytest.raises(ValueError, match=rf"^path entity ids span {span}, "
+                                             r"outside \[0, 5\), first bad at position 1$"):
+            potential_deltas(p, dm1)
+        with pytest.raises(ValueError, match=rf"^path entity ids span \[{e}, {e}\], "
+                                             r"outside \[0, 5\)$"):
+            classify_redundant(p, dm1, [])
 
 
 def test_shortest_paths_a_to_c(toy_index, toy_aug, toy_dm):

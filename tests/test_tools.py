@@ -7,6 +7,7 @@ an A/A of this checkout against itself with as few batches as it takes.
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import re
 import shutil
@@ -16,9 +17,18 @@ import sys
 import pytest
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
-CALL_WORKLOAD = {"build_batch": "eval", "forward_batch": "eval", "count_queries": "analysis",
-                 "verify_percolation_principles": "analysis", "batch_distances": "analysis",
-                 "train_step": "train"}
+
+
+def _interleave_calls() -> dict[str, str]:
+    """``tools/interleave.py``'s ``CALLS``: each call -> its bench workload."""
+    spec = importlib.util.spec_from_file_location(
+        "interleave", os.path.join(ROOT, "tools", "interleave.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CALLS
+
+
+CALL_WORKLOAD = _interleave_calls()
 
 
 def tool(name: str, *args: str) -> subprocess.CompletedProcess:
