@@ -163,17 +163,18 @@ class Tape:
         self._spent = True
         _keep_freed_heap()
         entries = self._entries
-        loss.grad = np.ones_like(loss.data)
+        # .grad is written after the last VJP, so one that raises leaves it as it was
+        grads = {loss: np.ones_like(loss.data)}
         while entries:
             out, inputs, vjp = entries.pop()
-            if out.grad is None:
+            if out not in grads:
                 continue
-            grads = vjp(out.grad)
-            out.grad = None
-            for t, g in zip(inputs, grads):
-                if g is None or not t.requires_grad:
-                    continue
-                t.grad = g if t.grad is None else t.grad + g
+            for t, g in zip(inputs, vjp(grads.pop(out))):
+                if g is not None and t.requires_grad:
+                    acc = grads.get(t, t.grad)
+                    grads[t] = g if acc is None else acc + g
+        for t, g in grads.items():
+            t.grad = g
 
 
 def _libc():

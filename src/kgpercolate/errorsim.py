@@ -25,6 +25,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .ids import check_count
+
 FAMILIES = ("translation", "scaling", "rotation")
 BATCHES = 40  # equal-sized batches behind every standard error
 
@@ -90,9 +92,10 @@ def simulate_hop_variance(
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown step family {family!r}; choose from {FAMILIES}")
-    if hops < 0 or sigma2 < 0 or dim < 1 or samples < BATCHES:
-        raise ValueError(f"need hops >= 0, sigma2 >= 0, dim >= 1 and samples >= {BATCHES}")
-    samples -= samples % BATCHES  # batch means need equal-sized batches
+    hops, dim = check_count("hops", hops, 0), check_count("dim", dim, 1)
+    if not 0 <= sigma2 < np.inf:
+        raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2!r}")
+    samples = check_count("samples", samples, BATCHES) // BATCHES * BATCHES  # equal batches
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     scale_diag = rng.uniform(0.5, 1.5, size=dim) if family == "scaling" else None
     delta = np.zeros((samples, dim), dtype=np.float64)
@@ -117,8 +120,11 @@ def exact_aggregation_variance(
     m: int, path_len: int, alpha: int, overlap: int, sigma2: float
 ) -> tuple[float, float, float]:
     """Closed-form (before, after, increase) for the shared-prefix build."""
-    if m < 1 or path_len < 1 or alpha < 0 or sigma2 < 0 or not 0 <= overlap <= path_len:
-        raise ValueError("need m, path_len >= 1, alpha, sigma2 >= 0, overlap in [0, path_len]")
+    m, path_len = check_count("m", m, 1), check_count("path_len", path_len, 1)
+    alpha, overlap = check_count("alpha", alpha, 0), check_count("overlap", overlap, 0)
+    if overlap > path_len or not 0 <= sigma2 < np.inf:
+        raise ValueError(f"need overlap {overlap} <= path_len {path_len} "
+                         f"and a finite sigma2 >= 0, got {sigma2!r}")
     var_path = path_len * sigma2
     cm = m * (m - 1) * overlap * sigma2
     before = (m * var_path + cm) / m**2
@@ -150,9 +156,7 @@ def simulate_aggregation(
     if overlap is None:
         overlap = path_len // 2
     exact = exact_aggregation_variance(m, path_len, alpha, overlap, sigma2)
-    if samples < BATCHES:
-        raise ValueError(f"need samples >= {BATCHES}")
-    samples -= samples % BATCHES
+    samples = check_count("samples", samples, BATCHES) // BATCHES * BATCHES
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     sigma = float(np.sqrt(sigma2))
 

@@ -1,5 +1,5 @@
 """One check for every entity, relation, triple position and table row id a
-caller hands the library."""
+caller hands the library, and one for every count (horizon, size, length)."""
 
 from __future__ import annotations
 
@@ -13,15 +13,15 @@ def _at(flat: int, shape: tuple[int, ...]) -> str:
 
 def check_ids(what: str, values, lo: int, hi: int) -> np.ndarray:
     """``values`` as int64 ids in [lo, hi); otherwise ValueError naming
-    ``what``, the ids' span (a scalar's value), [lo, hi) and, for more than
-    one id, the position of the first bad one.
+    ``what``, the ids' span as passed (a scalar's value), [lo, hi) and, for
+    more than one id, the position of the first bad one.
 
     An empty input holds no ids, whatever its dtype.  Other input must be of
     int or uint dtype, and a bool is no id even among ints that make the
     array integer; only input that is not an ndarray is scanned for one.  An
-    int64 ndarray is not copied.  The range test is one reduction on the ids
-    widened to int64, so a narrow negative id cannot pass as a large unsigned
-    one: shifted by lo and read as unsigned, an id below lo exceeds them all.
+    int64 ndarray is not copied.  A uint64 id of 2**63 or more is refused, not
+    wrapped.  The range test is one reduction on the ids widened to int64: an
+    id below lo, shifted by lo and read as unsigned, exceeds all valid ones.
     """
     ids = np.asarray(values)
     if ids.size == 0:
@@ -37,9 +37,17 @@ def check_ids(what: str, values, lo: int, hi: int) -> np.ndarray:
             if p is not None:
                 kind, at = type(flat[p]).__name__, _at(p, ids.shape)
         raise ValueError(f"{what} must be integers, not {kind}{at}")
-    ids = ids.astype(np.int64, copy=False)
-    if (ids - lo if lo else ids).view(np.uint64).max() >= hi - lo:
+    wide = ids.astype(np.int64, copy=False)
+    if ids.dtype == np.uint64 and ids.max() >> 63 or (
+            (wide - lo if lo else wide).view(np.uint64).max() >= hi - lo):
         got = f"= {ids}" if ids.ndim == 0 else f"span [{ids.min()}, {ids.max()}]"
         at = _at(np.flatnonzero((ids < lo) | (ids >= hi))[0], ids.shape) if ids.size > 1 else ""
         raise ValueError(f"{what} {got}, outside [{lo}, {hi}){at}")
-    return ids
+    return wide
+
+
+def check_count(what: str, value, lo: int) -> int:
+    """``value`` as an int >= ``lo``, else ValueError; a bool or whole float is no count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
+        raise ValueError(f"{what} must be an integer >= {lo}, got {value!r}")
+    return int(value)

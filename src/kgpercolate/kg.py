@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ids import check_ids
+from .ids import check_count, check_ids
 
 Triple = tuple[int, int, int]
 
@@ -91,6 +91,7 @@ def reverse_rel(r: int | np.ndarray, n_base: int):
 
     An id outside [0, 2 * n_base] raises ValueError.
     """
+    n_base = check_count("n_base", n_base, 0)
     r = check_ids("relation ids", r, 0, 2 * n_base + 1)
     out = np.where(
         r < n_base, r + n_base, np.where(r < 2 * n_base, r - n_base, r)

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ids import check_ids
+from .ids import check_count, check_ids
 from .kg import AdjacencyIndex
 
 
@@ -122,8 +122,7 @@ def batch_distances(
     ValueError naming the slot.  A horizon that is no positive int raises
     ValueError.
     """
-    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon <= 0:
-        raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
+    horizon = check_count("horizon", horizon, 1)
     n_e = index.num_entities
     queries = check_ids("query entity ids", queries, 0, n_e)
     masked = None

@@ -44,6 +44,7 @@ from .autodiff import (
     scatter_rows_add,
     segment_mean_std,
 )
+from .ids import check_count
 from .layering import BatchGraph, LayerTriples
 
 
@@ -59,14 +60,8 @@ class ModelConfig:
         return 2 * self.n_base_relations + 1
 
     def validate(self) -> None:
-        if self.n_base_relations < 1:
-            raise ValueError("need at least one base relation")
-        if self.horizon < 2:
-            raise ValueError("horizon must be at least 2")
-        if self.dim < 1:
-            raise ValueError(f"dim must be at least 1, not {self.dim}")
-        if self.dim_low < 1:
-            raise ValueError(f"dim_low must be at least 1, not {self.dim_low}")
+        for name, lo in (("n_base_relations", 1), ("horizon", 2), ("dim", 1), ("dim_low", 1)):
+            setattr(self, name, check_count(name, getattr(self, name), lo))
 
 
 def init_params(config: ModelConfig, seed: int = 0) -> dict[str, Tensor]:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ids import check_ids
+from .ids import check_count, check_ids
 from .kg import AdjacencyIndex, Triple
 from .layering import BatchDistanceMap, batch_distances
 
@@ -76,8 +76,7 @@ def enumerate_paths(
     [0, |E|), and when the DFS visits more than ``MAX_EXPANSIONS`` prefixes;
     that message advises a smaller max_len.
     """
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
+    max_len = check_count("max_len", max_len, 0)
     source, target = (int(check_ids(name, e, 0, index.num_entities))
                       for name, e in (("source", source), ("target", target)))
     out: list[RelationalPath] = []

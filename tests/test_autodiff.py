@@ -650,6 +650,23 @@ class TestSingleUseTape:
             tape.backward(loss)
         assert p.grad.tolist() == [2.0, 2.0, 2.0]
 
+    def test_failed_backward_keeps_grads(self):
+        # hadamard's VJP runs before add's raises; had it written p.grad, the
+        # next backward would add onto that partial sum
+        p, q = (Tensor(np.ones(3), requires_grad=True) for _ in range(2))
+        p.grad = np.full(3, 5.0)
+        with Tape() as tape:
+            loss = sum_all(hadamard(add(p, q), p))
+
+        def fail(g):
+            raise RuntimeError("vjp failed")
+
+        out, inputs, _ = tape._entries[0]  # add's, the last to run
+        tape._entries[0] = (out, inputs, fail)
+        with pytest.raises(RuntimeError, match="vjp failed"):
+            tape.backward(loss)
+        assert p.grad.tolist() == [5.0, 5.0, 5.0] and q.grad is None
+
 
 @pytest.fixture
 def fake_libc(monkeypatch):

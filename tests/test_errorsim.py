@@ -78,8 +78,28 @@ class TestHopVariance:
         assert res.samples == 1200
 
     def test_zero_dim_rejected(self):
-        with pytest.raises(ValueError, match="dim"):
-            simulate_hop_variance("translation", hops=2, sigma2=0.01, dim=0)
+        # each of these is refused, not run: True hops as 1, 1.5 fresh
+        # triples, a whole float count, and a NaN or infinite sigma2 (all-NaN
+        # reports, or a RuntimeWarning in simulate_aggregation)
+        hop = dict(family="translation", hops=2, sigma2=0.01)
+        agg = dict(m=2, path_len=3, alpha=1, overlap=1, sigma2=0.1)
+        for call, base, name, bad, lo in (
+            (simulate_hop_variance, hop, "dim", 0, 1),
+            (simulate_hop_variance, hop, "hops", True, 0),
+            (simulate_hop_variance, hop, "samples", 4000.0, 40),
+            (exact_aggregation_variance, agg, "alpha", 1.5, 0),
+            (exact_aggregation_variance, agg, "overlap", True, 0),
+            (exact_aggregation_variance, agg, "m", 2.0, 1),
+            (simulate_aggregation, agg, "samples", 4000.0, 40),
+        ):
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {lo}, got {bad}$"):
+                call(**{**base, name: bad})
+        for sigma2 in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="sigma2 must be finite"):
+                simulate_hop_variance(**{**hop, "sigma2": sigma2})
+            for call in (exact_aggregation_variance, simulate_aggregation):
+                with pytest.raises(ValueError, match="finite sigma2"):
+                    call(**{**agg, "sigma2": sigma2})
 
 
 class TestAggregation:

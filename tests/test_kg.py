@@ -119,6 +119,10 @@ def test_reverse_rel_mapping():
     for bad, dtype in ((1.5, "float64"), (True, "bool")):
         with pytest.raises(ValueError, match=f"^relation ids must be integers, not {dtype}$"):
             reverse_rel(bad, 2)
+    # as n_base, 1.5 would map relation 1 to 2, and True map it to 0
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match=f"^n_base must be an integer >= 0, got {bad}$"):
+            reverse_rel(1, bad)
 
 
 def test_index_outgoing_set_of_A(toy_index, toy_aug):

@@ -44,7 +44,7 @@ def test_bad_arguments(toy_index):
         batch_distances(toy_index, [99], 3)
     # True would run as horizon 1, and 2.5 fail in range()
     for horizon in (0, True, 2.5):
-        with pytest.raises(ValueError, match=f"^horizon must be a positive integer, got {horizon}"):
+        with pytest.raises(ValueError, match=f"^horizon must be an integer >= 1, got {horizon}$"):
             batch_distances(toy_index, [0], horizon)
 
 
@@ -196,6 +196,8 @@ def test_batch_respects_removed_edges(toy_index, toy_aug):
         ("answer", QuerySpec(query=0, rel=0, answer=-2)),
         ("answer", QuerySpec(query=0, rel=0, answer=2.0)),
         ("answer", QuerySpec(query=0, rel=0, answer=np.False_)),
+        # cast to int64, 2**64 - 1 would wrap to -1, "no answer"
+        ("answer", QuerySpec(query=0, rel=0, answer=np.uint64(2**64 - 1))),
         ("removed", QuerySpec(query=0, rel=0, removed=np.array([0, 99]))),
         ("removed", QuerySpec(query=0, rel=0, removed=np.array([-1]))),
         ("removed", QuerySpec(query=0, rel=0, removed=np.array([1.0]))),
@@ -203,11 +205,14 @@ def test_batch_respects_removed_edges(toy_index, toy_aug):
     ],
     ids=["query-high", "query-low", "query-float", "query-bool", "rel-high", "rel-past-identity",
          "rel-low", "rel-bool", "answer-high", "answer-low", "answer-float", "answer-bool",
+         "answer-uint64-wrap",
          "removed-high", "removed-low", "removed-float", "removed-bool"],
 )
 def test_batch_rejects_out_of_range_specs(toy_index, field, bad):
     b = SubgraphBuilder(toy_index)
-    good = QuerySpec(query=1, rel=4, answer=0, removed=np.array([0]))
+    # beside a Python int, numpy would make a uint64 answer float64
+    answer = np.uint64(0) if isinstance(bad.answer, np.uint64) else 0
+    good = QuerySpec(query=1, rel=4, answer=answer, removed=np.array([0]))
     # a slot's query, relation and answer are the ids at its position; its
     # removed positions are checked on their own
     msg = {"query": "^query entity ids .*, first bad at position 1$",

@@ -1,5 +1,6 @@
 """Model forward/gradient behavior on small constructed graphs."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -62,13 +63,13 @@ class TestAggregates:
 
 class TestConfig:
     def test_validation_errors(self):
-        with pytest.raises(ValueError, match="horizon"):
-            small_config(horizon=1).validate()
-        # init_params would die on these with a bare ZeroDivisionError (0)
-        # or numpy's "negative dimensions" (-2)
-        for field in ("dim", "dim_low"):
-            for bad in (0, -2):
-                with pytest.raises(ValueError, match=rf"^{field} must be at least 1, not {bad}$"):
+        # init_params would die on these with a bare ZeroDivisionError (0),
+        # numpy's "negative dimensions" (-2) or a bare TypeError (2.5 and a
+        # whole np.float32); True would run as 1
+        for field, lo in (("n_base_relations", 1), ("horizon", 2), ("dim", 1), ("dim_low", 1)):
+            for bad in (lo - 1, -2, 2.5, True, np.float32(3.0)):
+                msg = rf"^{field} must be an integer >= {lo}, got {re.escape(repr(bad))}$"
+                with pytest.raises(ValueError, match=msg):
                     small_config(**{field: bad}).validate()
 
     @pytest.mark.parametrize("horizon", [2, 3, 5], ids=["2-pna", "3-pna", "5-pna"])

@@ -75,6 +75,10 @@ def test_enumerate_empty_path(toy_index, toy_aug):
     ids = toy_aug.entities
     paths = enumerate_paths(toy_index, ids.id("A"), ids.id("A"), 0)
     assert len(paths) == 1 and paths[0].length == 0
+    # True would run as max_len 1, and 2.5 recurse past every depth
+    for bad in (-1, True, 2.5):
+        with pytest.raises(ValueError, match=f"^max_len must be an integer >= 0, got {bad}$"):
+            enumerate_paths(toy_index, ids.id("A"), ids.id("A"), bad)
 
 
 def test_enumerate_skips_self_loops():
