@@ -28,11 +28,24 @@ Row gathers go through ``np.take``, and every segment sum
 ``np.add.reduceat``; the kernel reproduces reduceat's summation order,
 which is numpy's, and a bytes test pins it to the installed numpy.
 
+A tape holds gradient slots, not tensors.  An entry is (output slot,
+input slots, VJP), a slot being a tensor's gradient key on that tape (None
+for an input that takes no gradient), and each VJP captures only the
+arrays or shapes it reads: ``add``, ``sub``, ``reshape``, ``sum_all`` and
+``gather`` keep shapes, ``relu`` its output.  So an array that no VJP reads
+(the rows a ``gather`` hands to ``add``, a pre-bias ``matmul`` output, a
+pre-ReLU sum, a ``scatter_rows_add`` copy) is never retained; it is freed
+as soon as the forward drops it.  On a bench train batch (split seed
+2701, 3,704 nodes, 19,670 decoder triples; numpy 2.4.6, tracemalloc) the
+forward holds 9.0 MB when backward starts and backward peaks at 10.3 MB,
+against 16.1 and 17.0 MB when entries held the tensors themselves.
+
 A tape runs backward once.  ``Tape.backward`` pops each entry once its VJP
-has run and drops that entry's output gradient, so the forward
-intermediates are freed while backward runs and later gradients reuse
-their memory; only leaves (parameters, and any tensor that no entry of the
-tape produced) keep a gradient.  A second ``backward`` raises RuntimeError.
+has run and drops that entry's output gradient, so what the VJPs kept is
+freed while backward runs and later gradients reuse its memory; only
+leaves (parameters, and any tensor that no entry of the tape produced,
+one made under an earlier tape included) keep a gradient.  A second
+``backward`` raises RuntimeError.
 
 The first ``backward`` in a process also sets glibc's malloc policy, once,
 through ``mallopt``: M_MMAP_THRESHOLD = 32 MiB, the ceiling glibc's own
@@ -111,9 +124,10 @@ def set_debug_checks(enabled: bool) -> None:
 
 
 class Tensor:
-    """A numpy array plus an accumulated gradient."""
+    """A numpy array plus an accumulated gradient.  ``_slot``, its gradient's
+    key on the last tape that saw it, is unset on a tensor no tape saw."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_slot")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=_DTYPE)
@@ -130,18 +144,36 @@ class Tensor:
         return f"Tensor{tag}(shape={self.data.shape}, grad={self.requires_grad})"
 
 
+class _Slot:
+    """A gradient's key on one tape.  It names the tape's token, not the tape,
+    so a leaf that outlives its step keeps no recorded VJP alive."""
+
+    __slots__ = ("token",)
+
+    def __init__(self, token: object):
+        self.token = token
+
+
 class Tape:
     """Records ops applied inside the block; ``backward`` replays them once.
 
+    An entry is the 3-tuple (output slot, input slots, VJP) of the module
+    docstring.  A taped output gets a fresh slot, and an input that no
+    entry of this tape produced a leaf slot; ``_leaves`` maps each leaf
+    slot to its tensor, the only tensors the tape holds.
+
     ``backward`` consumes the tape: each entry is popped once its VJP has
     run and its output's gradient is dropped, so intermediates are freed as
-    backward goes and only leaves keep their gradients.  The first
-    ``backward`` in a process sets the heap policy (module docstring); it
-    holds for the rest of the process, later forward-only work included.
+    backward goes and only leaves keep their gradients, written after the
+    last VJP.  The first ``backward`` in a process sets the heap policy
+    (module docstring); it holds for the rest of the process, later
+    forward-only work included.
     """
 
     def __init__(self):
-        self._entries: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self._entries: list[tuple[_Slot, tuple[_Slot | None, ...], Callable]] = []
+        self._leaves: dict[_Slot, Tensor] = {}
+        self._token = object()  # what this tape's slots name, in place of the tape
         self._spent = False
 
     def __enter__(self) -> "Tape":
@@ -162,19 +194,28 @@ class Tape:
             raise ValueError("backward needs a scalar loss")
         self._spent = True
         _keep_freed_heap()
-        entries = self._entries
+        entries, leaves = self._entries, self._leaves
         # .grad is written after the last VJP, so one that raises leaves it as it was
-        grads = {loss: np.ones_like(loss.data)}
+        grads = {s: t.grad for s, t in leaves.items() if t.grad is not None}
+        grads[self._key(loss)] = np.ones_like(loss.data)
         while entries:
             out, inputs, vjp = entries.pop()
             if out not in grads:
                 continue
-            for t, g in zip(inputs, vjp(grads.pop(out))):
-                if g is not None and t.requires_grad:
-                    acc = grads.get(t, t.grad)
-                    grads[t] = g if acc is None else acc + g
-        for t, g in grads.items():
-            t.grad = g
+            for s, g in zip(inputs, vjp(grads.pop(out))):
+                if g is not None and s is not None:
+                    acc = grads.get(s)
+                    grads[s] = g if acc is None else acc + g
+        for s, g in grads.items():
+            leaves[s].grad = g
+
+    def _key(self, t: Tensor) -> _Slot:
+        """t's slot on this tape: its entry's output slot, or else a leaf slot."""
+        s = getattr(t, "_slot", None)
+        if s is None or s.token is not self._token:
+            s = t._slot = _Slot(self._token)
+            self._leaves[s] = t
+        return s
 
 
 def _libc():
@@ -206,9 +247,12 @@ def _out(data: np.ndarray, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
         at = "untaped" if _ACTIVE_TAPE is None else f"tape position {len(_ACTIVE_TAPE._entries)}"
         raise FloatingPointError(f"non-finite values in {op} output ({at})")
     res = Tensor(data)
-    if _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs):
+    tape = _ACTIVE_TAPE
+    if tape is not None and any(t.requires_grad for t in inputs):
         res.requires_grad = True
-        _ACTIVE_TAPE._entries.append((res, inputs, vjp))
+        res._slot = _Slot(tape._token)
+        keys = tuple(tape._key(t) if t.requires_grad else None for t in inputs)
+        tape._entries.append((res._slot, keys, vjp))
     return res
 
 
@@ -327,36 +371,39 @@ def index_add(target: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
 # ---------------------------------------------------------------- basic ops
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data @ b.data
+    x, w = a.data, b.data
 
     def vjp(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ w.T, x.T @ g
 
-    return _out(data, (a, b), vjp)
+    return _out(x @ w, (a, b), vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    sa, sb = a.data.shape, b.data.shape
+
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _out(a.data + b.data, (a, b), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
+    sa, sb = a.data.shape, b.data.shape
+
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
     return _out(a.data - b.data, (a, b), vjp)
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    def vjp(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        )
+    x, y = a.data, b.data
 
-    return _out(a.data * b.data, (a, b), vjp)
+    def vjp(g):
+        return _unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)
+
+    return _out(x * y, (a, b), vjp)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -367,13 +414,13 @@ def relu(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    return _out(
-        a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),)
-    )
+    was = a.data.shape
+    return _out(a.data.reshape(shape), (a,), lambda g: (g.reshape(was),))
 
 
 def sum_all(a: Tensor) -> Tensor:
-    return _out(a.data.sum(), (a,), lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
+    was = a.data.shape
+    return _out(a.data.sum(), (a,), lambda g: (np.broadcast_to(g, was).copy(),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
@@ -401,9 +448,10 @@ def gather(a: Tensor, idx: np.ndarray) -> Tensor:
     """Row lookup a[idx]; duplicates in idx accumulate in the backward.  An
     id outside a's rows raises ValueError, naming a when it has a name."""
     idx = _row_index(idx, a, "gather")
+    shape, dtype = a.data.shape, a.data.dtype
 
     def vjp(g):
-        da = np.zeros_like(a.data)
+        da = np.zeros(shape, dtype)
         index_add(da, idx, g)
         return (da,)
 
@@ -423,16 +471,17 @@ def scatter_rows_add(a: Tensor, idx: np.ndarray, b: Tensor) -> Tensor:
 
 
 def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:
-    if a.data.size == 0:
+    x = a.data
+    if x.size == 0:
         raise ValueError("logsumexp of an empty tensor")
-    m = a.data.max(axis=axis, keepdims=True)
-    s = np.exp(a.data - m).sum(axis=axis, keepdims=True)
+    m = x.max(axis=axis, keepdims=True)
+    s = np.exp(x - m).sum(axis=axis, keepdims=True)
     kept = m + np.log(s)
-    squeeze_ax = tuple(range(a.data.ndim)) if axis is None else axis
+    squeeze_ax = tuple(range(x.ndim)) if axis is None else axis
     data = np.squeeze(kept, axis=squeeze_ax)
 
     def vjp(g):
-        soft = np.exp(a.data - kept)
+        soft = np.exp(x - kept)
         if axis is None:
             return (soft * g,)
         return (soft * np.expand_dims(g, axis),)

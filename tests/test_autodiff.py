@@ -263,8 +263,10 @@ def test_vjps_leave_incoming_gradient_unchanged(sizes):
               for _ in range(2))
     y = Tensor(rng.standard_normal((len(sizes), 3)), requires_grad=True)
     with Tape() as tape:
-        concat([segment_mean_std(x1, seg_ptr, denom), y], axis=1)
-    for out, _, vjp in tape._entries:
+        stats = segment_mean_std(x1, seg_ptr, denom)
+        outs = [stats, concat([stats, y], axis=1)]  # the entries' outputs, in order
+    assert len(tape._entries) == len(outs)
+    for out, (_, _, vjp) in zip(outs, tape._entries):
         g = rng.standard_normal(out.shape).astype(np.float32)
         kept = g.copy()
         vjp(g)
@@ -612,14 +614,17 @@ class TestSingleUseTape:
 
     def test_untaped_tensor_is_a_leaf(self):
         # a tensor no entry of the tape produced keeps its gradient, even
-        # when an op outside the tape made it
+        # when an op outside the tape, or under an earlier tape, made it
         a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         b = hadamard(a, Tensor(np.array([3.0, 3.0])))
         b.requires_grad = True
+        with Tape():
+            c = hadamard(a, Tensor(np.array([2.0, 2.0])))
         with Tape() as tape:
-            loss = sum_all(hadamard(b, b))
+            loss = sum_all(add(hadamard(b, b), hadamard(c, c)))
         tape.backward(loss)
-        assert b.grad.tolist() == [6.0, 12.0] and a.grad is None
+        assert b.grad.tolist() == [6.0, 12.0] and c.grad.tolist() == [4.0, 8.0]
+        assert a.grad is None
 
     def test_intermediates_freed_during_backward(self):
         p = Tensor(np.ones((4, 4)), requires_grad=True)
@@ -640,6 +645,42 @@ class TestSingleUseTape:
         assert ref() is not None  # the tape holds it until backward
         tape.backward(loss)
         assert seen == [True]
+
+    def test_tape_keeps_only_what_vjps_read(self):
+        # add's VJP reads only shapes and relu's only its output, so the
+        # gathered rows and the pre-ReLU sum are freed with the forward;
+        # hadamard's VJP reads both operands, relu's output among them
+        p, q = (Tensor(np.ones((4, 3)), requires_grad=True) for _ in range(2))
+        with Tape() as tape:
+            rows = gather(p, [0, 1, 1]), gather(q, [3, 2, 0])
+            total = add(*rows)
+            h = relu(total)
+            w = Tensor(np.full((3, 3), 2.0))
+            loss = sum_all(hadamard(h, w))
+        freed = [weakref.ref(t.data) for t in (*rows, total)]
+        kept = [weakref.ref(t.data) for t in (h, w)]
+        del rows, total, h, w
+        assert [r() is None for r in freed] == [True] * 3
+        assert [r() is None for r in kept] == [False] * 2
+        tape.backward(loss)
+        assert [r() is None for r in kept] == [True] * 2
+        assert p.grad.tolist() == [[2.0] * 3, [4.0] * 3, [0.0] * 3, [0.0] * 3]
+        assert q.grad.tolist() == [[2.0] * 3, [0.0] * 3, [2.0] * 3, [2.0] * 3]
+
+    def test_dropped_tape_frees_its_intermediates(self):
+        # a parameter outlives the tape, and what it holds of the tape must
+        # not keep the recorded VJPs, or their arrays, alive
+        p = Tensor(np.ones((3, 3)), requires_grad=True)
+        with Tape() as tape:
+            h = relu(matmul(p, p))
+            sum_all(h)
+        refs = weakref.ref(tape), weakref.ref(h.data)
+        del tape, h
+        assert [r() is None for r in refs] == [True, True]
+        with Tape() as tape:
+            loss = sum_all(p)
+        tape.backward(loss)
+        assert p.grad.tolist() == [[1.0] * 3] * 3
 
     def test_second_backward_raises(self):
         p = Tensor(np.ones(3), requires_grad=True)

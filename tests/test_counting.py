@@ -42,8 +42,16 @@ def test_toy_counts(toy_index, toy_aug):
      (np.array([99]), r"span \[99, 99\], outside \[0, 17\)$"),
      (np.array([1.0]), r"must be integers, not float64$"),
      (np.array([True]), r"must be integers, not bool$"),
-     ([True, 1], r"must be integers, not bool, first bad at position 0$")],
-    ids=["low", "high", "float", "bool", "bool_in_list"],
+     ([True, 1], r"must be integers, not bool, first bad at position 0$"),
+     ([True, np.uint64(1)], r"must be integers, not bool, first bad at position 0$"),
+     # read as int64, 2**63 would wrap to -2**63
+     (np.array([1, 2**63], dtype=np.uint64),
+      r"span \[1, 9223372036854775808\], outside \[0, 17\), first bad at position 1$"),
+     # beside a Python int, numpy makes a uint64 float64
+     ([0, np.uint64(2**63)],
+      r"span \[0, 9223372036854775808\], outside \[0, 17\), first bad at position 1$")],
+    ids=["low", "high", "float", "bool", "bool_in_list", "bool_beside_uint64",
+         "uint64_past_int64", "uint64_past_int64_beside_int"],
 )
 def test_count_query_rejects_out_of_range_removed(toy_index, removed, match):
     # the kernel checks the positions for every caller, not only the builder:
@@ -59,6 +67,13 @@ def test_count_queries_rejects_bool_beside_ints(toy_index):
     msg = r"^query entity ids must be integers, not bool, first bad at position 1$"
     with pytest.raises(ValueError, match=msg):
         count_queries(toy_index, [0, True], 3)
+
+
+def test_ids_accept_uint64_beside_ints(toy_index):
+    # numpy makes [0, np.uint64(1)] a float64 array; every element is an id
+    assert count_queries(toy_index, [0, np.uint64(1)], 3) == count_queries(toy_index, [0, 1], 3)
+    assert (count_query(toy_index, 0, 3, removed=[0, np.uint64(2)])
+            == count_query(toy_index, 0, 3, removed=[0, 2]))
 
 
 @settings(max_examples=30, deadline=None)

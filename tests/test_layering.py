@@ -210,9 +210,7 @@ def test_batch_respects_removed_edges(toy_index, toy_aug):
 )
 def test_batch_rejects_out_of_range_specs(toy_index, field, bad):
     b = SubgraphBuilder(toy_index)
-    # beside a Python int, numpy would make a uint64 answer float64
-    answer = np.uint64(0) if isinstance(bad.answer, np.uint64) else 0
-    good = QuerySpec(query=1, rel=4, answer=answer, removed=np.array([0]))
+    good = QuerySpec(query=1, rel=4, answer=0, removed=np.array([0]))
     # a slot's query, relation and answer are the ids at its position; its
     # removed positions are checked on their own
     msg = {"query": "^query entity ids .*, first bad at position 1$",
@@ -228,6 +226,15 @@ def test_batch_rejects_out_of_range_specs(toy_index, field, bad):
     again = b.build_batch([good], 3)
     assert np.array_equal(again.node_entity, fresh.node_entity)
     assert np.array_equal(again.decoder.head_node, fresh.decoder.head_node)
+
+
+def test_batch_accepts_uint64_answer_beside_int(toy_index):
+    # numpy makes the answers [0, np.uint64(2)] a float64 array
+    specs = [QuerySpec(1, 4, 0), QuerySpec(0, 0, 2)]
+    want = SubgraphBuilder(toy_index).build_batch(specs, 3)
+    specs[1] = QuerySpec(0, 0, np.uint64(2))
+    got = SubgraphBuilder(toy_index).build_batch(specs, 3)
+    assert np.array_equal(got.answer_nodes, want.answer_nodes) and want.answer_nodes.min() >= 0
 
 
 def slot_triples(bg, lt, s: int) -> list[tuple[int, int, int]]:
