@@ -28,17 +28,20 @@ Row gathers go through ``np.take``, and every segment sum
 ``np.add.reduceat``; the kernel reproduces reduceat's summation order,
 which is numpy's, and a bytes test pins it to the installed numpy.
 
-A tape holds gradient slots, not tensors.  An entry is (output slot,
-input slots, VJP), a slot being a tensor's gradient key on that tape (None
-for an input that takes no gradient), and each VJP captures only the
-arrays or shapes it reads: ``add``, ``sub``, ``reshape``, ``sum_all`` and
-``gather`` keep shapes, ``relu`` its output.  So an array that no VJP reads
-(the rows a ``gather`` hands to ``add``, a pre-bias ``matmul`` output, a
-pre-ReLU sum, a ``scatter_rows_add`` copy) is never retained; it is freed
-as soon as the forward drops it.  On a bench train batch (split seed
-2701, 3,704 nodes, 19,670 decoder triples; numpy 2.4.6, tracemalloc) the
-forward holds 9.0 MB when backward starts and backward peaks at 10.3 MB,
-against 16.1 and 17.0 MB when entries held the tensors themselves.
+A tape holds gradient keys, not the tensors it records.  An entry is
+(output slot, input keys, VJP).  An input's key is the slot of the entry
+that made it, or, for a leaf, the tensor itself, which the tape holds
+anyway to write its gradient; an input that takes no gradient has None.
+Each VJP captures only the arrays or shapes it reads: ``add``, ``sub``,
+``reshape``, ``sum_all`` and ``gather`` get their input shapes from
+``_out``, and only when recorded, so an untaped call reads none; ``relu``
+keeps its output.  So an array that no VJP reads (the rows a ``gather``
+hands to ``add``, a pre-bias ``matmul`` output, a pre-ReLU sum, a
+``scatter_rows_add`` copy) is never retained; it is freed as soon as the
+forward drops it.  On a bench train batch (split seed 2701, 3,704 nodes,
+19,670 decoder triples; numpy 2.4.6, tracemalloc) the forward holds 9.0 MB
+when backward starts and backward peaks at 10.3 MB, against 16.1 and
+17.0 MB when entries held the tensors themselves.
 
 A tape runs backward once.  ``Tape.backward`` pops each entry once its VJP
 has run and drops that entry's output gradient, so what the VJPs kept is
@@ -80,6 +83,7 @@ import ctypes
 import json
 import math
 import zipfile
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -125,7 +129,7 @@ def set_debug_checks(enabled: bool) -> None:
 
 class Tensor:
     """A numpy array plus an accumulated gradient.  ``_slot``, its gradient's
-    key on the last tape that saw it, is unset on a tensor no tape saw."""
+    key on the tape that recorded it, is unset on a tensor no tape recorded."""
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_slot")
 
@@ -145,8 +149,8 @@ class Tensor:
 
 
 class _Slot:
-    """A gradient's key on one tape.  It names the tape's token, not the tape,
-    so a leaf that outlives its step keeps no recorded VJP alive."""
+    """The gradient key of a taped output.  It names its tape's token, not
+    the tape, so an output that outlives its step keeps no VJP alive."""
 
     __slots__ = ("token",)
 
@@ -157,10 +161,10 @@ class _Slot:
 class Tape:
     """Records ops applied inside the block; ``backward`` replays them once.
 
-    An entry is the 3-tuple (output slot, input slots, VJP) of the module
-    docstring.  A taped output gets a fresh slot, and an input that no
-    entry of this tape produced a leaf slot; ``_leaves`` maps each leaf
-    slot to its tensor, the only tensors the tape holds.
+    An entry is the 3-tuple (output slot, input keys, VJP) of the module
+    docstring.  A taped output gets a fresh slot, which no later tape
+    replaces; an input that no entry of this tape produced is a leaf, its
+    own key, and ``_leaves`` holds it, the only tensors the tape holds.
 
     ``backward`` consumes the tape: each entry is popped once its VJP has
     run and its output's gradient is dropped, so intermediates are freed as
@@ -171,8 +175,8 @@ class Tape:
     """
 
     def __init__(self):
-        self._entries: list[tuple[_Slot, tuple[_Slot | None, ...], Callable]] = []
-        self._leaves: dict[_Slot, Tensor] = {}
+        self._entries: list[tuple[_Slot, tuple[_Slot | Tensor | None, ...], Callable]] = []
+        self._leaves: set[Tensor] = set()
         self._token = object()  # what this tape's slots name, in place of the tape
         self._spent = False
 
@@ -196,26 +200,27 @@ class Tape:
         _keep_freed_heap()
         entries, leaves = self._entries, self._leaves
         # .grad is written after the last VJP, so one that raises leaves it as it was
-        grads = {s: t.grad for s, t in leaves.items() if t.grad is not None}
+        grads = {t: t.grad for t in leaves if t.grad is not None}
         grads[self._key(loss)] = np.ones_like(loss.data)
         while entries:
             out, inputs, vjp = entries.pop()
             if out not in grads:
                 continue
-            for s, g in zip(inputs, vjp(grads.pop(out))):
-                if g is not None and s is not None:
-                    acc = grads.get(s)
-                    grads[s] = g if acc is None else acc + g
-        for s, g in grads.items():
-            leaves[s].grad = g
+            for k, g in zip(inputs, vjp(grads.pop(out))):
+                if g is not None and k is not None:
+                    acc = grads.get(k)
+                    grads[k] = g if acc is None else acc + g
+        for t, g in grads.items():  # only leaves are left
+            t.grad = g
 
-    def _key(self, t: Tensor) -> _Slot:
-        """t's slot on this tape: its entry's output slot, or else a leaf slot."""
+    def _key(self, t: Tensor) -> _Slot | Tensor:
+        """t's gradient key here: the slot of the entry of this tape that
+        made t, or else t itself, a leaf of this tape."""
         s = getattr(t, "_slot", None)
-        if s is None or s.token is not self._token:
-            s = t._slot = _Slot(self._token)
-            self._leaves[s] = t
-        return s
+        if s is not None and s.token is self._token:
+            return s
+        self._leaves.add(t)
+        return t
 
 
 def _libc():
@@ -241,7 +246,11 @@ def _keep_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
-def _out(data: np.ndarray, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
+def _out(data: np.ndarray, inputs: tuple[Tensor, ...], vjp: Callable,
+         shaped: bool = False) -> Tensor:
+    """``data`` as a tensor, recorded with ``vjp`` when a tape is active and
+    an input takes a gradient.  A ``shaped`` VJP is ``vjp(shapes, g)``: only
+    a recorded one gets its inputs' shapes, so an untaped call reads none."""
     if _DEBUG_FINITE and not np.all(np.isfinite(data)):
         op = vjp.__qualname__.split(".")[0]
         at = "untaped" if _ACTIVE_TAPE is None else f"tape position {len(_ACTIVE_TAPE._entries)}"
@@ -250,6 +259,8 @@ def _out(data: np.ndarray, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
     tape = _ACTIVE_TAPE
     if tape is not None and any(t.requires_grad for t in inputs):
         res.requires_grad = True
+        if shaped:
+            vjp = partial(vjp, tuple(t.data.shape for t in inputs))
         res._slot = _Slot(tape._token)
         keys = tuple(tape._key(t) if t.requires_grad else None for t in inputs)
         tape._entries.append((res._slot, keys, vjp))
@@ -380,21 +391,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    sa, sb = a.data.shape, b.data.shape
+    def vjp(shapes, g):
+        return _unbroadcast(g, shapes[0]), _unbroadcast(g, shapes[1])
 
-    def vjp(g):
-        return _unbroadcast(g, sa), _unbroadcast(g, sb)
-
-    return _out(a.data + b.data, (a, b), vjp)
+    return _out(a.data + b.data, (a, b), vjp, shaped=True)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    sa, sb = a.data.shape, b.data.shape
+    def vjp(shapes, g):
+        return _unbroadcast(g, shapes[0]), _unbroadcast(-g, shapes[1])
 
-    def vjp(g):
-        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
-
-    return _out(a.data - b.data, (a, b), vjp)
+    return _out(a.data - b.data, (a, b), vjp, shaped=True)
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
@@ -414,13 +421,13 @@ def relu(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    was = a.data.shape
-    return _out(a.data.reshape(shape), (a,), lambda g: (g.reshape(was),))
+    return _out(a.data.reshape(shape), (a,), lambda shapes, g: (g.reshape(shapes[0]),),
+                shaped=True)
 
 
 def sum_all(a: Tensor) -> Tensor:
-    was = a.data.shape
-    return _out(a.data.sum(), (a,), lambda g: (np.broadcast_to(g, was).copy(),))
+    return _out(a.data.sum(), (a,), lambda shapes, g: (np.broadcast_to(g, shapes[0]).copy(),),
+                shaped=True)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
@@ -448,14 +455,13 @@ def gather(a: Tensor, idx: np.ndarray) -> Tensor:
     """Row lookup a[idx]; duplicates in idx accumulate in the backward.  An
     id outside a's rows raises ValueError, naming a when it has a name."""
     idx = _row_index(idx, a, "gather")
-    shape, dtype = a.data.shape, a.data.dtype
 
-    def vjp(g):
-        da = np.zeros(shape, dtype)
+    def vjp(shapes, g):
+        da = np.zeros(shapes[0], g.dtype)  # g has a's dtype, as the rows have
         index_add(da, idx, g)
         return (da,)
 
-    return _out(np.take(a.data, idx, axis=0), (a,), vjp)
+    return _out(np.take(a.data, idx, axis=0), (a,), vjp, shaped=True)
 
 
 def scatter_rows_add(a: Tensor, idx: np.ndarray, b: Tensor) -> Tensor:

@@ -682,6 +682,19 @@ class TestSingleUseTape:
         tape.backward(loss)
         assert p.grad.tolist() == [[1.0] * 3] * 3
 
+    def test_output_used_under_a_later_tape_keeps_its_entry(self):
+        # the later tape takes loss as its leaf; the tape that made loss
+        # still differentiates it through its own entries
+        p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        with Tape() as first:
+            loss = sum_all(hadamard(p, p))
+        with Tape() as later:
+            twice = add(loss, loss)
+        first.backward(loss)
+        assert p.grad.tolist() == [2.0, 4.0] and loss.grad is None
+        later.backward(twice)
+        assert loss.grad.tolist() == 2.0 and p.grad.tolist() == [2.0, 4.0]
+
     def test_second_backward_raises(self):
         p = Tensor(np.ones(3), requires_grad=True)
         with Tape() as tape:

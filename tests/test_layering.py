@@ -196,8 +196,11 @@ def test_batch_respects_removed_edges(toy_index, toy_aug):
         ("answer", QuerySpec(query=0, rel=0, answer=-2)),
         ("answer", QuerySpec(query=0, rel=0, answer=2.0)),
         ("answer", QuerySpec(query=0, rel=0, answer=np.False_)),
-        # cast to int64, 2**64 - 1 would wrap to -1, "no answer"
+        # beside the good slot's Python int, numpy makes the answers float64
         ("answer", QuerySpec(query=0, rel=0, answer=np.uint64(2**64 - 1))),
+        # beside a uint64 answer they stay uint64; cast to int64, 2**64 - 1
+        # would wrap to -1, "no answer"
+        ("answer", (np.uint64(0), QuerySpec(query=0, rel=0, answer=np.uint64(2**64 - 1)))),
         ("removed", QuerySpec(query=0, rel=0, removed=np.array([0, 99]))),
         ("removed", QuerySpec(query=0, rel=0, removed=np.array([-1]))),
         ("removed", QuerySpec(query=0, rel=0, removed=np.array([1.0]))),
@@ -205,12 +208,13 @@ def test_batch_respects_removed_edges(toy_index, toy_aug):
     ],
     ids=["query-high", "query-low", "query-float", "query-bool", "rel-high", "rel-past-identity",
          "rel-low", "rel-bool", "answer-high", "answer-low", "answer-float", "answer-bool",
-         "answer-uint64-wrap",
+         "answer-uint64-wrap", "answer-uint64-wrap-array",
          "removed-high", "removed-low", "removed-float", "removed-bool"],
 )
 def test_batch_rejects_out_of_range_specs(toy_index, field, bad):
     b = SubgraphBuilder(toy_index)
-    good = QuerySpec(query=1, rel=4, answer=0, removed=np.array([0]))
+    answer, bad = bad if isinstance(bad, tuple) else (0, bad)  # the good slot's answer
+    good = QuerySpec(query=1, rel=4, answer=answer, removed=np.array([0]))
     # a slot's query, relation and answer are the ids at its position; its
     # removed positions are checked on their own
     msg = {"query": "^query entity ids .*, first bad at position 1$",
