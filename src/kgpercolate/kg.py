@@ -235,12 +235,14 @@ class AdjacencyIndex:
     def out_positions(self, ents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positions of the out-going triples of each entity of ``ents``, as
         one run per entity in that order, and the length of each run."""
-        starts = self.indptr[ents]
-        counts = self.out_degree[ents]
-        ends = np.cumsum(counts)
-        total = int(ends[-1]) if len(ends) else 0
+        starts = self.indptr.take(ents)
+        counts = self.out_degree.take(ents)
+        ends = counts.cumsum()
         # position k of run i is starts[i] + k - (ends[i] - counts[i])
-        pos = np.arange(total, dtype=np.int64) + np.repeat(starts - ends + counts, counts)
+        starts -= ends
+        starts += counts
+        pos = starts.repeat(counts)
+        pos += np.arange(len(pos), dtype=np.int64)
         return pos, counts
 
     def find_edges(self, h: int, t: int) -> np.ndarray:

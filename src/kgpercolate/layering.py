@@ -28,6 +28,21 @@ multiply-subtract, not ``np.divmod`` (33-44 against 91 us).  A mask that
 selects from several arrays becomes indices once, with ``nonzero``, and each
 array is ``take``n: one ``compress`` per array would run a ``nonzero`` each
 (``build_batch`` 0.94x, masked 16-query batches 0.95x).
+
+Small calls: a one-query map (``paths.verify_percolation_principles`` makes
+one per query) works on some 30-100 entries, where a numpy call costs a
+fixed 0.1-1 us whatever its length, so its cost is its number of calls.
+Calls therefore use the ndarray method, not the module function that wraps
+it (``a.repeat`` 0.35 against ``np.repeat`` 1.0 us, ``a.nonzero()[0]`` 0.19
+against ``np.flatnonzero`` 1.08, ``a.copy(); a.sort()`` 0.37 against
+``np.sort`` 0.70, ``a.cumsum()`` 0.74 against ``np.cumsum`` 1.62); allocate
+with ``np.empty`` and fill (0.16 against ``np.ones`` 0.84 us); split keys
+with ``%`` and a subtract (``np.divmod`` costs both ufuncs together, 1.18
+us); and update arrays the call made itself in place.  Integer gathers
+cost the other way round by size: ``a[idx]`` is cheaper up to about 1k ids
+(30 ids: 0.13 against 0.24 us for ``take``) and ``take`` from about 5k
+(20k ids: 6.6 against 8.1 us).  The kernel, which also lays out batches of
+100k triples, gathers with ``take``; the one-query principle check indexes.
 """
 
 from __future__ import annotations
@@ -67,10 +82,12 @@ class BatchDistanceMap:
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     """The sorted distinct keys, as ``np.unique`` gives them, from one sort
     and a compare of neighbours (no hash table); empty keys give empty."""
-    keys = np.sort(keys)
-    first = np.ones(len(keys), dtype=bool)
+    keys = keys.copy()
+    keys.sort()
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys[first]
+    return keys.compress(first)
 
 
 def _masked_keys(removed: Sequence[np.ndarray | None], n_triples: int) -> np.ndarray | None:
@@ -94,16 +111,19 @@ def _masked_keys(removed: Sequence[np.ndarray | None], n_triples: int) -> np.nda
 def _out_triples(
     index: AdjacencyIndex, keys: np.ndarray, masked: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Slots and positions of the unmasked triples leaving the entities of
-    ``keys``; ascending keys give ascending (slot, pos)."""
-    slot, ent = np.divmod(keys, index.num_entities)
+    """The unmasked triples leaving the entities of ``keys``, as each one's
+    slot base ``slot*|E|`` and position; ascending keys give ascending
+    (slot, pos)."""
+    n_e = index.num_entities
+    ent = keys % n_e
+    base = keys - ent
     pos, counts = index.out_positions(ent)
-    slot = np.repeat(slot, counts)
+    base = base.repeat(counts)
     if masked is not None:
-        key = slot * index.num_triples + pos
-        keep = (masked.take(np.searchsorted(masked, key), mode="clip") != key).nonzero()[0]
-        slot, pos = slot.take(keep), pos.take(keep)
-    return slot, pos
+        key = base // n_e * index.num_triples + pos
+        keep = (masked.take(masked.searchsorted(key), mode="clip") != key).nonzero()[0]
+        base, pos = base.take(keep), pos.take(keep)
+    return base, pos
 
 
 def batch_distances(
@@ -131,29 +151,30 @@ def batch_distances(
             raise ValueError(f"{len(removed)} removed arrays for {len(queries)} queries")
         masked = _masked_keys(removed, index.num_triples)
 
-    dist = np.full(len(queries) * n_e, -1, dtype=np.int16)
+    dist = np.empty(len(queries) * n_e, dtype=np.int16)
+    dist.fill(-1)
     frontier = np.arange(len(queries), dtype=np.int64) * n_e + queries
     dist[frontier] = 0
     reached = [frontier]
     for l in range(1, horizon + 1):
         # the frontier holds every key at distance l-1, ascending
-        slot, pos = _out_triples(index, frontier, masked)
-        tails = slot * n_e + index.tail[pos]
-        fresh = tails.compress(dist[tails] == -1)
+        base, pos = _out_triples(index, frontier, masked)
+        tails = base + index.tail.take(pos)
+        fresh = tails.compress(dist.take(tails) < 0)
         dist[fresh] = l
         reached.append(fresh)
         if l < horizon:  # the last layer's frontier is never expanded
             frontier = _sorted_unique(fresh)
     # every reached key once, without a scan of the (B*|E|,) table
     within = _sorted_unique(np.concatenate(reached))
-    slot, pos = _out_triples(index, within, masked)
-    td = dist[slot * n_e + index.tail[pos]]
+    base, pos = _out_triples(index, within, masked)
+    td = dist.take(base + index.tail.take(pos))
     sel = (td >= 0).nonzero()[0]
-    slot, pos, td = slot.take(sel), pos.take(sel), td.take(sel)
+    base, pos, td = base.take(sel), pos.take(sel), td.take(sel)
     # no tail is deeper than its head plus one, so layer l holds the triples
     # with head at l-1 and tail at l-1 or l
-    hd = dist[slot * n_e + index.head[pos]]
-    return BatchDistanceMap(queries, horizon, dist, within, (slot, pos),
+    hd = dist.take(base + index.head.take(pos))
+    return BatchDistanceMap(queries.copy(), horizon, dist, within, (base // n_e, pos),
                             (hd + 1) * (td >= hd), masked)
 
 

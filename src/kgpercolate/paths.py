@@ -22,7 +22,11 @@ of a head at distance k <= horizon-1 landing at a distance in [0, k+1]),
 under which principles (1) and (2) hold by a lemma and the path counts have
 closed forms over the map.  It refuses a map that breaks the premise, which
 only a faulty distance kernel makes.  Check (3) is array work over the same
-triples.
+triples, with no Python set: one stable argsort of the layered positions
+lists each repeat in the map's decoder order, and a ``searchsorted`` of the
+wanted triples into the sorted positions finds those no layer holds.  It
+reports what a scan in decoder order with a set of the positions seen
+would report, in the same order.
 """
 
 from __future__ import annotations
@@ -237,11 +241,18 @@ def verify_percolation_principles(
     (3) reads the same CSR ranges: its counterexamples are every repeat of
     a layered triple in the map's decoder order, then every wanted triple
     that no layer holds, by ascending position.  The layered triples are
-    the decoder's with a layer id in 1..H.
+    the decoder's with a layer id in 1..H.  A repeat is an occurrence of a
+    position after its first: a stable argsort groups each position's
+    occurrences with the first at the head, and the others, sorted back
+    into decoder order, are the repeats.  A wanted triple is missing when
+    both ends of its ``searchsorted`` range in the sorted positions agree.
+
+    The report's ``query`` is the map's query id as an int, whatever the
+    integer type of ``q``.
     """
     bd = batch_distances(index, [q], horizon)
-    dist = bd.dist
-    within = np.flatnonzero(dist >= 0)
+    q, dist = int(bd.queries[0]), bd.dist
+    within = (dist >= 0).nonzero()[0]
     wd = dist[within]
 
     def refuse(why: str):
@@ -249,50 +260,62 @@ def verify_percolation_principles(
 
     if dist[q] != 0:
         refuse(f"it sits at distance {dist[q]}, not 0")
-    zero = within[wd == 0]
+    zero = (wd == 0).nonzero()[0]  # ranks in ``within``; past the next check, q's alone
     if len(zero) > 1:
-        refuse(f"entity {zero[zero != q][0]} also sits at distance 0")
-    deep = wd < horizon
+        others = within[zero]
+        refuse(f"entity {others[others != q][0]} also sits at distance 0")
+    deep = (wd < horizon).nonzero()[0]
+    deep = deep[wd[deep].argsort(kind="stable")]  # shallow heads first
     pos, counts = index.out_positions(within[deep])
-    hd = np.repeat(wd[deep], counts)
+    hl = deep.repeat(counts)  # each triple's head rank
+    hd = wd[hl]
+    hd1 = hd + 1
     tail = index.tail[pos]
     td = dist[tail]
-    bad = ((td < 0) | (td > hd + 1)).nonzero()[0]
+    # a tail outside [0, hd+1]: read as uint16, a negative distance exceeds
+    # every hd+1, which is positive
+    bad = (td.view(np.uint16) > hd1.view(np.uint16)).nonzero()[0]
     if len(bad):
-        k = bad[0]
+        k = bad[pos[bad].argmin()]
         refuse(f"triple pos {pos[k]} has head distance {hd[k]} and tail distance {td[k]}")
 
-    # the closed forms, over the entities' ranks in ``within``
-    hl = np.repeat(deep.nonzero()[0], counts)
-    tl = np.searchsorted(within, tail)
+    # the closed forms, over the entities' ranks in ``within``.  The triples
+    # are in head depth order, so a climb reads its head's final sigma; and
+    # a walk's i-th step leaves depth < i, so it moves along a prefix of them
+    tl = within.searchsorted(tail)
     step = hl != tl
+    up = td >= hd
     start = [0] * len(within)
-    start[int(np.searchsorted(within, q))] = 1
+    start[int(zero[0])] = 1
     sigma = start.copy()
-    climbs = (td == hd + 1).nonzero()[0]
-    climbs = climbs[np.argsort(hd[climbs], kind="stable")]  # shallow heads first
+    climbs = (td == hd1).nonzero()[0]
     for h, t in zip(hl[climbs].tolist(), tl[climbs].tolist()):
         sigma[t] += sigma[h]
-    n_valid = sum(sigma[h] for h in hl[step & (td >= hd)].tolist())
+    n_valid = sum(map(sigma.__getitem__, hl.compress(step & up).tolist()))
+    mh, mt = hl.compress(step).tolist(), tl.compress(step).tolist()
     walks, n_walks = start, 0
-    moves = list(zip(hl[step].tolist(), tl[step].tolist()))
-    for _ in range(horizon):
+    for cut in hd.compress(step).searchsorted(range(1, horizon)).tolist():
         nxt = [0] * len(within)
-        for h, t in moves:
+        for h, t in zip(mh[:cut], mt[:cut]):
             nxt[t] += walks[h]
         walks = nxt
         n_walks += sum(walks)
+    n_walks += sum(map(walks.__getitem__, mh))  # the walks of H steps
 
-    # (3): every repeat of a layered triple, then every wanted triple missed
-    layered: set[int] = set()
-    cex = []
+    # (3): every repeat of a layered triple, in decoder order, then every
+    # wanted triple that no layer holds; a stable sort puts each layered
+    # position's first occurrence at the head of its run
     layer = bd.layer
-    for p in bd.decoder[1].compress((layer >= 1) & (layer <= horizon)).tolist():
-        if p in layered:
-            cex.append(f"triple in two layers: pos {p}")
-        layered.add(p)
-    cex += [f"non-uphill triple missing from all layers: pos {p}"
-            for p in pos[td >= hd].tolist() if p not in layered]
+    layered = bd.decoder[1].compress((layer >= 1) & (layer <= horizon))
+    order = layered.argsort(kind="stable")
+    ranked = layered[order]
+    again = order[1:].compress(ranked[1:] == ranked[:-1])
+    again.sort()
+    want = pos.compress(up)
+    missed = want.compress(ranked.searchsorted(want) == ranked.searchsorted(want, "right"))
+    missed.sort()
+    cex = ([f"triple in two layers: pos {p}" for p in layered[again].tolist()]
+           + [f"non-uphill triple missing from all layers: pos {p}" for p in missed.tolist()])
     return PrincipleReport(
         query=q, horizon=horizon, coverage_complete=not cex,
         n_shortest=sum(sigma), n_walks=n_walks, n_valid=n_valid, counterexamples=cex,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kgpercolate.counting import count_queries
 from kgpercolate.kg import Vocab, augment, build_index, make_graph
 from kgpercolate.layering import QuerySpec, SubgraphBuilder, batch_distances
 
@@ -295,6 +296,34 @@ def test_batch_slots_match_single_query_and_oracle(seed, n_slots, L):
             single = sorted(zip(idx.head[pos].tolist(), idx.rel[pos].tolist(),
                                 idx.tail[pos].tolist()))
             assert slot_triples(bg, lt, s) == single == want
+
+
+def test_map_keeps_its_own_query_ids(toy_index):
+    # an int64 id array passes the id check uncopied; the map must not share it
+    q = np.array([0, 2], dtype=np.int64)
+    bd = batch_distances(toy_index, q, 3)
+    q[:] = 1
+    assert bd.queries.tolist() == [0, 2]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_calls_leave_callers_arrays_unchanged(seed):
+    # the kernel works in place on arrays of its own; the int64 query,
+    # removed and entity arrays a caller passes in come back byte for byte
+    rng = np.random.default_rng(seed)
+    idx = build_index(augment(random_kg(rng)))
+    queries = rng.integers(0, idx.num_entities, 6)
+    removed = [random_mask(rng, idx, 0.2)[0] for _ in queries]
+    ents = rng.integers(0, idx.num_entities, 9)
+    inputs = [queries, ents, *removed]
+    before = [a.tobytes() for a in inputs]
+    batch_distances(idx, queries, 3, removed)
+    count_queries(idx, queries, 3, removed)
+    SubgraphBuilder(idx).build_batch(
+        [QuerySpec(q, 0, removed=r) for q, r in zip(queries, removed)], 3)
+    idx.out_positions(ents)
+    assert all(a.dtype == np.int64 for a in inputs)
+    assert [a.tobytes() for a in inputs] == before
 
 
 @pytest.mark.parametrize("queries", [[0, 1], [0], [1, 0, 1]])

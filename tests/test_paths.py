@@ -401,6 +401,32 @@ def test_verify_reads_layer_ids(monkeypatch, toy_index, toy_aug, label):
     assert rep == reference_verify(toy_index, dm)
 
 
+def test_repeats_keep_decoder_order(monkeypatch, toy_index, toy_aug):
+    # layers 1 and 2 listed as [L1, L2, L1, L2, L1] and layer 3 left out:
+    # the repeats come in the map's decoder order (layer 1's triples sit at
+    # lower positions than layer 2's), then layer 3's triples by position
+    import kgpercolate.paths
+
+    q = toy_aug.entities.id("A")
+    true = batch_distances(toy_index, [q], 3)
+    l1, l2, l3 = layer_positions(true)
+    dm = relayer(true, [(1, l1), (2, l2), (1, l1), (2, l2), (1, l1)])
+    monkeypatch.setattr(kgpercolate.paths, "batch_distances", lambda *a: dm)
+    rep = verify_percolation_principles(toy_index, q, 3)
+    assert rep.counterexamples == (
+        [f"triple in two layers: pos {p}" for p in [*l1, *l2, *l1]]
+        + [f"non-uphill triple missing from all layers: pos {p}" for p in l3])
+    assert rep == reference_verify(toy_index, dm)
+
+
+@pytest.mark.parametrize("q", [np.uint8(0), np.int64(0), np.array(0)])
+def test_report_query_is_an_int(toy_index, q):
+    # as ``QueryCount.query``: a numpy id gives the plain int's report
+    rep = verify_percolation_principles(toy_index, q, 3)
+    assert rep == verify_percolation_principles(toy_index, 0, 3)
+    assert type(rep.query) is int
+
+
 def reference_verify(index, dm):
     """verify's report from the path lab's definitions: the walks of at most
     H triples that ``enumerate_paths`` lists to every entity t with a

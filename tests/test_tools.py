@@ -56,6 +56,24 @@ def test_interleave_refuses_sides_that_differ(tmp_path):
     assert "train_step returns different results" in run.stderr
 
 
+def test_interleave_compares_every_pair(tmp_path):
+    # a copy whose count_queries changes from its second call on agrees on
+    # the first pair's untimed run and is caught on the second pair's
+    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src")
+    counting = tmp_path / "src" / "kgpercolate" / "counting.py"
+    counting.write_text(counting.read_text() + (
+        "\n\n_count_queries, _calls = count_queries, []\n\n\n"
+        "def count_queries(*args):\n"
+        "    _calls.append(None)\n"
+        "    report = _count_queries(*args)\n"
+        "    report.queries[0].decoder_triples += len(_calls) > 1\n"
+        "    return report\n"))
+    run = tool("interleave.py", str(tmp_path), "--call", "count_queries", "--pairs", "2",
+               "--reps", "1")
+    assert run.returncode == 1
+    assert "count_queries returns different results on the two sides on pair 1" in run.stderr
+
+
 def test_step_faults_prints_its_fields():
     run = tool("step_faults.py", "--steps", "3", "--warmup", "1")
     assert run.returncode == 0, run.stdout + run.stderr

@@ -27,11 +27,13 @@ seeded parameters and a fresh Adam, since repeated steps on the unbounded
 drifts by up to 1.5x between separate runs, so a small difference is
 visible only in pairs this close.
 
-Before timing, both sides run the first batch and their results are compared
-field by field (dataclass fields, array dtypes, shapes and bytes, dict keys
-and values; for ``train_step`` the logits, every parameter's gradient and the
-updated parameters); when they differ the script names the call and exits 1,
-so an A/B never times two programs that compute different things.
+Before a pair's timed runs, both sides run its batch once outside the timer
+and their results are compared field by field (dataclass fields, array
+dtypes, shapes and bytes, dict keys and values; for ``train_step`` the
+logits, every parameter's gradient and the updated parameters); when they
+differ the script names the call and the pair and exits 1, so an A/B never
+times two programs that compute different things, and checks equality over
+all of its batches.
 """
 
 from __future__ import annotations
@@ -158,15 +160,14 @@ def main() -> None:
                                    args.seed)
         loop = workloads.Loop(split, wl, SimpleNamespace(index=index), args.seed)
         sides.append((prepare, run, [loop.next_batch() for _ in range(args.pairs)]))
-    # also warms both sides up
-    base, changed = (run(prepare(batches[0])) for prepare, run, batches in sides)
-    if not same(base, changed):
-        sys.exit(f"error: {args.call} returns different results on the two sides; "
-                 "not timing it")
-
     times = np.full((args.pairs, 2), np.inf)
     for i in range(args.pairs):
         inputs = [prepare(batches[i]) for prepare, _, batches in sides]
+        # untimed; on the first pair this also warms both sides up
+        base, changed = (run(x) for (_, run, _), x in zip(sides, inputs))
+        if not same(base, changed):
+            sys.exit(f"error: {args.call} returns different results on the two sides "
+                     f"on pair {i}; no ratio is printed")
         for r in range(args.reps):
             for s in ((0, 1) if (i + r) % 2 == 0 else (1, 0)):
                 times[i, s] = min(times[i, s], run_ms(sides[s][1], inputs[s]))
