@@ -22,6 +22,29 @@ against 66 us for ``x*x`` alone; ``sums[:, :8] * inv[:, None]`` on
 expanding (3761, 8) segment rows to their 19623 rows took 45 us with
 ``np.repeat`` against 23 us with ``np.take`` on a row -> segment index.
 
+``matmul`` runs each of its products, the forward ``x @ w``, the input
+gradient ``g @ w.T`` and the weight gradient ``x.T @ g``, as BLAS calls
+over row blocks of x: the fewest near-equal blocks that keep every call's
+m*n*k below 2**19, and no one-row block when x has two rows or more (numpy
+sends a one-row product to gemv, which rounds differently).  OpenBLAS's
+``interface/gemm.c`` (0.3.31) gives a gemm of more than 2**18 m*n*k
+min(threads, m*n*k // 2**18) threads, and a smaller one a single thread,
+so no call wakes a worker thread, whatever the thread count; a
+(64, 32) weight takes blocks of at most 255 rows.  The weight gradient is
+the sum of the blocks' products, added in block order, so its bytes no
+longer depend on how OpenBLAS splits a large product among threads, as
+they did.  A row of the forward or the input gradient is what one call
+over all rows gives, with one exception: OpenBLAS's SkylakeX core runs a
+gemm of more than 10**6 m*n*k in a general kernel, which rounds an
+(n, 32) @ (32, 8) product differently from its small-matrix kernel, and
+every block takes the small one.  So compress's second layer moved on
+batches of more than 3,906 nodes, and a row's value no longer depends on
+how many rows share its product.  On bench train steps (seeds 901-903,
+2 BLAS threads, 2-vCPU VM, ``tools/step_faults.py``) the worker, which
+waits for work by spinning, had used 12.0-13.6 ms of CPU per 11-12 ms
+step; now it uses none, and the peak resident set fell from 65.8-68.2 to
+62.5-63.3 MB (bench train ``peak_rss_mb``: 71.8 -> 67.2 MB, median of 10).
+
 Row gathers go through ``np.take``, and every segment sum
 (``segment_mean_std`` and ``index_add``) goes through one kernel,
 ``_segment_sums``.  Both give the bytes of numpy's own ``x[idx]`` and
@@ -97,6 +120,12 @@ _ACTIVE_TAPE: "Tape | None" = None
 STD_EPS = 1e-6  # inside the sqrt of segment_mean_std
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 _CKPT_META = "__meta__"  # the checkpoint entry holding meta as JSON
+# np.savez takes its arrays as keywords beside these parameters
+_CKPT_RESERVED = (_CKPT_META, "file", "allow_pickle")
+# OpenBLAS's interface/gemm.c gives a gemm of more than
+# SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD = 65536 * 4 m*n*k
+# min(threads, m*n*k // (65536 * 4)) threads, so one below twice that, one
+_GEMM_ONE_THREAD = 2 * 65536 * 4
 
 # glibc's mallopt parameters (malloc.h) and the values backward sets
 _M_TRIM_THRESHOLD = -1
@@ -381,13 +410,42 @@ def index_add(target: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
 
 # ---------------------------------------------------------------- basic ops
 
+def _row_blocks(n: int, width: int) -> list[slice]:
+    """The fewest near-equal row blocks of an n-row product with a (k, m)
+    weight, width = k*m, that keep each BLAS call under
+    ``_GEMM_ONE_THREAD``; no block has one row when n >= 2, which wins over
+    the bound for a weight of more than ``_GEMM_ONE_THREAD // 3`` entries."""
+    cap = max(1, (_GEMM_ONE_THREAD - 1) // max(width, 1))
+    if n <= cap:
+        return [slice(0, n)]
+    c = min(-(-n // cap), n // 2)
+    return [slice(n * i // c, n * (i + 1) // c) for i in range(c)]
+
+
+def _by_rows(x: np.ndarray, w: np.ndarray, blocks: list[slice]) -> np.ndarray:
+    """``x @ w`` as one BLAS call per row block of x."""
+    if len(blocks) == 1:
+        return x @ w
+    y = np.empty((len(x), w.shape[1]), np.result_type(x, w))
+    for rows in blocks:
+        np.matmul(x[rows], w, out=y[rows])
+    return y
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` for 2-d operands, as BLAS calls over row blocks of ``a``
+    (module docstring); the weight gradient is the in-order sum of the
+    blocks' products."""
     x, w = a.data, b.data
+    blocks = _row_blocks(len(x), w.size)
 
     def vjp(g):
-        return g @ w.T, x.T @ g
+        gw = x[blocks[0]].T @ g[blocks[0]]
+        for rows in blocks[1:]:
+            gw += x[rows].T @ g[rows]
+        return _by_rows(g, w.T, blocks), gw
 
-    return _out(x @ w, (a, b), vjp)
+    return _out(_by_rows(x, w, blocks), (a, b), vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -595,10 +653,13 @@ def save_params(path, params: dict[str, Tensor], meta: dict | None = None) -> No
     ``meta`` as one JSON string under ``_CKPT_META``.  Every tensor must be
     in the active default dtype, which ``load_params`` also requires.  The
     file is opened here, so it is exactly ``path`` (``np.savez`` appends
-    ``.npz`` to a str path).
+    ``.npz`` to a str path).  A parameter may not take the meta entry's
+    name or the name of one of ``np.savez``'s own arguments.
     """
     arrays = {}
     for name, t in params.items():
+        if name in _CKPT_RESERVED:
+            raise ValueError(f"parameter name {name!r} is reserved in a checkpoint")
         if t.data.dtype != np.dtype(_DTYPE):
             raise ValueError(f"tensor {name!r} has dtype {t.data.dtype}, not the active "
                              f"default dtype {get_default_dtype()}")

@@ -536,6 +536,89 @@ def test_relu_bytes_match_where(dtype):
         ad.set_default_dtype("float32")
 
 
+# (k, m) weights: the encoder update and compress (64, 32) and its
+# transpose, compress's second layer (32, 8), decoder and score (16, 8), (8, 1)
+MODEL_WEIGHTS = [(64, 32), (32, 64), (32, 8), (16, 8), (8, 1)]
+BLOCK_ROWS = [1, 2, 255, 256, 257, 511, 513, 4097]
+
+
+# up to (2**19 - 1) // 3, the widest weight whose blocks can all take 2-3 rows
+@pytest.mark.parametrize("width", [1, 8, 128, 256, 2048, 8192, 65536, 174762])
+def test_row_blocks_tile_rows_under_the_bound(width):
+    cap = (ad._GEMM_ONE_THREAD - 1) // width
+    for n in [*range(0, 600), 1023, 1024, 1025, 4097, 100_003]:
+        blocks = ad._row_blocks(n, width)
+        bounds = [blocks[0].start] + [s.stop for s in blocks]
+        assert [s.start for s in blocks[1:]] == bounds[1:-1], n
+        assert bounds[0] == 0 and bounds[-1] == n, (n, bounds)
+        rows = np.diff(bounds)
+        assert len(rows) == max(1, -(-n // cap)), n  # the fewest blocks
+        assert rows.max() - rows.min() <= 1, n
+        assert n < 2 or rows.min() >= 2, n  # a one-row product rounds differently
+        assert rows.max() * width < ad._GEMM_ONE_THREAD, n
+    if width == 64 * 32:  # the widest model weight takes at most 255 rows
+        assert ad._row_blocks(255, width) == [slice(0, 255)]
+        assert ad._row_blocks(256, width) == [slice(0, 128), slice(128, 256)]
+
+
+def test_row_blocks_keep_two_rows_for_wide_weights():
+    # past (2**19 - 1) // 3 entries no 2-3 row block stays under the bound,
+    # and the two-row floor wins over it
+    for width in (2**18, 2**19, 2**20):
+        for n in range(2, 50):
+            rows = [s.stop - s.start for s in ad._row_blocks(n, width)]
+            assert sum(rows) == n and min(rows) >= 2 and max(rows) <= 3, (width, n)
+
+
+# OpenBLAS's SkylakeX core runs a gemm of at most 10**6 entries m*n*k in its
+# small-matrix kernel and a larger one in its general kernel; the two round
+# a (n, 32) @ (32, 8) product differently, and every row block is small
+SMALL_GEMM = 10**6
+
+
+@pytest.mark.parametrize("k, m", MODEL_WEIGHTS)
+def test_blocked_matmul_bytes(k, m):
+    # the product and the input gradient are those of one unblocked call
+    # wherever that call stays in the small-matrix kernel, and the rows of
+    # a product do not depend on how many rows share it; the weight
+    # gradient is the sum of the block products in block order
+    rng = np.random.default_rng(k * m)
+    x_all = rng.standard_normal((max(BLOCK_ROWS), k)).astype(np.float32)
+    w = rng.standard_normal((k, m)).astype(np.float32)
+    whole = matmul(Tensor(x_all), Tensor(w)).data
+    for n in BLOCK_ROWS:
+        x = x_all[:n]
+        g = rng.standard_normal((n, m)).astype(np.float32)
+        a, b = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        with Tape() as tape:
+            out = matmul(a, b)
+            loss = sum_all(hadamard(out, Tensor(g)))  # out's gradient is g
+        tape.backward(loss)
+        if n * k * m <= SMALL_GEMM:
+            assert out.data.tobytes() == (x @ w).tobytes(), n
+        if n >= 2 and m >= 2:  # a one-column weight makes a gemv
+            assert out.data.tobytes() == whole[:n].tobytes(), n
+        assert a.grad.tobytes() == (g @ w.T).tobytes(), n
+        blocks = ad._row_blocks(n, k * m)
+        want = x[blocks[0]].T @ g[blocks[0]]
+        for rows in blocks[1:]:
+            want = want + x[rows].T @ g[rows]
+        assert len(blocks) > 1 or n * k * m < ad._GEMM_ONE_THREAD
+        assert b.grad.tobytes() == want.tobytes(), n
+
+
+def test_blocked_weight_gradient_is_the_product(float64):
+    rng = np.random.default_rng(45)
+    x, g = rng.standard_normal((600, 64)), rng.standard_normal((600, 32))
+    a = Tensor(x, requires_grad=True)
+    b = Tensor(rng.standard_normal((64, 32)), requires_grad=True)
+    assert len(ad._row_blocks(600, b.data.size)) > 1
+    with Tape() as tape:
+        loss = sum_all(hadamard(matmul(a, b), Tensor(g)))
+    tape.backward(loss)
+    np.testing.assert_allclose(b.grad, x.T @ g, rtol=1e-12, atol=1e-12)
+
+
 # [True, 0] is an integer array to numpy
 @pytest.mark.parametrize("index", [np.array([True, False, True]), np.array([0.0, 2.0, 1.0]),
                                    [True, 0]])
@@ -857,6 +940,16 @@ class TestCheckpoint:
         monkeypatch.setattr(time, "time", lambda: later)
         save_params(second, params, meta=meta)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("name", ["allow_pickle", "__meta__", "file"])
+    def test_reserved_names_rejected(self, tmp_path, name):
+        # np.savez would take "allow_pickle" and "file" as its own arguments,
+        # and the meta entry would overwrite "__meta__"
+        path = tmp_path / "model.ckpt"
+        params = {"w": Tensor(np.ones(2)), name: Tensor(np.zeros(3))}
+        with pytest.raises(ValueError, match=f"parameter name '{name}' is reserved"):
+            save_params(path, params)
+        assert not path.exists()
 
     def test_writes_one_file_at_path(self, tmp_path):
         path = tmp_path / "model.ckpt"

@@ -81,3 +81,4 @@ def test_step_faults_prints_its_fields():
     assert re.fullmatch(r"(\d+|None) thread\(s\)", fields["blas"])
     for name in ("step_ms_p50", "minflt_per_step", "maxrss_mb"):
         assert float(fields[name]) >= 0
+    assert fields["worker_ms_per_step"] == "n/a" or float(fields["worker_ms_per_step"]) >= 0

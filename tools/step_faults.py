@@ -3,9 +3,11 @@
 It builds the bench's train workload for one seed, runs a few untimed
 warm-up steps, then times N steps of the train loop in this process and
 counts the minor page faults (``ru_minflt``) each one takes.  It prints the
-median step time, the mean faults per step and the peak resident set
-(``ru_maxrss``).  The bench gates only times and peak memory; this shows
-the allocator behaviour behind them.
+median step time, the mean faults per step, the CPU time per step of every
+thread but the main one (OpenBLAS's workers; from ``/proc/self/task``,
+``n/a`` where that is missing) and the peak resident set (``ru_maxrss``).
+The bench gates only times and peak memory; this shows the allocator and
+BLAS-thread behaviour behind them.
 
     python tools/step_faults.py [--root CHECKOUT] [--seed N] [--steps N] [--warmup N]
 
@@ -20,9 +22,31 @@ import argparse
 import os
 import resource
 import sys
+import threading
 from time import perf_counter
 
 import numpy as np
+
+
+def other_threads_ticks() -> int | None:
+    """utime + stime, in clock ticks, summed over every thread of this
+    process but the calling one; None where /proc/self/task is missing."""
+    main = str(threading.get_native_id())
+    try:
+        tids = os.listdir("/proc/self/task")
+    except OSError:
+        return None
+    ticks = 0
+    for tid in tids:
+        if tid == main:
+            continue
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as f:
+                fields = f.read().rsplit(")", 1)[1].split()
+        except OSError:  # the thread ended
+            continue
+        ticks += int(fields[11]) + int(fields[12])  # utime, stime (fields 14, 15)
+    return ticks
 
 
 def main() -> None:
@@ -48,6 +72,7 @@ def main() -> None:
     for _ in range(args.warmup):
         loop.step(loop.next_batch(), tr)
     ms, faults = [], []
+    ticks0 = other_threads_ticks()
     for _ in range(args.steps):
         queries = loop.next_batch()
         f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -55,12 +80,16 @@ def main() -> None:
         loop.step(queries, tr)
         ms.append((perf_counter() - t0) * 1e3)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+    ticks1 = other_threads_ticks()
+    worker = ("n/a" if ticks0 is None or ticks1 is None else
+              f"{(ticks1 - ticks0) / os.sysconf('SC_CLK_TCK') * 1e3 / args.steps:.2f}")
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"blas             {blas_threads()} thread(s)")
-    print(f"steps            {args.steps} after {args.warmup} warm-up, seed {args.seed}")
-    print(f"step_ms_p50      {np.median(ms):.2f}")
-    print(f"minflt_per_step  {np.mean(faults):.1f}")
-    print(f"maxrss_mb        {peak:.1f}")
+    print(f"blas               {blas_threads()} thread(s)")
+    print(f"steps              {args.steps} after {args.warmup} warm-up, seed {args.seed}")
+    print(f"step_ms_p50        {np.median(ms):.2f}")
+    print(f"minflt_per_step    {np.mean(faults):.1f}")
+    print(f"worker_ms_per_step {worker}")
+    print(f"maxrss_mb          {peak:.1f}")
 
 
 if __name__ == "__main__":
