@@ -50,6 +50,9 @@ Row gathers go through ``np.take``, and every segment sum
 ``_segment_sums``.  Both give the bytes of numpy's own ``x[idx]`` and
 ``np.add.reduceat``; the kernel reproduces reduceat's summation order,
 which is numpy's, and a bytes test pins it to the installed numpy.
+``gather`` and ``scatter_rows_add`` take row ids as one 1-d array and
+refuse any other shape with a ValueError naming the op and the tensor,
+since ``index_add`` finds duplicate ids along one axis only.
 
 A tape holds gradient keys, not the tensors it records.  An entry is
 (output slot, input keys, VJP).  An input's key is the slot of the entry
@@ -387,9 +390,7 @@ def index_add(target: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
       ids into 17 rows, numpy 2.4.6 on a 2-vCPU VM), else idx itself; a stable sort's permutation
       depends only on the key order, so it equals that of idx itself.
     """
-    if idx.size == 0:
-        return
-    # the smallest step between neighbours, 1 for one id; unsigned ids would wrap
+    # the smallest step between neighbours, 1 for one id or none; unsigned ids would wrap
     lo = np.diff(idx.astype(np.intp, copy=False)).min(initial=1)
     if lo > 0:
         target[idx] += values
@@ -416,9 +417,7 @@ def _row_blocks(n: int, width: int) -> list[slice]:
     ``_GEMM_ONE_THREAD``; no block has one row when n >= 2, which wins over
     the bound for a weight of more than ``_GEMM_ONE_THREAD // 3`` entries."""
     cap = max(1, (_GEMM_ONE_THREAD - 1) // max(width, 1))
-    if n <= cap:
-        return [slice(0, n)]
-    c = min(-(-n // cap), n // 2)
+    c = max(1, min(-(-n // cap), n // 2))
     return [slice(n * i // c, n * (i + 1) // c) for i in range(c)]
 
 
@@ -437,6 +436,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     (module docstring); the weight gradient is the in-order sum of the
     blocks' products."""
     x, w = a.data, b.data
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ValueError(f"matmul needs 2-d operands of matching inner size, "
+                         f"got {x.shape} and {w.shape}")
     blocks = _row_blocks(len(x), w.size)
 
     def vjp(g):
@@ -506,12 +508,16 @@ def _row_index(idx, a: Tensor, op: str) -> np.ndarray:
     # np.take reads a boolean mask as the row ids 0 and 1; index_add keeps
     # only one write of a negative id and its positive twin
     of = f" of {a.name!r}" if a.name else ""
-    return check_ids(f"{op}{of} row ids", idx, 0, a.data.shape[0])
+    ids = check_ids(f"{op}{of} row ids", idx, 0, a.data.shape[0])
+    if ids.ndim != 1:
+        raise ValueError(f"{op}{of} row ids must be 1-d, got shape {ids.shape}")
+    return ids
 
 
 def gather(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Row lookup a[idx]; duplicates in idx accumulate in the backward.  An
-    id outside a's rows raises ValueError, naming a when it has a name."""
+    """Row lookup a[idx] for 1-d ids; duplicates in idx accumulate in the
+    backward.  An id outside a's rows, or ids of another shape, raise
+    ValueError, naming a when it has a name."""
     idx = _row_index(idx, a, "gather")
 
     def vjp(shapes, g):
@@ -523,8 +529,13 @@ def gather(a: Tensor, idx: np.ndarray) -> Tensor:
 
 
 def scatter_rows_add(a: Tensor, idx: np.ndarray, b: Tensor) -> Tensor:
-    """out = a with out[idx] += b, duplicates accumulated."""
+    """out = a with out[idx] += b, duplicates accumulated; b holds one row
+    per id."""
     idx = _row_index(idx, a, "scatter_rows_add")
+    rows = idx.shape + a.data.shape[1:]
+    if b.data.shape != rows:
+        raise ValueError(f"scatter_rows_add of {len(idx)} row ids needs added rows of "
+                         f"shape {rows}, got {b.data.shape}")
     data = a.data.copy()
     index_add(data, idx, b.data)
 

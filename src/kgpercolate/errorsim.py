@@ -21,7 +21,7 @@ run is reproducible from its seed (independent substreams per experiment).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,36 +174,3 @@ def simulate_aggregation(
         *exact, bound=alpha * sigma2 / (m + 1) ** 2,
     )
 
-
-def run_entropy_suite(
-    hops: int = 8,
-    sigma2: float = 0.01,
-    dim: int = 16,
-    samples: int = 20_000,
-    seed: int = 0,
-    m: int = 3,
-    path_len: int = 4,
-    alpha: int = 2,
-    overlap: int | None = None,
-) -> dict:
-    """Full report: per-hop variances for all families + aggregation study."""
-    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(4)]
-    per_hop = {
-        fam: asdict(simulate_hop_variance(
-            fam, hops, sigma2, dim=dim, samples=samples, seed=s
-        ))
-        for fam, s in zip(FAMILIES, seeds[:3])
-    }
-    agg = asdict(simulate_aggregation(
-        m, path_len, alpha, sigma2, overlap=overlap,
-        samples=max(samples, 2000), seed=seeds[3],
-    ))
-    return {
-        "seed": seed,
-        "sigma2": sigma2,
-        "hops": hops,
-        "dim": dim,
-        "samples": samples,
-        "per_hop": per_hop,
-        "aggregation": agg,
-    }

@@ -2,6 +2,7 @@
 
 import dataclasses
 import platform
+import re
 import sys
 import time
 import weakref
@@ -655,6 +656,46 @@ def test_row_ops_reject_ids_outside_rows(index, rows, span, at):
         loss = sum_all(gather(t, np.array([row, row], dtype=index.dtype)))
     tape.backward(loss)
     assert t.grad[row].tolist() == [2.0, 2.0] and t.grad.sum() == 4.0
+
+
+@pytest.mark.parametrize("index, shape", [
+    ([[0, 1], [0, 1]], r"\(2, 2\)"),
+    (np.int64(1), r"\(\)"),
+    (np.zeros((0, 1), dtype=np.int64), r"\(0, 1\)"),
+], ids=["2d", "scalar", "empty-2d"])
+def test_row_ops_take_only_1d_ids(index, shape):
+    # index_add finds duplicate ids along one axis: on 2-d ids it would sum
+    # each row of ids apart, and a scalar id has no axis
+    a = Tensor(np.ones((3, 2)), requires_grad=True, name="table")
+    b = Tensor(np.ones(np.shape(index) + (2,)))
+    for op, call in (("gather", lambda: gather(a, index)),
+                     ("scatter_rows_add", lambda: scatter_rows_add(a, index, b))):
+        with pytest.raises(ValueError, match=rf"^{op} of 'table' row ids must be 1-d, "
+                                             rf"got shape {shape}$"):
+            call()
+
+
+def test_scatter_rows_add_takes_one_row_per_id():
+    # a broadcast b would get a gradient of another shape than its own
+    a, idx = Tensor(np.ones((3, 2)), requires_grad=True), np.array([0, 1, 1])
+    for shape in [(1, 2), (3,), (3, 1), (2, 2), (3, 2, 1)]:
+        with pytest.raises(ValueError, match=rf"^scatter_rows_add of 3 row ids needs added rows "
+                                             rf"of shape \(3, 2\), got {re.escape(str(shape))}$"):
+            scatter_rows_add(a, idx, Tensor(np.ones(shape), requires_grad=True))
+    out = scatter_rows_add(a, idx, Tensor(np.ones((3, 2))))
+    assert out.data.tolist() == [[2, 2], [3, 3], [1, 1]]
+
+
+@pytest.mark.parametrize("rows", [3, 600])  # one row block, and more than one
+def test_matmul_takes_2d_operands_of_matching_inner_size(rows):
+    # the row blocks and the weight gradient assume 2-d operands
+    x = Tensor(np.ones((rows, 64)), requires_grad=True)
+    for w in (np.ones(64), np.ones((32, 8)), np.ones((1, 64, 8))):
+        want = rf"^matmul needs 2-d operands of matching inner size, got \({rows}, 64\) and "
+        with pytest.raises(ValueError, match=want + re.escape(str(w.shape)) + "$"):
+            matmul(x, Tensor(w, requires_grad=True))
+    with pytest.raises(ValueError, match=r"got \(64,\) and \(64, 8\)$"):
+        matmul(Tensor(np.ones(64)), Tensor(np.ones((64, 8))))
 
 
 def test_index_add_is_called_through_the_module(monkeypatch):

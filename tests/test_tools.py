@@ -82,3 +82,14 @@ def test_step_faults_prints_its_fields():
     for name in ("step_ms_p50", "minflt_per_step", "maxrss_mb"):
         assert float(fields[name]) >= 0
     assert fields["worker_ms_per_step"] == "n/a" or float(fields["worker_ms_per_step"]) >= 0
+
+
+@pytest.mark.parametrize("args", [
+    ("interleave.py", ROOT, "--call", "build_batch", "--reps", "0"),
+    ("interleave.py", ROOT, "--call", "build_batch", "--pairs", "0"),
+    ("step_faults.py", "--steps", "0"),
+], ids=["interleave-reps", "interleave-pairs", "step_faults-steps"])
+def test_tools_refuse_counts_below_one(args):
+    run = tool(*args)
+    assert run.returncode == 2
+    assert f"error: argument {args[-2]}: must be at least 1, got 0" in run.stderr

@@ -136,14 +136,22 @@ def run_ms(fn, arg) -> float:
     return 1e3 * (perf_counter() - t0)
 
 
+def count(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base")
     ap.add_argument("changed", nargs="?", default=HERE)
     ap.add_argument("--call", choices=CALLS, required=True)
     ap.add_argument("--seed", type=int, default=901)
-    ap.add_argument("--pairs", type=int, default=60)
-    ap.add_argument("--reps", type=int, default=3)
+    ap.add_argument("--pairs", type=count, default=60)
+    ap.add_argument("--reps", type=count, default=3)
     args = ap.parse_args()
 
     sys.path[:0] = [os.path.join(HERE, "src"), os.path.join(HERE, "bench")]

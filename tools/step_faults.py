@@ -27,6 +27,8 @@ from time import perf_counter
 
 import numpy as np
 
+from interleave import count  # a sibling script: the same argparse type
+
 
 def other_threads_ticks() -> int | None:
     """utime + stime, in clock ticks, summed over every thread of this
@@ -53,7 +55,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", default=os.path.join(os.path.dirname(__file__), os.pardir))
     ap.add_argument("--seed", type=int, default=901)
-    ap.add_argument("--steps", type=int, default=150)
+    ap.add_argument("--steps", type=count, default=150)
     ap.add_argument("--warmup", type=int, default=10)
     args = ap.parse_args()
     root = os.path.abspath(args.root)
