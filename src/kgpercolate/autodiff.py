@@ -45,11 +45,27 @@ waits for work by spinning, had used 12.0-13.6 ms of CPU per 11-12 ms
 step; now it uses none, and the peak resident set fell from 65.8-68.2 to
 62.5-63.3 MB (bench train ``peak_rss_mb``: 71.8 -> 67.2 MB, median of 10).
 
-Row gathers go through ``np.take``, and every segment sum
+Row gathers go through ``take``, and every segment sum
 (``segment_mean_std`` and ``index_add``) goes through one kernel,
-``_segment_sums``.  Both give the bytes of numpy's own ``x[idx]`` and
-``np.add.reduceat``; the kernel reproduces reduceat's summation order,
-which is numpy's, and a bytes test pins it to the installed numpy.
+``_SegmentPlan``: a plan built once from a segment pointer and the row
+width, which sums any number of arrays of that layout, so one plan serves
+every sum over one segment layout (``segment_mean_std`` sums x and x*x
+through one; on an eval batch's decoder of 6,770 triples in 1,956 segments
+the op took 213 against 309 us with a plan per sum).  Both give the bytes
+of numpy's own ``x[idx]`` and ``np.add.reduceat``; the kernel reproduces
+reduceat's summation order, which is numpy's, and a bytes test pins it to
+the installed numpy.
+
+Small calls: an untaped op on a few hundred to a few thousand rows pays a
+fixed cost per numpy call, so ops call the ndarray method, not the module
+function that wraps it (on 300 rows, numpy 2.4.6, 2-vCPU VM:
+``x.take(ids, axis=0)`` 1.4 against ``np.take`` 3.0 us, ``a.argsort()`` 2.3
+against 4.0, ``a.cumsum()`` 2.5 against 4.2, ``a.repeat`` 1.8 against 3.0,
+``a.nonzero()[0]`` 0.9 against ``np.flatnonzero`` 2.9), and compare
+neighbours by slicing (``(p[1:] <= p[:-1]).any()`` 3.3 against
+``np.any(np.diff(p) <= 0)`` 7.0 us).  ``index_add`` keeps ``np.argsort``,
+which a test spies on, and ``gather`` and ``scatter_rows_add`` look
+``index_add`` up in the module, where the bench's traced runs wrap it.
 ``gather`` and ``scatter_rows_add`` take row ids as one 1-d array and
 refuse any other shape with a ValueError naming the op and the tensor,
 since ``index_add`` finds duplicate ids along one axis only.
@@ -316,10 +332,11 @@ _SHORT = 8  # reduceat sums a segment of at most this many rows in row order
 _KERNEL_MIN_CALLS = 4096
 
 
-def _segment_sums(x: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    """Row sums of the segments x[ptr[i]:ptr[i + 1]], byte for byte those of
-    ``np.add.reduceat(x, ptr[:-1], axis=0)``; ptr rises strictly from 0 to
-    len(x), which may be 0.
+class _SegmentPlan:
+    """How to sum rows over the segments x[ptr[i]:ptr[i + 1]] of rows
+    ``width`` wide, byte for byte as ``np.add.reduceat(x, ptr[:-1], axis=0)``;
+    ptr rises strictly from 0 to len(x), which may be 0.  Built once from ptr,
+    it serves every array of that layout (``sums``).
 
     reduceat calls its inner loop once per segment and column.  For a
     segment of m <= 8 rows that loop gives
@@ -327,49 +344,73 @@ def _segment_sums(x: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     leading -0.0 changes no value.  Here one stable argsort of the clipped
     row counts (a uint8 key) orders the segments longest first.  Segments of
     more than 8 rows keep numpy's blocked pairwise order: reduceat runs on
-    their rows alone.  Segments of 2..8 rows, longest first, take one
-    ``np.take`` and one vectorized add per row offset k, which accumulate
-    row k into every segment longer than k.  One-row segments are one
-    ``np.take``.  The sums, made in that order, return to segment order by
-    one ``np.take`` on the inverse permutation: writing each group into its
-    rows by fancy assignment ran a per-row loop, 82 against ~10 us for
-    (3207, 8) sums (numpy 2.4.6, 2-vCPU VM).  When the short segments would cost reduceat few calls,
-    it runs on everything.
+    their rows alone, packed (``long_rows``, ``packed``).  Segments of 2..8
+    rows, longest first, take one ``take`` and one vectorized add per row
+    offset k, which accumulate row k into every segment longer than k
+    (``offsets[k - 1]``, rows of a prefix of ``first``).  One-row segments
+    are one ``take`` (``single``).  The sums, made in that order, return to
+    segment order by one ``take`` on the inverse permutation ``back``:
+    writing each group into its rows by fancy assignment ran a per-row loop,
+    82 against ~10 us for (3207, 8) sums (numpy 2.4.6, 2-vCPU VM).  When the
+    short segments would cost reduceat few calls, ``back`` is None and
+    reduceat runs on everything.
     """
-    starts = ptr[:-1]
-    width = math.prod(x.shape[1:])
-    # the segment count bounds the short ones: few segments skip the counting
-    if len(starts) * width < _KERNEL_MIN_CALLS:
-        return np.add.reduceat(x, starts, axis=0)
-    sizes = ptr[1:] - starts
-    clipped = np.minimum(sizes, _SHORT + 1)
-    counts = np.bincount(clipped, minlength=_SHORT + 2)
-    if counts[1:_SHORT + 1].sum() * width < _KERNEL_MIN_CALLS:
-        return np.add.reduceat(x, starts, axis=0)
-    # longest first: over _SHORT rows, then _SHORT rows down to one
-    order = np.argsort((_SHORT + 1 - clipped).astype(np.uint8), kind="stable")
-    n_long = counts[_SHORT + 1]
-    n_multi = n_long + counts[2:_SHORT + 1].sum()
-    parts = []
-    if n_long:
-        long = order[:n_long]
-        rows_in = sizes[long]
-        packed = np.cumsum(rows_in) - rows_in  # their starts once packed
-        rows = np.repeat(starts[long] - packed, rows_in) + np.arange(packed[-1] + rows_in[-1])
-        parts.append(np.add.reduceat(np.take(x, rows, axis=0), packed, axis=0))
-    if n_multi > n_long:
-        first = starts[order[n_long:n_multi]]
-        # longer[k]: how many of them have more than k rows, a prefix of first
-        longer = np.cumsum(counts[_SHORT:0:-1])[::-1].tolist()
-        tail = np.take(x, first + 1, axis=0)
-        for k in range(2, int(clipped[order[n_long]])):
-            n = longer[k]
-            tail[:n] += np.take(x, first[:n] + k, axis=0)
-        parts.append(np.take(x, first, axis=0) + tail)
-    parts.append(np.take(x, starts[order[n_multi:]], axis=0))
-    back = np.empty_like(order)
-    back[order] = np.arange(len(order))
-    return np.take(np.concatenate(parts), back, axis=0)
+
+    __slots__ = ("starts", "long_rows", "packed", "first", "offsets", "single", "back")
+
+    def __init__(self, ptr: np.ndarray, width: int):
+        self.starts = starts = ptr[:-1]
+        self.back = None
+        # the segment count bounds the short ones: few segments skip the counting
+        if len(starts) * width < _KERNEL_MIN_CALLS:
+            return
+        sizes = ptr[1:] - starts
+        clipped = np.minimum(sizes, _SHORT + 1)
+        counts = np.bincount(clipped, minlength=_SHORT + 2)
+        if counts[1:_SHORT + 1].sum() * width < _KERNEL_MIN_CALLS:
+            return
+        # longest first: over _SHORT rows, then _SHORT rows down to one
+        order = (_SHORT + 1 - clipped).astype(np.uint8).argsort(kind="stable")
+        n_long = counts[_SHORT + 1]
+        n_multi = n_long + counts[2:_SHORT + 1].sum()
+        self.long_rows = None
+        if n_long:
+            long = order[:n_long]
+            rows_in = sizes.take(long)
+            self.packed = packed = rows_in.cumsum() - rows_in  # their starts once packed
+            self.long_rows = ((starts.take(long) - packed).repeat(rows_in)
+                              + np.arange(packed[-1] + rows_in[-1]))
+        self.offsets = []
+        if n_multi > n_long:
+            self.first = first = starts.take(order[n_long:n_multi])
+            # longer[k]: how many of them have more than k rows, a prefix of first
+            longer = counts[_SHORT:0:-1].cumsum()[::-1].tolist()
+            self.offsets = [first + 1] + [first[:longer[k]] + k
+                                          for k in range(2, int(clipped[order[n_long]]))]
+        self.single = starts.take(order[n_multi:])
+        self.back = back = np.empty_like(order)
+        back[order] = np.arange(len(order))
+
+    def sums(self, x: np.ndarray) -> np.ndarray:
+        """The segments' row sums of x, which has the plan's layout."""
+        if self.back is None:
+            return np.add.reduceat(x, self.starts, axis=0)
+        parts = []
+        if self.long_rows is not None:
+            parts.append(np.add.reduceat(x.take(self.long_rows, axis=0), self.packed, axis=0))
+        if self.offsets:
+            tail = x.take(self.offsets[0], axis=0)
+            for rows in self.offsets[1:]:
+                tail[:len(rows)] += x.take(rows, axis=0)
+            parts.append(x.take(self.first, axis=0) + tail)
+        parts.append(x.take(self.single, axis=0))
+        return np.concatenate(parts).take(self.back, axis=0)
+
+
+def _segment_sums(x: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """Row sums of the segments x[ptr[i]:ptr[i + 1]], byte for byte those of
+    ``np.add.reduceat(x, ptr[:-1], axis=0)``, through a one-use plan."""
+    return _SegmentPlan(ptr, math.prod(x.shape[1:])).sums(x)
 
 
 def index_add(target: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
@@ -377,7 +418,7 @@ def index_add(target: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
 
     Rows of one index are summed by ``_segment_sums`` in their order in
     ``values`` (much faster than np.add.at at batched-subgraph volumes).
-    One ``np.diff`` of idx picks the path, and each gives the bytes of a
+    Compares of neighbours pick the path, and each gives the bytes of a
     stable argsort of idx followed by ``np.add.reduceat``:
 
     - strictly increasing: every row is its own segment, so a plain
@@ -390,23 +431,22 @@ def index_add(target: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
       ids into 17 rows, numpy 2.4.6 on a 2-vCPU VM), else idx itself; a stable sort's permutation
       depends only on the key order, so it equals that of idx itself.
     """
-    # the smallest step between neighbours, 1 for one id or none; unsigned ids would wrap
-    lo = np.diff(idx.astype(np.intp, copy=False)).min(initial=1)
-    if lo > 0:
+    # one id or none rises strictly; compares, unlike a diff, never wrap unsigned ids
+    if not (idx[1:] <= idx[:-1]).any():
         target[idx] += values
         return
     si, sv = idx, values
-    if lo < 0:
+    if (idx[1:] < idx[:-1]).any():
         rows = target.shape[0]
         key = (idx.astype(np.uint8) if rows <= 1 << 8
                else idx.astype(np.uint16) if rows <= 1 << 16 else idx)
         order = np.argsort(key, kind="stable")
-        si, sv = idx[order], np.take(values, order, axis=0)
+        si, sv = idx.take(order), values.take(order, axis=0)
     starts = np.empty(si.size + 1, dtype=bool)  # True where a segment starts
     starts[0] = starts[-1] = True
     np.not_equal(si[1:], si[:-1], out=starts[1:-1])
-    ptr = np.flatnonzero(starts)
-    target[si[ptr[:-1]]] += _segment_sums(sv, ptr)
+    ptr = starts.nonzero()[0]
+    target[si.take(ptr[:-1])] += _segment_sums(sv, ptr)
 
 
 # ---------------------------------------------------------------- basic ops
@@ -492,10 +532,9 @@ def sum_all(a: Tensor) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
     sizes = [t.data.shape[axis] for t in tensors]
-    offs = np.cumsum(sizes)[:-1]
 
     def vjp(g):
-        return tuple(np.split(g, offs, axis=axis))
+        return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
 
     return _out(
         np.concatenate([t.data for t in tensors], axis=axis),
@@ -525,7 +564,7 @@ def gather(a: Tensor, idx: np.ndarray) -> Tensor:
         index_add(da, idx, g)
         return (da,)
 
-    return _out(np.take(a.data, idx, axis=0), (a,), vjp, shaped=True)
+    return _out(a.data.take(idx, axis=0), (a,), vjp, shaped=True)
 
 
 def scatter_rows_add(a: Tensor, idx: np.ndarray, b: Tensor) -> Tensor:
@@ -540,7 +579,7 @@ def scatter_rows_add(a: Tensor, idx: np.ndarray, b: Tensor) -> Tensor:
     index_add(data, idx, b.data)
 
     def vjp(g):
-        return g, np.take(g, idx, axis=0)
+        return g, g.take(idx, axis=0)
 
     return _out(data, (a, b), vjp)
 
@@ -566,10 +605,12 @@ def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:
 
 # ---------------------------------------------------------- segment ops
 
-def _check_segments(seg_ptr: np.ndarray, n_rows: int, denom: np.ndarray) -> None:
-    if seg_ptr[0] != 0 or seg_ptr[-1] != n_rows:
+def _check_segments(seg_ptr: np.ndarray, shape: tuple, denom: np.ndarray) -> None:
+    if len(shape) != 2:
+        raise ValueError(f"segment_mean_std needs 2-d rows, got shape {shape}")
+    if seg_ptr[0] != 0 or seg_ptr[-1] != shape[0]:
         raise ValueError("seg_ptr must start at 0 and end at the row count")
-    if np.any(np.diff(seg_ptr) <= 0):
+    if (seg_ptr[1:] <= seg_ptr[:-1]).any():
         raise ValueError("seg_ptr must be strictly increasing: every segment holds a row")
     if denom.shape != (len(seg_ptr) - 1,):
         raise ValueError(f"denom of shape {denom.shape} for {len(seg_ptr) - 1} segments")
@@ -579,24 +620,25 @@ def segment_mean_std(a: Tensor, seg_ptr: np.ndarray, denom: np.ndarray) -> Tenso
     """[mean : std] per segment, denominator-weighted.
 
     mean = sum(x) / denom and std = sqrt(relu(E[x^2] - E[x]^2) + eps),
-    with E[.] = sum(.) / denom.  ``_segment_sums`` takes sum(x) and
-    sum(x*x) in two calls on contiguous (rows, d) arrays; it sums each
-    column on its own, so they equal the bytes of any other grouping of the
-    columns.  The sums are scaled in place by a contiguous (segments, d)
-    1/denom, and the backward expands segment rows to their rows with
-    ``np.take`` on one row -> segment index (module docstring).  Every
-    segment holds a row (``seg_ptr`` rises strictly, as in a ``BatchGraph``
-    layer); no rows give a (0, 2d) result.
+    with E[.] = sum(.) / denom.  One ``_SegmentPlan`` of ``seg_ptr`` sums
+    x and x*x, contiguous (rows, d) arrays; it sums each column on its own,
+    so the sums equal the bytes of any other grouping of the columns.  The
+    sums are scaled in place by a contiguous (segments, d) 1/denom, and the
+    backward expands segment rows to their rows with ``take`` on one row ->
+    segment index (module docstring).  ``a`` must be 2-d, and every segment
+    holds a row (``seg_ptr`` rises strictly, as in a ``BatchGraph`` layer),
+    or ValueError; no rows give a (0, 2d) result.
     """
     seg_ptr = np.asarray(seg_ptr)
-    denom = np.asarray(denom, dtype=a.data.dtype)
-    _check_segments(seg_ptr, a.data.shape[0], denom)
     x = a.data
+    denom = np.asarray(denom, dtype=x.dtype)
+    _check_segments(seg_ptr, x.shape, denom)
     n, d = len(denom), x.shape[1]
-    inv = np.repeat(1.0 / denom, d).reshape(n, d)
-    m1 = _segment_sums(x, seg_ptr)
+    inv = (1.0 / denom).repeat(d).reshape(n, d)
+    plan = _SegmentPlan(seg_ptr, d)
+    m1 = plan.sums(x)
     m1 *= inv
-    w = _segment_sums(x * x, seg_ptr)
+    w = plan.sums(x * x)
     w *= inv
     w -= m1 * m1
     std = np.maximum(w, 0)
@@ -613,10 +655,10 @@ def segment_mean_std(a: Tensor, seg_ptr: np.ndarray, denom: np.ndarray) -> Tenso
         coef *= inv
         coef /= std
         g_mean *= inv
-        rows = np.repeat(np.arange(n), np.diff(seg_ptr))
-        dx = x - np.take(m1, rows, axis=0)
-        np.multiply(np.take(coef, rows, axis=0), dx, out=dx)
-        dx += np.take(g_mean, rows, axis=0)
+        rows = np.arange(n).repeat(seg_ptr[1:] - seg_ptr[:-1])
+        dx = x - m1.take(rows, axis=0)
+        np.multiply(coef.take(rows, axis=0), dx, out=dx)
+        dx += g_mean.take(rows, axis=0)
         return (dx,)
 
     return _out(np.concatenate([m1, std], axis=1), (a,), vjp)

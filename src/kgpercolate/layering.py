@@ -41,8 +41,11 @@ with ``%`` and a subtract (``np.divmod`` costs both ufuncs together, 1.18
 us); and update arrays the call made itself in place.  Integer gathers
 cost the other way round by size: ``a[idx]`` is cheaper up to about 1k ids
 (30 ids: 0.13 against 0.24 us for ``take``) and ``take`` from about 5k
-(20k ids: 6.6 against 8.1 us).  The kernel, which also lays out batches of
-100k triples, gathers with ``take``; the one-query principle check indexes.
+(20k ids: 6.6 against 8.1 us).  The kernel and the builder, which also lay
+out batches of 100k triples, gather with ``take``; the one-query principle
+check indexes.  The builder finds a layer's segment bounds with one
+``not_equal`` of neighbours and one ``nonzero`` (``np.diff(prepend=-1)``
+and ``np.append`` wrap several calls each).
 """
 
 from __future__ import annotations
@@ -335,13 +338,13 @@ class SubgraphBuilder:
         rows = np.empty(len(bd.dist), dtype=np.int32)
         rows[keys] = np.arange(len(keys), dtype=np.int32)
         sizes = np.bincount(node_query, minlength=n_q)
-        ends = np.cumsum(sizes)
+        ends = sizes.cumsum()
         base = np.arange(n_q, dtype=np.int64) * n_e
         answer_keys = base + np.maximum(answers, 0)
         reached = (answers >= 0) & (bd.dist[answer_keys] >= 0)
         # visible in-degree: the global one less the slot's masked triples
         # into the row, so that masking a triple equals deleting it
-        degree = index.out_degree[node_entity]
+        degree = index.out_degree.take(node_entity)
         if bd.masked is not None:
             slot = bd.masked // index.num_triples
             tails = slot * n_e + index.tail[bd.masked - slot * index.num_triples]
@@ -353,12 +356,13 @@ class SubgraphBuilder:
         # so sorting them is a stable sort of the rows without a sort index
         slot, pos = bd.decoder
         m = len(pos)
-        grouped = np.sort(rows[slot * n_e + index.tail[pos]] * np.int64(m) + np.arange(m))
+        grouped = rows.take(slot * n_e + index.tail.take(pos)) * np.int64(m) + np.arange(m)
+        grouped.sort()
         tail_row = grouped // m
         order = grouped - tail_row * m
         slot, pos, layer = slot.take(order), pos.take(order), bd.layer.take(order)
-        decoder = (tail_row, rows[slot * n_e + index.head[pos]].astype(np.int64),
-                   index.rel[pos].astype(np.int64), slot)
+        decoder = (tail_row, rows.take(slot * n_e + index.head.take(pos)).astype(np.int64),
+                   index.rel.take(pos).astype(np.int64), slot)
         return BatchGraph(
             n_nodes=len(keys),
             node_entity=node_entity,
@@ -377,7 +381,10 @@ class SubgraphBuilder:
 def _segments(tail: np.ndarray, head_node: np.ndarray, rel: np.ndarray,
               slot: np.ndarray, degree: np.ndarray) -> LayerTriples:
     """A layer's triples, given grouped by tail row, as segments."""
-    start = np.flatnonzero(np.diff(tail, prepend=-1))
-    targets = tail[start]
-    return LayerTriples(head_node=head_node, rel=rel, seg_ptr=np.append(start, len(tail)),
-                        targets=targets, denom=degree[targets], triple_query=slot)
+    bounds = np.empty(len(tail) + 1, dtype=bool)  # True where a segment starts, and at the end
+    bounds[0] = bounds[-1] = True
+    np.not_equal(tail[1:], tail[:-1], out=bounds[1:-1])
+    seg_ptr = bounds.nonzero()[0]
+    targets = tail.take(seg_ptr[:-1])
+    return LayerTriples(head_node=head_node, rel=rel, seg_ptr=seg_ptr,
+                        targets=targets, denom=degree.take(targets), triple_query=slot)

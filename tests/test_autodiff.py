@@ -380,6 +380,15 @@ class TestTapeMechanics:
             segment_mean_std(x, np.array([0, 2, 4]), np.array(denom))
         assert segment_mean_std(x, np.array([0, 2, 4]), np.array([1.0, 2.0])).shape == (2, 4)
 
+    @pytest.mark.parametrize("shape", [(5,), (5, 2, 2)])
+    def test_segment_mean_std_takes_2d_rows(self, shape):
+        # 1-d rows have no width, and (5, 2, 2) rows would broadcast 1/denom
+        # against their last two axes (means of 0.667 and 1.5 for all-ones rows)
+        x = Tensor(np.ones(shape))
+        with pytest.raises(ValueError, match=re.escape(
+                f"segment_mean_std needs 2-d rows, got shape {shape}")):
+            segment_mean_std(x, np.array([0, 2, 5]), np.array([2.0, 3.0]))
+
 
 def sorted_index_add(target, idx, values):
     """The reference for ``index_add``'s bytes: a stable argsort of idx for
@@ -476,9 +485,10 @@ def kernel_input(rng, dtype, width, pool=KERNEL_SIZES):
 @pytest.mark.parametrize("width", [None, 1, 2, 8, 16, 64])
 def test_segment_sums_bytes_match_reduceat(dtype, width):
     # the kernel copies numpy's summation order; this pins it to the
-    # installed numpy, through both callers, on contiguous and strided rows,
-    # with every group of segment sizes and with no segments over 8 rows, none
-    # of 2..8 rows, or one row each
+    # installed numpy, through both callers and through one plan that sums
+    # two arrays (x and x*x, as segment_mean_std does), on contiguous and
+    # strided rows, with every group of segment sizes and with no segments
+    # over 8 rows, none of 2..8 rows, or one row each
     rng = np.random.default_rng(43 + (width or 0))
     for pool in (KERNEL_SIZES, np.r_[0:9], np.r_[0, 1, 1, 1, 1, 1, 1, 16, 17, 130],
                  np.r_[0, 1, 1, 1]):
@@ -488,9 +498,14 @@ def test_segment_sums_bytes_match_reduceat(dtype, width):
         ptr = np.r_[0, np.cumsum(sizes[sizes > 0])]
         idx = np.repeat(np.arange(len(sizes)), sizes)
         shuffled = rng.permutation(len(idx))
-        strided = np.repeat(data[..., None], 2, axis=-1)[..., 0]
+        strided = lambda a: np.repeat(a[..., None], 2, axis=-1)[..., 0]
         with np.errstate(invalid="ignore", over="ignore"):
-            for x in (data, strided):
+            square = data * data
+            for x, xx in ((data, square), (strided(data), strided(square))):
+                plan = ad._SegmentPlan(ptr, width or 1)
+                for y in (x, xx):
+                    want = np.add.reduceat(y, ptr[:-1], axis=0)
+                    assert plan.sums(y).tobytes() == want.tobytes(), pool
                 want = np.add.reduceat(x, ptr[:-1], axis=0)
                 got = ad._segment_sums(x, ptr)
                 assert got.dtype == dtype and got.tobytes() == want.tobytes(), pool

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgpercolate.counting import count_queries
+from kgpercolate.ids import check_ids
 from kgpercolate.kg import Vocab, augment, build_index, make_graph
 from kgpercolate.layering import QuerySpec, SubgraphBuilder, batch_distances
 
@@ -394,6 +395,23 @@ def test_batch_layers_are_bfs_layers_grouped_by_tail(seed, n_slots, L):
         assert lt.triple_query.tolist() == [x[3] for x in grouped]
         for a in (lt.head_node, lt.rel, lt.seg_ptr, lt.targets, lt.triple_query):
             assert a.dtype == np.int64
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_layer_index_arrays_are_int64(L):
+    # the model's gathers and scatters hand these to check_ids, which passes
+    # a nonempty int64 array on as it is and copies any other
+    rng = np.random.default_rng(60 + L)
+    idx = build_index(augment(random_kg(rng)))
+    queries = rng.integers(0, idx.num_entities, 6).tolist()
+    specs = [QuerySpec(q, 0, -1, random_mask(rng, idx, 0.2)[0] if k % 2 else None)
+             for k, q in enumerate(queries)]
+    bg = SubgraphBuilder(idx).build_batch(specs, L)
+    for lt in bg.layers + [bg.decoder]:
+        for name in ("head_node", "rel", "seg_ptr", "targets", "triple_query"):
+            a = getattr(lt, name)
+            assert a.dtype == np.int64, name
+            assert len(a) == 0 or check_ids(name, a, 0, 1 << 62) is a, name
 
 
 def batch_fields(bg) -> dict:

@@ -93,3 +93,9 @@ def test_tools_refuse_counts_below_one(args):
     run = tool(*args)
     assert run.returncode == 2
     assert f"error: argument {args[-2]}: must be at least 1, got 0" in run.stderr
+
+
+def test_step_faults_refuses_warmup_below_zero():
+    run = tool("step_faults.py", "--warmup", "-1")
+    assert run.returncode == 2
+    assert "error: argument --warmup: must be at least 0, got -1" in run.stderr

@@ -2,9 +2,9 @@
 
 Loads ``src/kgpercolate`` of each checkout under its own package name and
 times one call on the batches of the bench workload that makes it, in this
-checkout's ``bench/workloads.py``: ``build_batch`` and ``forward_batch`` of
-eval; ``count_queries``, ``verify_percolation_principles`` and
-``batch_distances`` of analysis; ``train_step`` of train.  The workload
+checkout's ``bench/workloads.py``: ``build_batch``, ``forward_batch`` and
+``eval_batch`` of eval; ``count_queries``, ``verify_percolation_principles``
+and ``batch_distances`` of analysis; ``train_step`` of train.  The workload
 gives the graph, the horizon and the batch size.  Each side builds its own
 index of that graph, and a ``Loop`` on that index draws its batches with
 ``next_batch``, so a train query's mask holds positions in that side's
@@ -19,13 +19,15 @@ CHANGED defaults to this checkout.  ``count_queries`` and ``build_batch``
 run once per batch, ``verify_percolation_principles`` and
 ``batch_distances`` (with a single query) once per query of the batch.
 ``forward_batch`` is the untaped forward of eval, default model config.
+``eval_batch`` is ``build_batch`` and then ``forward_batch`` on its batch,
+the library's whole share of an eval batch; its result is the logits.
 ``train_step`` is ``forward_batch``, ``sum_all`` of the logits, backward and
-one Adam step at the bench's rate, default model config.  Both build the
-``BatchGraph`` before the timer starts.  Every train step starts from the
-seeded parameters and a fresh Adam, since repeated steps on the unbounded
-``sum_all`` loss overflow within about a hundred steps.  The host's speed
-drifts by up to 1.5x between separate runs, so a small difference is
-visible only in pairs this close.
+one Adam step at the bench's rate, default model config.  ``forward_batch``
+and ``train_step`` build the ``BatchGraph`` before the timer starts.  Every
+train step starts from the seeded parameters and a fresh Adam, since
+repeated steps on the unbounded ``sum_all`` loss overflow within about a
+hundred steps.  The host's speed drifts by up to 1.5x between separate
+runs, so a small difference is visible only in pairs this close.
 
 Before a pair's timed runs, both sides run its batch once outside the timer
 and their results are compared field by field (dataclass fields, array
@@ -51,9 +53,9 @@ import numpy as np
 
 HERE = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 # each call -> the bench workload whose batches it times
-CALLS = {"build_batch": "eval", "forward_batch": "eval", "count_queries": "analysis",
-         "verify_percolation_principles": "analysis", "batch_distances": "analysis",
-         "train_step": "train"}
+CALLS = {"build_batch": "eval", "forward_batch": "eval", "eval_batch": "eval",
+         "count_queries": "analysis", "verify_percolation_principles": "analysis",
+         "batch_distances": "analysis", "train_step": "train"}
 
 
 def load(root: str, name: str):
@@ -93,6 +95,9 @@ def side(pkg, graph, call: str, horizon: int, lr: float, seed: int):
     params = model.init_params(config, seed)
     if call == "forward_batch":
         return index, build, lambda bg: model.forward_batch(params, config, bg).data
+    if call == "eval_batch":
+        evaluate = lambda queries: model.forward_batch(params, config, build(queries)).data
+        return index, lambda queries: queries, evaluate
     seeded = {k: p.data.copy() for k, p in params.items()}
 
     def train_step(bg):
@@ -136,12 +141,15 @@ def run_ms(fn, arg) -> float:
     return 1e3 * (perf_counter() - t0)
 
 
-def count(text: str) -> int:
-    """An argparse type: an integer of at least 1."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def at_least(lo: int):
+    """An argparse type: an integer of at least ``lo``."""
+    def count(text: str) -> int:
+        n = int(text)
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {n}")
+        return n
+
+    return count
 
 
 def main() -> None:
@@ -150,8 +158,8 @@ def main() -> None:
     ap.add_argument("changed", nargs="?", default=HERE)
     ap.add_argument("--call", choices=CALLS, required=True)
     ap.add_argument("--seed", type=int, default=901)
-    ap.add_argument("--pairs", type=count, default=60)
-    ap.add_argument("--reps", type=count, default=3)
+    ap.add_argument("--pairs", type=at_least(1), default=60)
+    ap.add_argument("--reps", type=at_least(1), default=3)
     args = ap.parse_args()
 
     sys.path[:0] = [os.path.join(HERE, "src"), os.path.join(HERE, "bench")]

@@ -27,7 +27,7 @@ from time import perf_counter
 
 import numpy as np
 
-from interleave import count  # a sibling script: the same argparse type
+from interleave import at_least  # a sibling script: the same argparse type
 
 
 def other_threads_ticks() -> int | None:
@@ -55,8 +55,8 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", default=os.path.join(os.path.dirname(__file__), os.pardir))
     ap.add_argument("--seed", type=int, default=901)
-    ap.add_argument("--steps", type=count, default=150)
-    ap.add_argument("--warmup", type=int, default=10)
+    ap.add_argument("--steps", type=at_least(1), default=150)
+    ap.add_argument("--warmup", type=at_least(0), default=10)
     args = ap.parse_args()
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
